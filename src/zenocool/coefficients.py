@@ -25,8 +25,10 @@ computed by :func:`cooling_free_report`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -163,6 +165,19 @@ class CoefficientTable:
     def n_max(self) -> int:
         return self.values.size - 1
 
+    @cached_property
+    def log_survival(self) -> np.ndarray:
+        """Per-level log survival 2 log|c_n| of one measurement (read-only).
+
+        A segment applies this same diagonal factor at every measurement,
+        so the engine, the reference ``step`` and the trajectory sampler all
+        read it from here; a zero coefficient gives ``-inf``.
+        """
+        with np.errstate(divide="ignore"):
+            out = 2.0 * np.log(np.abs(self.values))
+        out.flags.writeable = False
+        return out
+
 
 def build_table(variant: str, params: PhysicalParams, n_max: int) -> CoefficientTable:
     """Tabulate the variant's coefficient for every integer n up to n_max."""
@@ -195,59 +210,57 @@ class CoolingFreeReport:
         return tuple(e.index for e in self.entries)
 
 
-def _driven_protected(gm_tau: float, gf_tau: float, n_max: int):
+def _driven_protected(gm_tau: float, gf_tau: float):
     two_pi = 2.0 * math.pi
     j = max(1, math.ceil(gf_tau / two_pi - 1e-9))
-    points = []
     while True:
         idx = ((two_pi * j) ** 2 - gf_tau**2) / gm_tau**2
         # cancellation noise at an exactly-integer g_f tau / 2 pi boundary
         rounding = 64.0 * np.finfo(float).eps * (two_pi * j) ** 2 / gm_tau**2
-        if idx < -rounding:
-            j += 1
-            continue
-        if idx > n_max:
-            break
-        period = 4.0 * (2 * j + 1) * math.pi**2 / gm_tau**2
-        points.append((j, max(idx, 0.0), period))
+        if idx >= -rounding:
+            period = 4.0 * (2 * j + 1) * math.pi**2 / gm_tau**2
+            yield j, max(idx, 0.0), period
         j += 1
-    return points
 
 
-def _conventional_protected(gm_tau: float, delta_tau: float, n_max: int):
+def _conventional_protected(gm_tau: float, delta_tau: float):
     # delta_tau = 0 gives the resonant set n_k = (k pi / (g_m tau))^2.
     k = math.floor(abs(delta_tau) / (2.0 * math.pi)) + 1
-    points = []
     while True:
         idx = ((k * math.pi) ** 2 - delta_tau**2 / 4.0) / gm_tau**2
-        if idx > n_max:
-            break
         period = (2 * k + 1) * math.pi**2 / gm_tau**2
-        points.append((k, idx, period))
+        yield k, idx, period
         k += 1
-    return points
+
+
+def _protected_points(variant: str, params: PhysicalParams):
+    """Every protected (generator, index, quasi-period), by increasing index.
+
+    The set follows the coefficient, not the variant label; see
+    :func:`cooling_free_report`.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    detuning = params.delta_tau if variant.endswith("detuned") else 0.0
+    if variant.startswith("driven") and params.gf_tau > 0.0:
+        if detuning != 0.0:
+            return iter(())
+        return _driven_protected(params.gm_tau, params.gf_tau)
+    return _conventional_protected(params.gm_tau, detuning)
 
 
 def cooling_free_report(variant: str, params: PhysicalParams, n_max: int) -> CoolingFreeReport:
     """Locate every protected (cooling-free) index at or below n_max.
 
-    Driven variants with ``g_f = 0`` are handled by the conventional set,
-    since the driven coefficient then reduces to the conventional one with
-    twice as many magnitude-1 points as the driven formula alone would
-    find. A detuned driven protocol has no exactly protected level above
-    the ground state for generic detuning, so its report is empty.
+    Driven variants with ``g_f = 0`` are handled by the conventional set
+    (detuned or not), since the driven coefficient then reduces to the
+    conventional one with twice as many magnitude-1 points as the driven
+    formula alone would find. A detuned driven protocol with the driving
+    on has no exactly protected level above the ground state for generic
+    detuning, so its report is empty.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    gm_tau = params.gm_tau
-    if variant == "driven-detuned" and params.delta_tau != 0.0:
-        points = []
-    elif variant in ("driven", "driven-detuned") and params.gf_tau > 0.0:
-        points = _driven_protected(gm_tau, params.gf_tau, n_max)
-    elif variant == "conventional-detuned":
-        points = _conventional_protected(gm_tau, params.delta_tau, n_max)
-    else:
-        points = _conventional_protected(gm_tau, 0.0, n_max)
+    points = itertools.takewhile(lambda point: point[1] <= n_max,
+                                 _protected_points(variant, params))
     entries = []
     for gen, idx, period in points:
         nearest = int(min(max(round(idx), 0), n_max))
@@ -263,17 +276,5 @@ def first_protected_index(variant: str, params: PhysicalParams) -> float | None:
     Used by the protocol layer to size truncations so that population
     aggregating near the first cooling-free level is never clipped.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    gm_tau = params.gm_tau
-    if variant == "driven-detuned" and params.delta_tau != 0.0:
-        return None
-    if variant in ("driven", "driven-detuned") and params.gf_tau > 0.0:
-        two_pi = 2.0 * math.pi
-        j = math.floor(params.gf_tau / two_pi) + 1
-        return ((two_pi * j) ** 2 - params.gf_tau**2) / gm_tau**2
-    if variant == "conventional-detuned":
-        d = abs(params.delta_tau)
-        k = math.floor(d / (2.0 * math.pi)) + 1
-        return ((k * math.pi) ** 2 - d**2 / 4.0) / gm_tau**2
-    return (math.pi / gm_tau) ** 2
+    return next((idx for _, idx, _ in _protected_points(variant, params)
+                 if idx > 0.0), None)

@@ -82,13 +82,17 @@ class ExperimentConfig:
         return self.params.omega_m is not None
 
     def thermal_spec(self) -> ThermalSpec:
-        if self.temperature is not None:
-            return ThermalSpec(temperature=self.temperature,
-                               omega_m=self.params.omega_m,
-                               epsilon_tail=self.epsilon_tail)
-        if self.n_bar_th is not None:
-            return ThermalSpec(n_bar_th=self.n_bar_th,
-                               epsilon_tail=self.epsilon_tail)
+        try:
+            if self.temperature is not None:
+                return ThermalSpec(temperature=self.temperature,
+                                   omega_m=self.params.omega_m,
+                                   epsilon_tail=self.epsilon_tail)
+            if self.n_bar_th is not None:
+                return ThermalSpec(n_bar_th=self.n_bar_th,
+                                   epsilon_tail=self.epsilon_tail)
+        except ValueError as exc:
+            key = "T_kelvin" if self.temperature is not None else "n_bar_th"
+            raise ConfigError(f"key {key!r}: {exc}") from exc
         raise ConfigError("config has no thermal state: set T_kelvin or n_bar_th")
 
     def segment_params(self, spec: SegmentSpec) -> PhysicalParams:
@@ -98,12 +102,15 @@ class ExperimentConfig:
         to zero there; resonant variants must not carry a detuning.
         """
         p = self.params
-        if spec.g_f is not None:
-            g_f = spec.g_f / p.omega_m if self.si_units else spec.g_f
-            p = replace(p, g_f=g_f)
-        if spec.delta_e is not None:
-            d = spec.delta_e / p.omega_m if self.si_units else spec.delta_e
-            p = replace(p, delta_e=d)
+        try:
+            if spec.g_f is not None:
+                g_f = spec.g_f / p.omega_m if self.si_units else spec.g_f
+                p = replace(p, g_f=g_f)
+            if spec.delta_e is not None:
+                d = spec.delta_e / p.omega_m if self.si_units else spec.delta_e
+                p = replace(p, delta_e=d)
+        except ValueError as exc:
+            raise ConfigError(f"segment {spec.variant!r} override: {exc}") from exc
         if spec.variant.startswith("conventional"):
             p = replace(p, g_f=0.0)
         if not spec.variant.endswith("detuned") and p.delta_e != 0.0:
@@ -180,6 +187,9 @@ def _require(data: dict, key: str, kind, where: str):
 def _typed(data: dict, key: str, kind, where: str):
     value = data[key]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not math.isfinite(value):
+            raise ConfigError(f"key {key!r} in {where} must be a finite number, "
+                              f"got {value!r}")
         return float(value)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -307,8 +317,9 @@ def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig
             raise ConfigError(f"key 'axis' in sweep: unknown axis {axis!r}")
         values = _require(raw, "values", list, "sweep")
         if not values or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                             for v in values):
-            raise ConfigError("key 'values' in sweep must be a nonempty number list")
+                             or not math.isfinite(v) for v in values):
+            raise ConfigError("key 'values' in sweep must be a nonempty list of "
+                              "finite numbers")
         sweep_opts = SweepOptions(axis, tuple(float(v) for v in values))
 
     epsilon_tail = (_typed(data, "epsilon_tail", float, "config")

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .params import HBAR, KB
 
@@ -25,8 +24,31 @@ class CapacityError(RuntimeError):
     """A distribution would need more Fock levels than the configured cap."""
 
 
+# Below this log, exp() leaves the normal doubles, and numpy's vector exp
+# falls back to a slow scalar path. A term this far under the largest one
+# cannot change a double-precision sum, so sums of exponentials skip it.
+LOG_TINY = -708.0
+
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) of a 1-d array, shifted by its maximum.
+
+    An all ``-inf`` input (no mass at all) gives ``-inf``; a NaN or
+    ``+inf`` entry propagates to the result.
+    """
+    a = np.asarray(a, dtype=float)
+    shift = a.max()
+    if not math.isfinite(shift):
+        return float(shift)
+    x = a - shift
+    return float(shift + math.log(np.exp(x[x > LOG_TINY]).sum()))
+
+
 def thermal_occupation(omega_m: float, temperature: float) -> float:
     """Bose-Einstein mean occupancy 1 / (exp(hbar*omega_m / kB*T) - 1).
+
+    Returns 0.0 (the ground state) when hbar*omega_m / kB*T is too large
+    for ``expm1``.
 
     Parameters
     ----------
@@ -35,11 +57,14 @@ def thermal_occupation(omega_m: float, temperature: float) -> float:
     temperature : float
         Bath temperature in kelvin, > 0.
     """
-    if not omega_m > 0.0:
-        raise ValueError(f"omega_m must be positive, got {omega_m}")
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    return 1.0 / math.expm1(HBAR * omega_m / (KB * temperature))
+    if not 0.0 < omega_m < math.inf:
+        raise ValueError(f"omega_m must be positive and finite, got {omega_m}")
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+    try:
+        return 1.0 / math.expm1(HBAR * omega_m / (KB * temperature))
+    except OverflowError:
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -62,10 +87,14 @@ class ThermalSpec:
         if self.temperature is not None:
             if self.omega_m is None:
                 raise ValueError("temperature requires omega_m")
-            if not self.temperature > 0.0:
-                raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.n_bar_th is not None and self.n_bar_th < 0.0:
-            raise ValueError(f"n_bar_th must be nonnegative, got {self.n_bar_th}")
+            if not 0.0 < self.omega_m < math.inf:
+                raise ValueError(f"omega_m must be positive and finite, got {self.omega_m}")
+            if not 0.0 < self.temperature < math.inf:
+                raise ValueError(
+                    f"temperature must be positive and finite, got {self.temperature}")
+        if self.n_bar_th is not None and not 0.0 <= self.n_bar_th < math.inf:
+            raise ValueError(
+                f"n_bar_th must be nonnegative and finite, got {self.n_bar_th}")
         if not 0.0 < self.epsilon_tail <= 1e-6:
             raise ValueError(f"epsilon_tail must be in (0, 1e-6], got {self.epsilon_tail}")
 
@@ -99,7 +128,7 @@ class PopulationDistribution:
             raise ValueError("log_weights must be finite or -inf")
         object.__setattr__(self, "log_weights", lw)
         if self.norm_log is None:
-            object.__setattr__(self, "norm_log", float(logsumexp(lw)))
+            object.__setattr__(self, "norm_log", logsumexp(lw))
 
     @classmethod
     def from_probabilities(cls, probs) -> "PopulationDistribution":

@@ -11,6 +11,7 @@ finite-statistics estimates of the cumulative success probability.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -181,7 +182,13 @@ def sample_trajectories(initial: PopulationDistribution,
 
     Each trajectory draws a Fock level from the initial distribution and
     then survives each measurement with the level's squared coefficient
-    magnitude. Chunks use independent spawned RNG streams, so results are
+    magnitude s_n. Within a run of k measurements of one segment that
+    probability is fixed, so the number of measurements survived before
+    the first failure is geometric, P(L >= m) = s_n^m, and one uniform U
+    per live trajectory gives it as ``floor(log U / log s_n)``: s_n = 1
+    survives the run, s_n = 0 fails its first measurement. The cost is
+    O(trajectories x segments), not O(trajectories x measurements).
+    Chunks use independent spawned RNG streams, so results are
     reproducible from one seed and chunks could run in parallel.
 
     Schedules with conditional switches are realized once with the
@@ -193,12 +200,13 @@ def sample_trajectories(initial: PopulationDistribution,
     realized = run(initial, schedule)
     step_segments = [rec.segment for rec in realized.records[1:]]
     n_steps = len(step_segments)
-    tables = {}
-    survival_by_segment = {}
+    runs = [(seg_id, len(list(group)))
+            for seg_id, group in itertools.groupby(step_segments)]
+    log_survival = {}
     for seg_id in sorted(set(step_segments)):
         seg = schedule.segments[seg_id]
-        tables[seg_id] = build_table(seg.variant, seg.params, initial.n_max)
-        survival_by_segment[seg_id] = np.abs(tables[seg_id].values) ** 2
+        log_survival[seg_id] = build_table(seg.variant, seg.params,
+                                           initial.n_max).log_survival
 
     p = initial.probabilities()
     p = p / p.sum()
@@ -211,15 +219,22 @@ def sample_trajectories(initial: PopulationDistribution,
         size = min(chunk_size, n_trajectories - start)
         rng = np.random.default_rng(child)
         levels = rng.choice(p.size, size=size, p=p)
-        alive = np.ones(size, dtype=bool)
         chunk_lengths = np.full(size, n_steps, dtype=np.int64)
-        for k, seg_id in enumerate(step_segments):
-            if not alive.any():
+        live = np.arange(size)
+        offset = 0
+        for seg_id, k in runs:
+            if live.size == 0:
                 break
-            survive = rng.random(size) < survival_by_segment[seg_id][levels]
-            died = alive & ~survive
-            chunk_lengths[died] = k
-            alive &= survive
+            log_s = log_survival[seg_id][levels[live]]
+            log_u = np.log1p(-rng.random(live.size))  # log U, U in (0, 1]
+            survived = np.full(live.size, np.inf)
+            mortal = log_s < 0.0
+            with np.errstate(over="ignore"):
+                survived[mortal] = np.floor(log_u[mortal] / log_s[mortal])
+            died = survived < k
+            chunk_lengths[live[died]] = offset + survived[died].astype(np.int64)
+            live = live[~died]
+            offset += k
         lengths[start:start + size] = chunk_lengths
         start += size
     stream_ids = tuple(str(c.spawn_key) for c in children)

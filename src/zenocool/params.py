@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 HBAR = 1.054571817e-34  # J s
@@ -38,21 +39,23 @@ class PhysicalParams:
     omega_m: float | None = None
 
     def __post_init__(self):
-        if self.omega_m is not None and not self.omega_m > 0.0:
-            raise ValueError(f"omega_m must be positive, got {self.omega_m}")
-        if not self.g_m > 0.0:
-            raise ValueError(f"g_m must be positive, got {self.g_m}")
-        if self.g_f < 0.0:
-            raise ValueError(f"g_f must be nonnegative, got {self.g_f}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.omega_m is not None and not 0.0 < self.omega_m < math.inf:
+            raise ValueError(f"omega_m must be positive and finite, got {self.omega_m}")
+        if not 0.0 < self.g_m < math.inf:
+            raise ValueError(f"g_m must be positive and finite, got {self.g_m}")
+        if not 0.0 <= self.g_f < math.inf:
+            raise ValueError(f"g_f must be nonnegative and finite, got {self.g_f}")
+        if not math.isfinite(self.delta_e):
+            raise ValueError(f"delta_e must be finite, got {self.delta_e}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
     @classmethod
     def from_si(cls, omega_m: float, g_m: float, tau: float,
                 g_f: float = 0.0, delta_e: float = 0.0) -> "PhysicalParams":
         """Build from SI inputs: rates in rad/s, ``tau`` in seconds."""
-        if not omega_m > 0.0:
-            raise ValueError(f"omega_m must be positive, got {omega_m}")
+        if not 0.0 < omega_m < math.inf:
+            raise ValueError(f"omega_m must be positive and finite, got {omega_m}")
         return cls(
             g_m=g_m / omega_m,
             tau=tau * omega_m,

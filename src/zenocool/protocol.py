@@ -3,7 +3,9 @@
 The post-measurement operator is diagonal in the Fock basis and the
 initial state is diagonal, so a run never materializes a density matrix:
 each measurement multiplies the population weights elementwise by the
-squared coefficient magnitudes, exactly and in O(n_max) per step. All
+squared coefficient magnitudes, exactly and in O(n_max) per step. Within a
+segment that factor is one fixed operator, so the engine adds the
+segment's per-level log survival to one log-weight array in place. All
 observables (mean occupancy, ground fidelity, cumulative survival
 probability, effective temperature, thermality) are evaluated after every
 step.
@@ -15,13 +17,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .params import HBAR, KB, PhysicalParams
 from .fock import (
     DEFAULT_HARD_CAP,
+    LOG_TINY,
     PopulationDistribution,
     ThermalSpec,
+    logsumexp,
     thermal_distribution,
     thermal_occupation,
 )
@@ -115,16 +118,15 @@ def step(d: PopulationDistribution, table: CoefficientTable) -> PopulationDistri
 
     Each log-weight grows by 2 log|coef_n|; a zero coefficient kills the
     level outright (log-zero weight). The new total mass is the updated
-    cumulative survival probability.
+    cumulative survival probability. :func:`run` applies the same update
+    in place; this one-step form is its reference.
     """
     if table.n_max < d.n_max:
         raise ValueError(
             f"table covers n <= {table.n_max} but distribution needs {d.n_max}"
         )
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(table.values[: d.n_max + 1]))
-    lw = d.log_weights + 2.0 * log_mag
-    return PopulationDistribution(lw, norm_log=float(logsumexp(lw)))
+    lw = d.log_weights + table.log_survival[: d.n_max + 1]
+    return PopulationDistribution(lw, norm_log=logsumexp(lw))
 
 
 def effective_temperature(n_bar: float, omega_m: float) -> float:
@@ -142,15 +144,45 @@ def effective_temperature(n_bar: float, omega_m: float) -> float:
     return HBAR * omega_m / (KB * math.log1p(1.0 / n_bar))
 
 
-def _geometric_fidelity(p: np.ndarray, n_bar_q: float) -> float:
-    """Uhlmann fidelity of diagonal p against a geometric state, truncated alike."""
+class _Workspace:
+    """Scratch arrays for the observables of one truncation, reused every step.
+
+    Fresh temporaries of n_max + 1 doubles per step cost more in page
+    faults than the arithmetic on them, so every array op writes here.
+    """
+
+    def __init__(self, size: int):
+        self.levels = np.arange(size, dtype=float)
+        self.x = np.empty(size)
+        self.w = np.empty(size)
+        self.t = np.empty(size)
+        self.live = np.empty(size, dtype=bool)
+
+    def exp(self, x: np.ndarray) -> np.ndarray:
+        """exp(x) into ``w``, with 0 wherever x <= LOG_TINY."""
+        np.greater(x, LOG_TINY, out=self.live)
+        self.w.fill(0.0)
+        return np.exp(x, out=self.w, where=self.live)
+
+
+def _geometric_fidelity(x: np.ndarray, log_mass: float, n_bar_q: float,
+                        ws: _Workspace) -> float:
+    """Uhlmann fidelity of diagonal p = exp(x - log_mass) against a geometric state.
+
+    The geometric state q_n = r^n / sum_{m<=M} r^m, r = n_bar_q / (1 +
+    n_bar_q), is truncated to the same M = n_max; its normaliser has the
+    closed form (1 - r^(M+1)) / (1 - r). sqrt(p_n q_n) is taken as
+    exp((log p_n + log q_n) / 2). Overwrites ``ws.t`` and ``ws.w``.
+    """
     if n_bar_q <= 0.0:
-        return float(p[0])
-    n = np.arange(p.size, dtype=float)
-    lq = n * math.log(n_bar_q / (1.0 + n_bar_q)) - math.log1p(n_bar_q)
-    lq -= logsumexp(lq)
-    q = np.exp(lq)
-    return float(np.sum(np.sqrt(p * q)) ** 2)
+        return math.exp(x[0] - log_mass)
+    log_r = -math.log1p(1.0 / n_bar_q)
+    log_norm = math.log(math.expm1(x.size * log_r) / math.expm1(log_r))
+    half = np.multiply(ws.levels, log_r, out=ws.t)
+    half += x
+    half -= log_mass + log_norm
+    half *= 0.5
+    return float(ws.exp(half).sum() ** 2)
 
 
 def thermal_fidelity(d: PopulationDistribution, t_eff_kelvin: float,
@@ -161,29 +193,51 @@ def thermal_fidelity(d: PopulationDistribution, t_eff_kelvin: float,
     ``(sum_n sqrt(p_n q_n))^2``; the comparison state is truncated to the
     same n_max and renormalized.
     """
-    p = d.probabilities()
+    if d.norm_log == -np.inf:
+        raise ValueError("distribution has no surviving population")
     if t_eff_kelvin <= 0.0:
-        return float(p[0])
-    return _geometric_fidelity(p, thermal_occupation(omega_m, t_eff_kelvin))
+        return math.exp(d.log_weights[0] - d.norm_log)
+    return _geometric_fidelity(d.log_weights, d.norm_log,
+                               thermal_occupation(omega_m, t_eff_kelvin),
+                               _Workspace(d.n_max + 1))
 
 
-def _observables(idx: int, d: PopulationDistribution, segment_id: int,
-                 omega_m: float | None) -> StepRecord:
-    p = d.probabilities()
-    n_bar = float(np.dot(np.arange(p.size, dtype=float), p))
+def _observables(idx: int, lw: np.ndarray, segment_id: int, omega_m: float | None,
+                 ws: _Workspace, norm_log: float | None = None
+                 ) -> tuple[StepRecord, float]:
+    """Every observable of the state with log-weights ``lw``, and its log mass.
+
+    One max-shifted ``exp`` gives the populations, hence n_bar, the ground
+    fidelity and the total mass; levels more than ``LOG_TINY`` below the
+    largest weight count as empty. ``norm_log`` overrides the computed log
+    mass where it is known exactly (the initial state).
+    """
+    shift = float(lw.max())  # NaN or +inf anywhere in lw shows up here
+    if math.isnan(shift) or shift == math.inf:
+        raise ValueError("log_weights must be finite or -inf")
+    if shift == -math.inf:
+        raise ValueError("distribution has no surviving population")
+    x = np.subtract(lw, shift, out=ws.x)
+    w = ws.exp(x)
+    mass = float(w.sum())
+    log_mass = shift + math.log(mass)
+    if norm_log is None:
+        norm_log = log_mass
+    n_bar = float(np.multiply(ws.levels, w, out=ws.t).sum()) / mass
     if omega_m is not None:
         t_eff = effective_temperature(n_bar, omega_m)
     else:
         t_eff = math.nan
-    return StepRecord(
+    record = StepRecord(
         step=idx,
         n_bar=n_bar,
-        ground_fidelity=float(p[0]),
-        survival_probability=d.survival_probability,
+        ground_fidelity=math.exp(x[0]) / mass,
+        survival_probability=math.exp(norm_log),
         t_eff_kelvin=t_eff,
-        thermal_fidelity=_geometric_fidelity(p, n_bar),
+        thermal_fidelity=_geometric_fidelity(x, math.log(mass), n_bar, ws),
         segment=segment_id,
     )
+    return record, norm_log
 
 
 def run(initial: PopulationDistribution, schedule: ProtocolSchedule, *,
@@ -195,10 +249,17 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule, *,
     reached on the conditional state, whichever comes first. If the
     cumulative survival probability underflows ``exp(norm_log_floor)``
     the run stops early with ``terminated_early`` set.
+
+    Each measurement adds the segment's log survival to the log-weights in
+    place; only the final state is wrapped as a distribution. A NaN or
+    +inf weight propagates into the maximum the observables take, so the
+    step that makes one fails as the distribution's own check would.
     """
     omega_m = schedule.segments[0].params.omega_m
-    d = initial
-    records = [_observables(0, d, 0, omega_m)]
+    lw = initial.log_weights.copy()
+    ws = _Workspace(lw.size)
+    rec, norm_log = _observables(0, lw, 0, omega_m, ws, initial.norm_log)
+    records = [rec]
     idx = 0
     terminated = False
     for seg_id, seg in enumerate(schedule.segments):
@@ -206,18 +267,19 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule, *,
             break
         if seg.steps == 0:
             continue
-        table = build_table(seg.variant, seg.params, d.n_max)
+        log_survival = build_table(seg.variant, seg.params, initial.n_max).log_survival
         for _ in range(seg.steps):
-            d = step(d, table)
+            lw += log_survival
             idx += 1
-            rec = _observables(idx, d, seg_id, seg.params.omega_m)
+            rec, norm_log = _observables(idx, lw, seg_id, seg.params.omega_m, ws)
             records.append(rec)
-            if d.norm_log < norm_log_floor:
+            if norm_log < norm_log_floor:
                 terminated = True
                 break
             if seg.until_n_bar is not None and rec.n_bar <= seg.until_n_bar:
                 break
-    return RunResult(tuple(records), d, terminated)
+    return RunResult(tuple(records), PopulationDistribution(lw, norm_log=norm_log),
+                     terminated)
 
 
 def _interpolate_log_weight(log_p: np.ndarray, index: float) -> float:
@@ -284,9 +346,15 @@ def truncation_floor(schedule: ProtocolSchedule) -> int:
 
 def initial_state(thermal: ThermalSpec, schedule: ProtocolSchedule, *,
                   hard_cap: int = DEFAULT_HARD_CAP) -> PopulationDistribution:
-    """Thermal start truncated generously enough for the whole schedule."""
-    return thermal_distribution(thermal, n_max_floor=truncation_floor(schedule),
-                                hard_cap=hard_cap)
+    """Thermal start truncated generously enough for the whole schedule.
+
+    The schedule's :func:`truncation_floor` is clamped at ``hard_cap``, so
+    a floor past the cap only trims the margin kept beyond the first
+    cooling-free level, and only the thermal tail bound raises
+    ``CapacityError``.
+    """
+    floor = min(truncation_floor(schedule), hard_cap)
+    return thermal_distribution(thermal, n_max_floor=floor, hard_cap=hard_cap)
 
 
 @dataclass(frozen=True)

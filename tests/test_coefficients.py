@@ -207,3 +207,36 @@ def test_negative_index_rejected():
     for fn in (alpha_n, beta_n, alpha_tilde_n, beta_tilde_n):
         with pytest.raises(ValueError):
             fn(-1, P_REF)
+
+
+def test_driven_detuned_without_driving_has_conventional_detuned_set():
+    params = PhysicalParams(g_m=0.0004, tau=700.0, g_f=0.0, delta_e=0.002)
+    driven = cooling_free_report("driven-detuned", params, 1200)
+    conventional = cooling_free_report("conventional-detuned", params, 1200)
+    assert driven.indices == conventional.indices
+    np.testing.assert_allclose(driven.indices, [119.64, 497.30, 1126.74], atol=5e-3)
+    assert first_protected_index("driven-detuned", params) == driven.indices[0]
+    for entry in driven.entries:
+        value = _variant_values("driven-detuned", params, np.array([entry.index]))[0]
+        assert abs(value) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_first_protected_index_is_first_positive_report_entry():
+    rng = np.random.default_rng(17)
+    cases = [PhysicalParams(g_m=0.001, tau=100.0, g_f=2.0 * math.pi / 100.0)]
+    cases += [random_params(rng, delta_e=d) for d in (0.0, None) for _ in range(10)]
+    for params in cases:
+        for variant in ("driven", "conventional", "conventional-detuned"):
+            first = first_protected_index(variant, params)
+            report = cooling_free_report(variant, params, math.ceil(first) + 1)
+            assert first == next(i for i in report.indices if i > 0.0)
+
+
+def test_log_survival_is_shared_and_read_only():
+    table = build_table("driven", P_REF, 300)
+    log_s = table.log_survival
+    assert log_s is table.log_survival
+    np.testing.assert_array_equal(log_s, 2.0 * np.log(np.abs(table.values)))
+    assert log_s[0] == 0.0
+    with pytest.raises(ValueError):
+        log_s[1] = 0.0

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,3 +296,65 @@ def test_cli_sweep_and_trajectories(tmp_path):
     assert float(rows[0]["p_hat"]) == 1.0
     manifest = json.loads(open(tmp_path / "t" / "manifest.json").read())
     assert manifest["resolved"]["stream_ids"]
+
+
+@pytest.mark.parametrize("key", ["g_f", "T_kelvin", "n_bar_th", "delta_e"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, key, literal):
+    data = dict(SI_CONFIG)
+    if key == "n_bar_th":
+        del data["T_kelvin"]
+    data[key] = 0.0
+    text = json.dumps(data).replace(f'"{key}": 0.0', f'"{key}": {literal}')
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code = main(["--quiet", "run", "--config", str(path),
+                 "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:")
+    assert f"'{key}'" in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_sweep_value_rejected():
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config_data({**SI_CONFIG,
+                           "sweep": {"axis": "T", "values": [1.0, math.nan]}})
+
+
+@pytest.mark.parametrize("key, value", [("T_kelvin", -1.0), ("n_bar_th", -1.0)])
+def test_invalid_thermal_state_is_config_error(tmp_path, key, value):
+    data = {k: v for k, v in SI_CONFIG.items() if k != "T_kelvin"}
+    data[key] = value
+    with pytest.raises(ConfigError, match=key):
+        run_experiment(parse_config_data(data), tmp_path / "out")
+
+
+def test_negative_segment_driving_is_config_error():
+    bad = {**SI_CONFIG, "segments": [{"variant": "driven", "steps": 5, "g_f": -1.0}]}
+    with pytest.raises(ConfigError, match="g_f"):
+        parse_config_data(bad)
+
+
+def test_cli_cold_limit_runs_in_ground_state(tmp_path):
+    path = write_config(tmp_path, {"preset": "fig4", "T_kelvin": 1e-30})
+    assert main(["--quiet", "run", "--config", str(path),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    rows = read_csv(tmp_path / "out" / "run.csv")
+    assert len(rows) == 301
+    assert all(float(r["n_bar"]) == 0.0 for r in rows)
+    assert all(float(r["F_ground"]) == 1.0 for r in rows)
+    assert all(float(r["P_g"]) == 1.0 for r in rows)
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, zenocool; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -152,3 +152,28 @@ def test_params_validation():
     with pytest.raises(ValueError):
         PhysicalParams(g_m=1e-4, tau=1.0, omega_m=-1.0)
     PhysicalParams(g_m=1e-4, tau=1.0, delta_e=-0.5)  # any-sign detuning is fine
+
+
+@pytest.mark.parametrize("field", ["g_m", "tau", "g_f", "delta_e", "omega_m"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(field, value):
+    values = {"g_m": 1e-4, "tau": 100.0, "g_f": 1e-3, "delta_e": 0.0,
+              "omega_m": 1.56e10, field: value}
+    with pytest.raises(ValueError, match=field):
+        PhysicalParams(**values)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_thermal_spec_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="temperature"):
+        ThermalSpec(temperature=value, omega_m=1.56e10)
+    with pytest.raises(ValueError, match="n_bar_th"):
+        ThermalSpec(n_bar_th=value)
+    with pytest.raises(ValueError, match="omega_m"):
+        ThermalSpec(temperature=1.0, omega_m=value)
+
+
+def test_thermal_occupation_overflow_is_ground_state():
+    assert thermal_occupation(1.56e10, 1e-30) == 0.0
+    assert ThermalSpec(temperature=1e-30, omega_m=1.56e10).n_bar == 0.0
+    assert thermal_occupation(1.56e10, 0.01) > 0.0

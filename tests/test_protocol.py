@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from zenocool import (
+    PRESETS,
+    CapacityError,
     CoefficientTable,
     PhysicalParams,
     PopulationDistribution,
@@ -14,6 +16,8 @@ from zenocool import (
     build_table,
     effective_temperature,
     initial_state,
+    mean_occupation,
+    parse_config_data,
     run,
     step,
     sweep,
@@ -22,6 +26,8 @@ from zenocool import (
     thermal_occupation,
     truncation_floor,
 )
+import zenocool.protocol as protocol
+from zenocool.fock import logsumexp
 from zenocool.params import HBAR, KB
 
 OMEGA = 1.56e10
@@ -231,6 +237,113 @@ def test_truncation_floor_covers_protected_range():
                               / PARAMS_DRIVEN.gm_tau ** 2)
     d = initial_state(THERMAL_10K, schedule)
     assert d.n_max >= floor
+
+
+RUN_PRESETS = sorted(name for name in PRESETS
+                     if "T_kelvin" in PRESETS[name] or "n_bar_th" in PRESETS[name])
+
+
+def _step_reference(initial, schedule, norm_log_floor=-700.0):
+    """Records from a loop of ``step`` calls with linear-domain observables."""
+    def observe(d):
+        p = d.probabilities()
+        n_bar = mean_occupation(d)
+        r = n_bar / (1.0 + n_bar)
+        q = r ** np.arange(p.size, dtype=float)
+        q /= q.sum()
+        f_th = float(np.sum(np.sqrt(p * q)) ** 2) if n_bar > 0.0 else float(p[0])
+        return [n_bar, p[0], d.survival_probability, f_th]
+
+    d = initial
+    rows = [observe(d)]
+    segments = [0]
+    for seg_id, seg in enumerate(schedule.segments):
+        table = build_table(seg.variant, seg.params, d.n_max)
+        for _ in range(seg.steps):
+            d = step(d, table)
+            rows.append(observe(d))
+            segments.append(seg_id)
+            if d.norm_log < norm_log_floor:
+                return np.array(rows), segments, d
+            if seg.until_n_bar is not None and rows[-1][0] <= seg.until_n_bar:
+                break
+    return np.array(rows), segments, d
+
+
+def _preset_start(name):
+    """A preset's schedule and initial state, as the runner builds them."""
+    config = parse_config_data({"preset": name})
+    schedule = config.schedule() if config.segments else ProtocolSchedule(
+        (Segment("conventional", config.params, 0),))
+    return schedule, initial_state(config.thermal_spec(), schedule,
+                                   hard_cap=config.hard_cap)
+
+
+@pytest.mark.parametrize("name", RUN_PRESETS)
+def test_run_matches_step_loop_on_presets(name):
+    schedule, initial = _preset_start(name)
+    result = run(initial, schedule)
+    expected, segments, final = _step_reference(initial, schedule)
+    got = np.array([[r.n_bar, r.ground_fidelity, r.survival_probability,
+                     r.thermal_fidelity] for r in result.records])
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+    assert [r.segment for r in result.records] == segments
+    assert [r.step for r in result.records] == list(range(len(segments)))
+    np.testing.assert_array_equal(result.final.log_weights, final.log_weights)
+    assert result.final.norm_log == pytest.approx(final.norm_log, rel=1e-12, abs=1e-15)
+
+
+def test_logsumexp_helper():
+    assert logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
+    a = np.array([-1000.0, -1001.0, -np.inf])
+    assert logsumexp(a) == pytest.approx(-1000.0 + math.log1p(math.exp(-1.0)),
+                                         rel=1e-15)
+    assert math.isnan(logsumexp(np.array([0.0, np.nan])))
+
+
+def test_run_stops_on_nan_weight(monkeypatch):
+    def poisoned(variant, params, n_max):
+        values = np.ones(n_max + 1, dtype=complex)
+        values[1] = np.nan
+        return CoefficientTable(variant, values, params)
+
+    monkeypatch.setattr(protocol, "build_table", poisoned)
+    d = PopulationDistribution.from_probabilities([0.5, 0.5])
+    schedule = ProtocolSchedule((Segment("conventional", PARAMS_CONV, 3),))
+    with pytest.raises(ValueError, match="finite"):
+        run(d, schedule)
+
+
+HOT = ThermalSpec(temperature=100.0, omega_m=OMEGA)
+
+
+@pytest.mark.parametrize("ratio, floor", [(284, 67570), (360, 77118)])
+def test_truncation_floor_clamped_at_hard_cap(ratio, floor):
+    # The first cooling-free level sits 54 (61) thermal e-folds out; its 1.5x
+    # floor passes the cap while the thermal tail needs only 23,189 levels.
+    params = PhysicalParams.from_si(OMEGA, G_M, 220 / OMEGA, g_f=ratio * G_M)
+    schedule = ProtocolSchedule((Segment("driven", params, 10),))
+    assert truncation_floor(schedule) == floor
+    d = initial_state(HOT, schedule, hard_cap=65536)
+    assert d.n_max == 65536
+    with pytest.raises(CapacityError):
+        initial_state(HOT, schedule, hard_cap=20000)  # below the thermal tail
+
+
+PRESET_N_MAX = {
+    "fig3a": 1630, "fig3a_conventional": 187, "fig3b": 1630,
+    "fig3b_conventional": 232, "fig3c": 1630, "fig3c_conventional": 511,
+    "fig4": 2319, "fig4_conventional": 2319, "fig5a": 2319, "fig5b": 2319,
+    "fig5c": 2319, "fig6": 23189, "fig6_sweep": 23189, "fig7": 2319,
+    "fig7_threshold": 2319, "fig8": 2319,
+}
+
+
+def test_presets_keep_their_truncation():
+    assert sorted(PRESET_N_MAX) == RUN_PRESETS
+    for name, n_max in PRESET_N_MAX.items():
+        assert _preset_start(name)[1].n_max == n_max, name
 
 
 def test_sweep_temperature_axis():
