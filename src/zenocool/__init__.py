@@ -25,11 +25,8 @@ from .coefficients import (
     CoefficientTable,
     CoolingFreeReport,
     ProtectedIndex,
-    alpha_n,
-    alpha_tilde_n,
-    beta_n,
-    beta_tilde_n,
     build_table,
+    coefficient,
     cooling_free_report,
     first_protected_index,
 )
@@ -46,7 +43,6 @@ from .protocol import (
     run,
     step,
     sweep,
-    thermal_fidelity,
     truncation_floor,
 )
 from .oracle import (
@@ -85,12 +81,11 @@ __all__ = [
     "PopulationDistribution", "ThermalSpec", "mean_occupation",
     "thermal_distribution", "thermal_occupation",
     "VARIANTS", "CoefficientTable", "CoolingFreeReport", "ProtectedIndex",
-    "alpha_n", "alpha_tilde_n", "beta_n", "beta_tilde_n", "build_table",
-    "cooling_free_report", "first_protected_index",
+    "build_table", "coefficient", "cooling_free_report",
+    "first_protected_index",
     "AsymptoticReport", "ProtocolSchedule", "RunResult", "Segment",
     "StepRecord", "SweepPoint", "asymptotic_limit", "effective_temperature",
-    "initial_state", "run", "step", "sweep", "thermal_fidelity",
-    "truncation_floor",
+    "initial_state", "run", "step", "sweep", "truncation_floor",
     "ExcitationBlock", "OracleNumericalError", "TrajectoryBatch",
     "block_hamiltonian", "block_propagator", "compare_random_draws",
     "extract_vg_element", "joint_from_blocks", "joint_hamiltonian",

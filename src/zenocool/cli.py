@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from dataclasses import replace
 
@@ -22,12 +23,36 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 
+def _integer(minimum: int):
+    """argparse type: a whole number >= ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite, nonnegative number (NaN or inf would pass anything)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--preset", choices=sorted(PRESETS),
                      help="bundled parameter preset (overlaid under the config)")
     sub.add_argument("--out-dir", required=True, help="output directory")
-    sub.add_argument("--seed", type=int, help="override the config seed")
+    sub.add_argument("--seed", type=_integer(0), help="override the config seed")
     sub.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
                      help="suppress progress logging")
 
@@ -67,13 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle-check",
                               help="compare closed forms against exact propagators")
     _add_common(p_oracle)
-    p_oracle.add_argument("--draws", type=int, default=200)
-    p_oracle.add_argument("--tolerance", type=float, default=1e-10)
+    p_oracle.add_argument("--draws", type=_integer(1), default=200)
+    p_oracle.add_argument("--tolerance", type=_tolerance, default=1e-10)
 
     p_traj = sub.add_parser("trajectories",
                             help="Monte Carlo survival statistics")
     _add_common(p_traj)
-    p_traj.add_argument("--trajectories", type=int, default=10000)
+    p_traj.add_argument("--trajectories", type=_integer(1), default=10000)
     return parser
 
 

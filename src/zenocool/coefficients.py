@@ -1,20 +1,32 @@
 """Closed-form per-level cooling coefficients and cooling-free-set analysis.
 
 A single successful ground-state measurement of the ancilla multiplies the
-amplitude of resonator Fock level n by a coefficient that depends on the
-protocol variant:
+amplitude of resonator Fock level n by c_n = <g,n| exp(-i H tau) |g,n>. In
+the n-excitation block {|g,n>, |e,n-1>, |f,n-1>} the driving g_f couples
+|e,n-1> only to |f,n-1>, so |g,n> splits into a dark and a bright part,
+
+    |g,n> = (g_f / W) |dark> + (g_m sqrt(n) / W) |bright>,
+    W^2 = g_f^2 + n g_m^2.
+
+The dark state has eigenvalue 0; the bright state and |e,n-1> form a
+two-level Rabi problem with coupling W and detuning delta_e. One formula
+therefore covers every protocol variant:
+
+    c_n = g_f^2 / W^2 + (n g_m^2 / W^2) r_n,
+    r_n = exp(-i delta tau / 2) (cos(Wt tau) + i (delta / 2 Wt) sin(Wt tau)),
+    Wt^2 = W^2 + delta^2 / 4,
+
+with c_0 = 1 exactly. A variant label only switches parameters off
+(:func:`variant_params`):
 
 ``driven``
-    Resonant model with the external-level driving on,
-    ``1 + n g_m^2 (cos(W_n tau) - 1) / W_n^2`` with
-    ``W_n = sqrt(g_f^2 + n g_m^2)``.
+    g_f on, delta_e = 0: ``1 + n g_m^2 (cos(W tau) - 1) / W^2``.
 ``conventional``
-    Resonant model with the driving off, ``cos(g_m sqrt(n) tau)``.
+    g_f = 0, delta_e = 0: ``cos(g_m sqrt(n) tau)``.
 ``driven-detuned``
-    Driving on with excited-level detuning ``delta_e``; see
-    :func:`alpha_tilde_n`.
+    g_f and delta_e on: the general formula.
 ``conventional-detuned``
-    Driving off with detuning; see :func:`beta_tilde_n`.
+    g_f = 0, delta_e on: the detuned two-level amplitude r_n.
 
 Every variant leaves the ground state untouched (coefficient exactly 1)
 and has magnitude at most 1 elsewhere. Fock levels where the magnitude
@@ -27,114 +39,81 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .params import PhysicalParams
 
-VARIANTS = ("conventional", "driven", "conventional-detuned", "driven-detuned")
+# variant -> (driving g_f on, detuning delta_e on)
+_SWITCHES = {
+    "conventional": (False, False),
+    "driven": (True, False),
+    "conventional-detuned": (False, True),
+    "driven-detuned": (True, True),
+}
+VARIANTS = tuple(_SWITCHES)
 
 _MAG_TOL = 1e-12
 
 
-def _scalar(n) -> np.ndarray:
-    v = float(n)
-    if v < 0.0:
+def switches(variant: str) -> tuple[bool, bool]:
+    """Whether ``variant`` keeps (the driving g_f, the detuning delta_e) on."""
+    try:
+        return _SWITCHES[variant]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}") from None
+
+
+def variant_params(variant: str, params: PhysicalParams) -> PhysicalParams:
+    """``params`` with what ``variant`` switches off set to zero.
+
+    Conventional variants run with the driving off (g_f = 0); resonant
+    ones run without detuning (delta_e = 0).
+    """
+    driving, detuned = switches(variant)
+    return replace(params, g_f=params.g_f if driving else 0.0,
+                   delta_e=params.delta_e if detuned else 0.0)
+
+
+def variant_of(params: PhysicalParams) -> str:
+    """The variant that leaves ``params`` unchanged: the rule's inverse."""
+    on = (params.g_f > 0.0, params.delta_e != 0.0)
+    return next(v for v, s in _SWITCHES.items() if s == on)
+
+
+def _values(params: PhysicalParams, n: np.ndarray) -> np.ndarray:
+    """c_n at every index of ``n`` for ``params`` as given (no switching)."""
+    gf2 = params.gf_tau**2
+    half_delta = 0.5 * params.delta_tau
+    out = np.ones(n.shape, dtype=complex)
+    pos = n > 0
+    bright = n[pos] * params.gm_tau**2
+    w2 = gf2 + bright
+    wt = np.sqrt(w2 + half_delta**2)
+    bright /= w2  # bright-state weight n g_m^2 / W^2
+    re = np.cos(wt)
+    if half_delta:
+        # the phase exp(-i delta tau / 2) is one scalar: rotate in real arithmetic
+        im = (half_delta / wt) * np.sin(wt)
+        c, s = math.cos(half_delta), math.sin(half_delta)
+        re, im = c * re + s * im, c * im - s * re
+        out.imag[pos] = bright * im
+    out.real[pos] = gf2 / w2 + bright * re
+    return out
+
+
+def coefficient(variant: str, params: PhysicalParams, n):
+    """Coefficient c_n of ``variant`` at a real level index n >= 0.
+
+    A scalar n gives a complex number, an array of indices an array.
+    """
+    idx = np.asarray(n, dtype=float)
+    if not np.all(idx >= 0.0):
         raise ValueError("Fock index must be nonnegative")
-    return np.array([v])
-
-
-def _alpha_values(n: np.ndarray, gm_tau: float, gf_tau: float) -> np.ndarray:
-    out = np.ones(n.shape, dtype=complex)
-    pos = n > 0
-    w2 = gf_tau**2 + n[pos] * gm_tau**2
-    w = np.sqrt(w2)
-    out[pos] = 1.0 + (n[pos] * gm_tau**2 / w2) * (np.cos(w) - 1.0)
-    return out
-
-
-def _beta_values(n: np.ndarray, gm_tau: float) -> np.ndarray:
-    return np.cos(gm_tau * np.sqrt(n)).astype(complex)
-
-
-def _alpha_tilde_values(n: np.ndarray, gm_tau: float, gf_tau: float,
-                        delta_tau: float) -> np.ndarray:
-    out = np.ones(n.shape, dtype=complex)
-    pos = n > 0
-    npos = n[pos]
-    w2 = gf_tau**2 + npos * gm_tau**2
-    wt = np.sqrt(w2 + delta_tau**2 / 4.0)
-    phase = np.exp(-0.5j * delta_tau)
-    num = (2.0 * gf_tau**2 * wt
-           + phase * gm_tau**2 * npos * (1j * delta_tau * np.sin(wt)
-                                         + 2.0 * wt * np.cos(wt)))
-    out[pos] = num / (2.0 * w2 * wt)
-    return out
-
-
-def _beta_tilde_values(n: np.ndarray, gm_tau: float, delta_tau: float) -> np.ndarray:
-    out = np.ones(n.shape, dtype=complex)
-    pos = n > 0
-    wc = np.sqrt(n[pos] * gm_tau**2 + delta_tau**2 / 4.0)
-    # cos(2 theta_n) from delta / (2 W_c) directly; the arctan route is
-    # singular at delta -> 0.
-    cos2t = (delta_tau / 2.0) / wc
-    out[pos] = np.exp(-0.5j * delta_tau) * (np.cos(wc) + 1j * np.sin(wc) * cos2t)
-    return out
-
-
-def _variant_values(variant: str, params: PhysicalParams, n: np.ndarray) -> np.ndarray:
-    if variant == "driven":
-        return _alpha_values(n, params.gm_tau, params.gf_tau)
-    if variant == "conventional":
-        return _beta_values(n, params.gm_tau)
-    if variant == "driven-detuned":
-        return _alpha_tilde_values(n, params.gm_tau, params.gf_tau, params.delta_tau)
-    if variant == "conventional-detuned":
-        return _beta_tilde_values(n, params.gm_tau, params.delta_tau)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-
-def alpha_n(n, params: PhysicalParams) -> complex:
-    """Driven resonant coefficient for level n.
-
-    ``(W_n^2 + n g_m^2 (cos(W_n tau) - 1)) / W_n^2`` with
-    ``W_n = sqrt(g_f^2 + n g_m^2)``; real on resonance. ``n = 0`` returns
-    exactly 1, which also covers the otherwise indeterminate
-    ``g_f = 0, n = 0`` corner. With ``g_f = 0`` this reduces to
-    :func:`beta_n`.
-    """
-    return complex(_alpha_values(_scalar(n), params.gm_tau, params.gf_tau)[0])
-
-
-def beta_n(n, params: PhysicalParams) -> complex:
-    """Conventional (driving off) coefficient cos(g_m sqrt(n) tau)."""
-    return complex(_beta_values(_scalar(n), params.gm_tau)[0])
-
-
-def alpha_tilde_n(n, params: PhysicalParams) -> complex:
-    """Driven coefficient with excited-level detuning.
-
-    ``[2 g_f^2 Wt_n + exp(-i delta tau / 2) g_m^2 n (i delta sin(Wt_n tau)
-    + 2 Wt_n cos(Wt_n tau))] / (2 W_n^2 Wt_n)`` with
-    ``Wt_n = sqrt(n g_m^2 + g_f^2 + delta^2 / 4)``. Reduces to
-    :func:`alpha_n` at zero detuning and to :func:`beta_tilde_n` at
-    ``g_f = 0``; ``n = 0`` returns exactly 1.
-    """
-    return complex(_alpha_tilde_values(_scalar(n), params.gm_tau, params.gf_tau,
-                                       params.delta_tau)[0])
-
-
-def beta_tilde_n(n, params: PhysicalParams) -> complex:
-    """Conventional coefficient with detuning.
-
-    ``exp(-i tau delta / 2) (cos(Wc tau) + i sin(Wc tau) cos(2 theta_n))``
-    with ``Wc = sqrt(n g_m^2 + delta^2 / 4)`` and
-    ``cos(2 theta_n) = (delta / 2) / Wc``. ``n = 0`` returns exactly 1.
-    """
-    return complex(_beta_tilde_values(_scalar(n), params.gm_tau, params.delta_tau)[0])
+    out = _values(variant_params(variant, params), idx.reshape(-1)).reshape(idx.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +163,7 @@ def build_table(variant: str, params: PhysicalParams, n_max: int) -> Coefficient
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     n = np.arange(n_max + 1, dtype=float)
-    return CoefficientTable(variant, _variant_values(variant, params, n), params)
+    return CoefficientTable(variant, coefficient(variant, params, n), params)
 
 
 @dataclass(frozen=True)
@@ -236,17 +215,15 @@ def _conventional_protected(gm_tau: float, delta_tau: float):
 def _protected_points(variant: str, params: PhysicalParams):
     """Every protected (generator, index, quasi-period), by increasing index.
 
-    The set follows the coefficient, not the variant label; see
+    The set follows the switched parameters, not the variant label; see
     :func:`cooling_free_report`.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    detuning = params.delta_tau if variant.endswith("detuned") else 0.0
-    if variant.startswith("driven") and params.gf_tau > 0.0:
-        if detuning != 0.0:
+    p = variant_params(variant, params)
+    if p.gf_tau > 0.0:
+        if p.delta_tau != 0.0:
             return iter(())
-        return _driven_protected(params.gm_tau, params.gf_tau)
-    return _conventional_protected(params.gm_tau, detuning)
+        return _driven_protected(p.gm_tau, p.gf_tau)
+    return _conventional_protected(p.gm_tau, p.delta_tau)
 
 
 def cooling_free_report(variant: str, params: PhysicalParams, n_max: int) -> CoolingFreeReport:
@@ -264,8 +241,7 @@ def cooling_free_report(variant: str, params: PhysicalParams, n_max: int) -> Coo
     entries = []
     for gen, idx, period in points:
         nearest = int(min(max(round(idx), 0), n_max))
-        mag = abs(_variant_values(variant, params,
-                                  np.array([float(nearest)]))[0])
+        mag = abs(coefficient(variant, params, nearest))
         entries.append(ProtectedIndex(gen, idx, period, nearest, float(mag)))
     return CoolingFreeReport(variant, tuple(entries))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .params import PhysicalParams
 from .fock import DEFAULT_EPSILON_TAIL, DEFAULT_HARD_CAP, ThermalSpec
-from .coefficients import VARIANTS
+from .coefficients import VARIANTS, variant_params
 from .protocol import SWEEP_AXES, ProtocolSchedule, Segment
 
 logger = logging.getLogger(__name__)
@@ -98,8 +98,8 @@ class ExperimentConfig:
     def segment_params(self, spec: SegmentSpec) -> PhysicalParams:
         """Effective parameters of one segment.
 
-        Conventional variants run with the driving off, so g_f is forced
-        to zero there; resonant variants must not carry a detuning.
+        The variant's switch rule applies (conventional variants run with
+        g_f = 0); a resonant variant must not carry a detuning.
         """
         p = self.params
         try:
@@ -111,14 +111,13 @@ class ExperimentConfig:
                 p = replace(p, delta_e=d)
         except ValueError as exc:
             raise ConfigError(f"segment {spec.variant!r} override: {exc}") from exc
-        if spec.variant.startswith("conventional"):
-            p = replace(p, g_f=0.0)
-        if not spec.variant.endswith("detuned") and p.delta_e != 0.0:
+        switched = variant_params(spec.variant, p)
+        if switched.delta_e != p.delta_e:
             raise ConfigError(
                 f"segment variant {spec.variant!r} is resonant but delta_e is "
                 f"{p.delta_e:g}; use the {spec.variant + '-detuned'!r} variant"
             )
-        return p
+        return switched
 
     def schedule(self) -> ProtocolSchedule:
         if not self.segments:
@@ -320,6 +319,9 @@ def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig
                              or not math.isfinite(v) for v in values):
             raise ConfigError("key 'values' in sweep must be a nonempty list of "
                               "finite numbers")
+        if axis == "N" and any(v < 0 or v != int(v) for v in values):
+            raise ConfigError("key 'values' in sweep: axis 'N' takes whole "
+                              "numbers of measurements >= 0")
         sweep_opts = SweepOptions(axis, tuple(float(v) for v in values))
 
     epsilon_tail = (_typed(data, "epsilon_tail", float, "config")
@@ -327,6 +329,8 @@ def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig
     if not 0.0 < epsilon_tail <= 1e-6:
         raise ConfigError("key 'epsilon_tail' must be in (0, 1e-6]")
     seed = _typed(data, "seed", int, "config") if "seed" in data else 0
+    if seed < 0:
+        raise ConfigError("key 'seed' must be nonnegative")
     hard_cap = _typed(data, "hard_cap", int, "config") if "hard_cap" in data else DEFAULT_HARD_CAP
     if hard_cap < 0:
         raise ConfigError("key 'hard_cap' must be nonnegative")

@@ -19,13 +19,7 @@ import numpy as np
 
 from .params import PhysicalParams
 from .fock import PopulationDistribution
-from .coefficients import (
-    alpha_n,
-    alpha_tilde_n,
-    beta_n,
-    beta_tilde_n,
-    build_table,
-)
+from .coefficients import build_table, coefficient, switches
 from .protocol import ProtocolSchedule, run
 
 
@@ -162,6 +156,7 @@ class TrajectoryBatch:
     n_steps: int
     survival_lengths: np.ndarray     # successful measurements before failure
     stream_ids: tuple[str, ...]
+    exact_survival: np.ndarray       # deterministic P_g after N = 0..n_steps
 
     def estimates(self) -> np.ndarray:
         """Estimated survival probability after N = 0..n_steps measurements."""
@@ -191,9 +186,10 @@ def sample_trajectories(initial: PopulationDistribution,
     Chunks use independent spawned RNG streams, so results are
     reproducible from one seed and chunks could run in parallel.
 
-    Schedules with conditional switches are realized once with the
-    deterministic engine; trajectories then follow the realized sequence
-    of segments.
+    The schedule is realized once with the deterministic engine, so
+    conditional switches count; trajectories then follow the realized
+    sequence of segments, and that run's survival curve is returned as
+    ``exact_survival``.
     """
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
@@ -238,7 +234,8 @@ def sample_trajectories(initial: PopulationDistribution,
         lengths[start:start + size] = chunk_lengths
         start += size
     stream_ids = tuple(str(c.spawn_key) for c in children)
-    return TrajectoryBatch(seed, n_trajectories, n_steps, lengths, stream_ids)
+    exact = np.array([rec.survival_probability for rec in realized.records])
+    return TrajectoryBatch(seed, n_trajectories, n_steps, lengths, stream_ids, exact)
 
 
 def _phase_aligned_error(a: complex, b: complex) -> float:
@@ -252,7 +249,7 @@ def compare_random_draws(n_draws: int, seed: int) -> list[dict]:
     """Closed form versus eigen-exponential on random parameter draws.
 
     Draws cycle through all four variants (detunings and drivings switched
-    on and off) so every reduction of the general coefficient is hit. Each
+    on and off) so every reduction of the one closed form is hit. Each
     row carries the raw complex difference and the magnitude (phase
     aligned) difference, plus the propagator's unitarity defect.
     """
@@ -262,16 +259,12 @@ def compare_random_draws(n_draws: int, seed: int) -> list[dict]:
         kind = _DRAW_KINDS[i % len(_DRAW_KINDS)]
         g_m = 10.0 ** rng.uniform(-5.0, -3.0)
         tau = rng.uniform(10.0, 1000.0)
-        g_f = rng.uniform(0.0, 100.0) * g_m if kind.startswith("driven") else 0.0
-        delta = rng.uniform(-50.0, 50.0) * g_m if kind.endswith("detuned") else 0.0
+        driving, detuned = switches(kind)
+        g_f = rng.uniform(0.0, 100.0) * g_m if driving else 0.0
+        delta = rng.uniform(-50.0, 50.0) * g_m if detuned else 0.0
         n = int(rng.integers(0, 201))
         params = PhysicalParams(g_m=g_m, tau=tau, g_f=g_f, delta_e=delta)
-        closed = {
-            "driven": alpha_n,
-            "conventional": beta_n,
-            "driven-detuned": alpha_tilde_n,
-            "conventional-detuned": beta_tilde_n,
-        }[kind](n, params)
+        closed = coefficient(kind, params, n)
         u = block_propagator(block_hamiltonian(n, params), params.tau)
         oracle_value = complex(u[0, 0])
         rows.append({

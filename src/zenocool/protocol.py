@@ -26,13 +26,13 @@ from .fock import (
     ThermalSpec,
     logsumexp,
     thermal_distribution,
-    thermal_occupation,
 )
 from .coefficients import (
     CoefficientTable,
     build_table,
     cooling_free_report,
     first_protected_index,
+    switches,
 )
 
 DEFAULT_NORM_LOG_FLOOR = -700.0
@@ -183,23 +183,6 @@ def _geometric_fidelity(x: np.ndarray, log_mass: float, n_bar_q: float,
     half -= log_mass + log_norm
     half *= 0.5
     return float(ws.exp(half).sum() ** 2)
-
-
-def thermal_fidelity(d: PopulationDistribution, t_eff_kelvin: float,
-                     omega_m: float) -> float:
-    """Overlap of ``d`` with the thermal state at ``t_eff_kelvin``.
-
-    For two diagonal states the Uhlmann fidelity reduces to
-    ``(sum_n sqrt(p_n q_n))^2``; the comparison state is truncated to the
-    same n_max and renormalized.
-    """
-    if d.norm_log == -np.inf:
-        raise ValueError("distribution has no surviving population")
-    if t_eff_kelvin <= 0.0:
-        return math.exp(d.log_weights[0] - d.norm_log)
-    return _geometric_fidelity(d.log_weights, d.norm_log,
-                               thermal_occupation(omega_m, t_eff_kelvin),
-                               _Workspace(d.n_max + 1))
 
 
 def _observables(idx: int, lw: np.ndarray, segment_id: int, omega_m: float | None,
@@ -368,10 +351,11 @@ class SweepPoint:
 def _apply_axis(axis: str, value: float, thermal: ThermalSpec,
                 schedule: ProtocolSchedule) -> tuple[ThermalSpec, ProtocolSchedule]:
     if axis == "g_f":
-        # Grid values are driving strengths in units of g_m.
+        # Grid values are driving strengths in units of g_m; segments whose
+        # variant keeps the driving off are left as they are.
         segs = tuple(
             replace(s, params=replace(s.params, g_f=value * s.params.g_m))
-            if s.variant in ("driven", "driven-detuned") else s
+            if switches(s.variant)[0] else s
             for s in schedule.segments
         )
         return thermal, ProtocolSchedule(segs)
@@ -384,6 +368,8 @@ def _apply_axis(axis: str, value: float, thermal: ThermalSpec,
                      for s in schedule.segments)
         return thermal, ProtocolSchedule(segs)
     if axis == "N":
+        if value != int(value):
+            raise ValueError(f"N must be a whole number of measurements, got {value}")
         segs = schedule.segments[:-1] + (replace(schedule.segments[-1],
                                                  steps=int(value)),)
         return thermal, ProtocolSchedule(segs)

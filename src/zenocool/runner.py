@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .fock import PopulationDistribution
-from .coefficients import CoefficientTable, build_table
+from .coefficients import CoefficientTable, build_table, variant_of
 from .protocol import (
     ProtocolSchedule,
     RunResult,
@@ -103,19 +103,12 @@ def _dimensionless_params(params) -> dict:
             "tau": params.tau, "omega_m_rad_s": params.omega_m}
 
 
-def _base_variant(config: ExperimentConfig) -> str:
-    variant = "driven" if config.params.g_f > 0 else "conventional"
-    if config.params.delta_e != 0.0:
-        variant += "-detuned"
-    return variant
-
-
 def _write_tables(config: ExperimentConfig, out_dir: Path, default_n_max: int | None,
                   outputs: dict[str, str]):
     variants = config.outputs.variants
     if variants is None:
         variants = (tuple(dict.fromkeys(s.variant for s in config.segments))
-                    or (_base_variant(config),))
+                    or (variant_of(config.params),))
     n_max = config.outputs.n_max if config.outputs.n_max is not None else default_n_max
     if n_max is None:
         raise ConfigError("coefficient export needs outputs.n_max when there "
@@ -155,7 +148,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict[str, str]:
             schedule = config.schedule()
         else:
             # Observation-only: one zero-step segment of the base model.
-            schedule = ProtocolSchedule((Segment(_base_variant(config),
+            schedule = ProtocolSchedule((Segment(variant_of(config.params),
                                                  config.params, 0),))
         initial = initial_state(thermal, schedule, hard_cap=config.hard_cap)
         result = run(initial, schedule)
@@ -260,11 +253,12 @@ def run_oracle_check(out_dir, *, draws: int = 200, seed: int = 7,
     with open(out_dir / "oracle_report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if report["max_abs_error"] > tolerance:
+    # "not <=" so that a NaN error or tolerance fails the check
+    if not report["max_abs_error"] <= tolerance:
         raise FloatingPointError(
             f"oracle disagreement {report['max_abs_error']:g} exceeds {tolerance:g}"
         )
-    if report["max_unitarity_defect"] > unitarity_tolerance:
+    if not report["max_unitarity_defect"] <= unitarity_tolerance:
         raise FloatingPointError(
             f"unitarity defect {report['max_unitarity_defect']:g} exceeds "
             f"{unitarity_tolerance:g}"
@@ -283,16 +277,13 @@ def run_trajectories(config: ExperimentConfig, out_dir, *,
     thermal = config.thermal_spec()
     schedule = config.schedule()
     initial = initial_state(thermal, schedule, hard_cap=config.hard_cap)
-    exact = run(initial, schedule)
     batch = sample_trajectories(initial, schedule,
                                 n_trajectories=n_trajectories, seed=seed)
     estimates = batch.estimates()
     errors = batch.standard_errors()
     path = out_dir / "trajectories.csv"
-    rows = (
-        (rec.step, estimates[rec.step], errors[rec.step], rec.survival_probability)
-        for rec in exact.records
-    )
+    rows = ((N, estimates[N], errors[N], batch.exact_survival[N])
+            for N in range(batch.n_steps + 1))
     _write_csv(path, ("N", "p_hat", "stderr", "p_exact"), rows)
     outputs = {"trajectories_csv": str(path)}
     resolved = {

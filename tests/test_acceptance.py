@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import zenocool as zc
-from zenocool.coefficients import _variant_values
 from zenocool.oracle import extract_vg_element
 from zenocool.params import HBAR, KB
 
@@ -321,12 +320,28 @@ def test_criterion_11_property_suite(run_10k_driven_300):
             g_f=g_m * rng.uniform(0.0, 100.0),
             delta_e=g_m * rng.uniform(-50.0, 50.0))
         for variant in zc.VARIANTS:
-            values = _variant_values(variant, params, n)
+            values = zc.coefficient(variant, params, n)
             bound_ok &= bool(np.abs(values).max() <= 1.0 + 1e-12)
             bound_ok &= values[0] == 1.0
     checks["magnitude bound"] = bound_ok
 
-    # reduction chain, elementwise on random draws
+    # reduction chain, elementwise on random draws, against the special forms
+    # written out: 1 + x (cos W - 1), cos(g_m sqrt(n) tau) and the detuned
+    # two-level amplitude
+    def resonant_driven(k, p):
+        w2 = p.g_f ** 2 + k * p.g_m ** 2
+        return 1.0 + k * p.g_m ** 2 / w2 * (math.cos(math.sqrt(w2) * p.tau) - 1.0)
+
+    def resonant_conventional(k, p):
+        return math.cos(p.g_m * math.sqrt(k) * p.tau)
+
+    def detuned_two_level(k, p):
+        wc = math.sqrt(k * p.g_m ** 2 + p.delta_e ** 2 / 4.0)
+        phase = complex(math.cos(p.delta_e * p.tau / 2.0),
+                        -math.sin(p.delta_e * p.tau / 2.0))
+        return phase * complex(math.cos(wc * p.tau),
+                               p.delta_e / (2.0 * wc) * math.sin(wc * p.tau))
+
     chain_ok = True
     for _ in range(50):
         g_m = 10.0 ** rng.uniform(-5, -3)
@@ -337,11 +352,14 @@ def test_criterion_11_property_suite(run_10k_driven_300):
         resonant = zc.PhysicalParams(g_m=g_m, tau=tau, g_f=g_f)
         detuned_off = zc.PhysicalParams(g_m=g_m, tau=tau, g_f=0.0, delta_e=delta)
         undriven = zc.PhysicalParams(g_m=g_m, tau=tau)
-        chain_ok &= abs(zc.alpha_tilde_n(k, resonant) - zc.alpha_n(k, resonant)) < 1e-12
-        chain_ok &= abs(zc.alpha_n(k, undriven) - zc.beta_n(k, undriven)) < 1e-12
-        chain_ok &= abs(zc.beta_tilde_n(k, undriven) - zc.beta_n(k, undriven)) < 1e-12
-        chain_ok &= abs(zc.beta_tilde_n(k, detuned_off)
-                        - zc.alpha_tilde_n(k, detuned_off)) < 1e-12
+        chain_ok &= abs(zc.coefficient("driven-detuned", resonant, k)
+                        - resonant_driven(k, resonant)) < 1e-12
+        chain_ok &= abs(zc.coefficient("driven", undriven, k)
+                        - resonant_conventional(k, undriven)) < 1e-12
+        chain_ok &= abs(zc.coefficient("conventional-detuned", undriven, k)
+                        - resonant_conventional(k, undriven)) < 1e-12
+        chain_ok &= abs(zc.coefficient("driven-detuned", detuned_off, k)
+                        - detuned_two_level(k, detuned_off)) < 1e-12
     checks["reduction chain"] = chain_ok
 
     # ground-state fixed point, exact survival

@@ -4,19 +4,39 @@ import numpy as np
 import pytest
 
 from zenocool import (
+    VARIANTS,
     PhysicalParams,
-    alpha_n,
-    alpha_tilde_n,
-    beta_n,
-    beta_tilde_n,
     build_table,
+    coefficient,
     cooling_free_report,
     first_protected_index,
 )
-from zenocool.coefficients import _variant_values
+from zenocool.coefficients import switches, variant_of, variant_params
 
 # Dimensionless reference point: weak coupling, strong driving, long interval.
 P_REF = PhysicalParams(g_m=0.0004, tau=700.0, g_f=0.02)
+
+
+# The paper's special forms, written out independently of the one formula.
+def resonant_conventional(n, params):
+    """cos(g_m sqrt(n) tau): driving off, no detuning."""
+    return math.cos(params.g_m * math.sqrt(n) * params.tau)
+
+
+def resonant_driven(n, params):
+    """1 + x (cos(W tau) - 1), x = n g_m^2 / W^2, W^2 = g_f^2 + n g_m^2."""
+    w2 = params.g_f ** 2 + n * params.g_m ** 2
+    x = n * params.g_m ** 2 / w2
+    return 1.0 + x * (math.cos(math.sqrt(w2) * params.tau) - 1.0)
+
+
+def detuned_two_level(n, params):
+    """exp(-i delta tau / 2) (cos(Wc tau) + i (delta / 2 Wc) sin(Wc tau))."""
+    wc = math.sqrt(n * params.g_m ** 2 + params.delta_e ** 2 / 4.0)
+    return complex(math.cos(params.delta_e * params.tau / 2.0),
+                   -math.sin(params.delta_e * params.tau / 2.0)) * complex(
+        math.cos(wc * params.tau),
+        params.delta_e / (2.0 * wc) * math.sin(wc * params.tau))
 
 
 def random_params(rng, g_f=None, delta_e=None):
@@ -30,14 +50,14 @@ def random_params(rng, g_f=None, delta_e=None):
 
 
 def test_alpha_ground_state():
-    assert alpha_n(0, P_REF) == 1.0
-    assert alpha_n(0, PhysicalParams(g_m=1e-4, tau=5.0)) == 1.0  # g_f = 0 corner
+    assert coefficient("driven", P_REF, 0) == 1.0
+    assert coefficient("driven", PhysicalParams(g_m=1e-4, tau=5.0), 0) == 1.0  # g_f = 0 corner
 
 
 def test_alpha_protected_point_exact():
     # W_n tau = 2 pi at n = 12 for g_m = pi/2, g_f = pi, tau = 1.
     params = PhysicalParams(g_m=math.pi / 2.0, tau=1.0, g_f=math.pi)
-    assert alpha_n(12, params) == pytest.approx(1.0, abs=1e-12)
+    assert coefficient("driven", params, 12) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_alpha_reduces_to_beta_at_zero_driving():
@@ -45,7 +65,8 @@ def test_alpha_reduces_to_beta_at_zero_driving():
     for _ in range(50):
         params = random_params(rng, g_f=0.0, delta_e=0.0)
         n = int(rng.integers(0, 500))
-        assert alpha_n(n, params) == pytest.approx(beta_n(n, params), abs=1e-14)
+        assert coefficient("driven", params, n) == pytest.approx(
+            resonant_conventional(n, params), abs=1e-14)
 
 
 def test_first_protected_driven_index():
@@ -55,9 +76,9 @@ def test_first_protected_driven_index():
 
 
 def test_beta_examples():
-    assert beta_n(0, P_REF) == 1.0
+    assert coefficient("conventional", P_REF, 0) == 1.0
     n_protected = (math.pi / P_REF.gm_tau) ** 2
-    assert beta_n(n_protected, P_REF) == pytest.approx(-1.0, abs=1e-12)
+    assert coefficient("conventional", P_REF, n_protected) == pytest.approx(-1.0, abs=1e-12)
     assert first_protected_index("conventional", P_REF) == pytest.approx(
         n_protected, rel=1e-12)
     assert 123.0 < n_protected < 126.0
@@ -68,13 +89,14 @@ def test_alpha_tilde_resonant_reduction():
     for _ in range(50):
         params = random_params(rng, delta_e=0.0)
         n = int(rng.integers(0, 300))
-        assert alpha_tilde_n(n, params) == pytest.approx(alpha_n(n, params), abs=1e-14)
+        assert coefficient("driven-detuned", params, n) == pytest.approx(
+            resonant_driven(n, params), abs=1e-14)
 
 
 def test_alpha_tilde_ground_state():
     rng = np.random.default_rng(8)
     for _ in range(20):
-        assert alpha_tilde_n(0, random_params(rng)) == 1.0
+        assert coefficient("driven-detuned", random_params(rng), 0) == 1.0
 
 
 def test_beta_tilde_reductions():
@@ -82,10 +104,11 @@ def test_beta_tilde_reductions():
     for _ in range(50):
         params = random_params(rng, g_f=0.0, delta_e=0.0)
         n = int(rng.integers(0, 300))
-        assert beta_tilde_n(n, params) == pytest.approx(beta_n(n, params), abs=1e-14)
+        assert coefficient("conventional-detuned", params, n) == pytest.approx(
+            resonant_conventional(n, params), abs=1e-14)
     # phase cancellation at n = 0 with nonzero detuning
     params = random_params(rng, g_f=0.0)
-    assert beta_tilde_n(0, params) == 1.0
+    assert coefficient("conventional-detuned", params, 0) == 1.0
 
 
 def test_alpha_tilde_matches_beta_tilde_without_driving():
@@ -93,8 +116,8 @@ def test_alpha_tilde_matches_beta_tilde_without_driving():
     for _ in range(50):
         params = random_params(rng, g_f=0.0)
         n = int(rng.integers(0, 300))
-        assert alpha_tilde_n(n, params) == pytest.approx(
-            beta_tilde_n(n, params), abs=1e-12)
+        assert coefficient("driven-detuned", params, n) == pytest.approx(
+            detuned_two_level(n, params), abs=1e-12)
 
 
 def test_magnitude_bound_and_ground_value_all_variants():
@@ -104,7 +127,7 @@ def test_magnitude_bound_and_ground_value_all_variants():
         params = random_params(rng)
         for variant in ("conventional", "driven", "conventional-detuned",
                         "driven-detuned"):
-            values = _variant_values(variant, params, n)
+            values = coefficient(variant, params, n)
             assert values[0] == 1.0
             assert np.abs(values).max() <= 1.0 + 1e-12
 
@@ -169,8 +192,7 @@ def test_protected_indices_have_unit_magnitude():
         for variant in ("driven", "conventional"):
             report = cooling_free_report(variant, params, 5000)
             for entry in report.entries:
-                value = _variant_values(variant, params,
-                                        np.array([entry.index]))[0]
+                value = coefficient(variant, params, entry.index)
                 assert abs(value) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -179,8 +201,7 @@ def test_conventional_detuned_protected_indices():
     report = cooling_free_report("conventional-detuned", params, 600)
     assert report.entries
     for entry in report.entries:
-        value = _variant_values("conventional-detuned", params,
-                                np.array([entry.index]))[0]
+        value = coefficient("conventional-detuned", params, entry.index)
         assert abs(value) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -195,18 +216,18 @@ def test_detuned_driving_bounded_by_resonant_case():
     # resonant maximum
     n_hi = int(first_protected_index("driven", P_REF)) - 1
     n = np.arange(1, n_hi + 1, dtype=float)
-    resonant_max = np.abs(_variant_values("driven", P_REF, n)).max()
+    resonant_max = np.abs(coefficient("driven", P_REF, n)).max()
     for mult in (2.0, 5.0, 10.0, 20.0):
         detuned = PhysicalParams(g_m=P_REF.g_m, tau=P_REF.tau, g_f=P_REF.g_f,
                                  delta_e=mult * P_REF.g_m)
-        detuned_max = np.abs(_variant_values("driven-detuned", detuned, n)).max()
+        detuned_max = np.abs(coefficient("driven-detuned", detuned, n)).max()
         assert detuned_max <= resonant_max + 1e-12
 
 
 def test_negative_index_rejected():
-    for fn in (alpha_n, beta_n, alpha_tilde_n, beta_tilde_n):
+    for variant in VARIANTS:
         with pytest.raises(ValueError):
-            fn(-1, P_REF)
+            coefficient(variant, P_REF, -1)
 
 
 def test_driven_detuned_without_driving_has_conventional_detuned_set():
@@ -217,7 +238,7 @@ def test_driven_detuned_without_driving_has_conventional_detuned_set():
     np.testing.assert_allclose(driven.indices, [119.64, 497.30, 1126.74], atol=5e-3)
     assert first_protected_index("driven-detuned", params) == driven.indices[0]
     for entry in driven.entries:
-        value = _variant_values("driven-detuned", params, np.array([entry.index]))[0]
+        value = coefficient("driven-detuned", params, entry.index)
         assert abs(value) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -240,3 +261,22 @@ def test_log_survival_is_shared_and_read_only():
     assert log_s[0] == 0.0
     with pytest.raises(ValueError):
         log_s[1] = 0.0
+
+
+def test_variant_switch_rule_and_inverse():
+    params = PhysicalParams(g_m=0.0004, tau=700.0, g_f=0.02, delta_e=0.001)
+    expected = {"conventional": (0.0, 0.0), "driven": (0.02, 0.0),
+                "conventional-detuned": (0.0, 0.001),
+                "driven-detuned": (0.02, 0.001)}
+    for variant, (g_f, delta_e) in expected.items():
+        switched = variant_params(variant, params)
+        assert (switched.g_f, switched.delta_e) == (g_f, delta_e)
+        assert switches(variant) == (g_f > 0.0, delta_e != 0.0)
+        assert variant_of(switched) == variant
+        np.testing.assert_array_equal(
+            build_table(variant, params, 50).values,
+            build_table(variant, switched, 50).values)
+    with pytest.raises(ValueError, match="unknown variant"):
+        variant_params("zeno", params)
+    with pytest.raises(ValueError, match="unknown variant"):
+        coefficient("zeno", params, 1)

@@ -358,3 +358,52 @@ def test_import_leaves_scipy_out():
          "if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, extra, config, named", [
+    ("oracle-check", ["--tolerance", "nan"], None, "--tolerance"),
+    ("oracle-check", ["--tolerance", "inf"], None, "--tolerance"),
+    ("oracle-check", ["--tolerance", "-1e-10"], None, "--tolerance"),
+    ("oracle-check", ["--draws", "0"], None, "--draws"),
+    ("oracle-check", ["--draws", "-1"], None, "--draws"),
+    ("oracle-check", ["--seed", "-1"], None, "--seed"),
+    ("trajectories", ["--trajectories", "0"], SI_CONFIG, "--trajectories"),
+    ("trajectories", ["--seed", "-1"], SI_CONFIG, "--seed"),
+    ("trajectories", [], {**SI_CONFIG, "seed": -1}, "'seed'"),
+    ("sweep", [], {**SI_CONFIG, "sweep": {"axis": "N", "values": [10.7]}}, "'values'"),
+    ("sweep", [], {**SI_CONFIG, "sweep": {"axis": "N", "values": [-2]}}, "'values'"),
+])
+def test_cli_rejects_invalid_numbers(tmp_path, capsys, command, extra, config, named):
+    argv = ["--quiet", command, "--out-dir", str(tmp_path / "out")] + extra
+    if config is not None:
+        argv += ["--config", str(write_config(tmp_path, config))]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_trajectories_evolve_the_schedule_once(tmp_path, monkeypatch):
+    import zenocool.oracle
+    import zenocool.runner
+    from zenocool import initial_state, run
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(zenocool.oracle, "run", counted)
+    monkeypatch.setattr(zenocool.runner, "run", counted)
+    config = parse_config_data({"preset": "fig7_threshold"})
+    zenocool.runner.run_trajectories(config, tmp_path, n_trajectories=500)
+    assert len(calls) == 1
+
+    schedule = config.schedule()
+    exact = run(initial_state(config.thermal_spec(), schedule), schedule)
+    rows = read_csv(tmp_path / "trajectories.csv")
+    assert [int(r["N"]) for r in rows] == [rec.step for rec in exact.records]
+    assert [float(r["p_exact"]) for r in rows] == [
+        rec.survival_probability for rec in exact.records]

@@ -8,11 +8,10 @@ from zenocool import (
     PopulationDistribution,
     ProtocolSchedule,
     Segment,
-    alpha_n,
-    beta_tilde_n,
     block_hamiltonian,
     block_propagator,
     build_table,
+    coefficient,
     compare_random_draws,
     extract_vg_element,
     joint_from_blocks,
@@ -84,7 +83,7 @@ def test_vg_element_matches_driven_closed_form():
         params = random_params(rng, delta_e=0.0)
         n = int(rng.integers(0, 200))
         assert extract_vg_element(n, params) == pytest.approx(
-            alpha_n(n, params), abs=1e-10)
+            coefficient("driven", params, n), abs=1e-10)
 
 
 def test_vg_element_matches_detuned_conventional_closed_form():
@@ -93,7 +92,7 @@ def test_vg_element_matches_detuned_conventional_closed_form():
         params = random_params(rng, g_f=0.0)
         n = int(rng.integers(0, 200))
         oracle_value = extract_vg_element(n, params)
-        closed = beta_tilde_n(n, params)
+        closed = coefficient("conventional-detuned", params, n)
         assert oracle_value == pytest.approx(closed, abs=1e-10)
         assert abs(oracle_value) == pytest.approx(abs(closed), abs=1e-10)
 

@@ -22,7 +22,6 @@ from zenocool import (
     step,
     sweep,
     thermal_distribution,
-    thermal_fidelity,
     thermal_occupation,
     truncation_floor,
 )
@@ -159,15 +158,21 @@ def test_effective_temperature_inverts_occupation():
         assert effective_temperature(n_bar, OMEGA) == pytest.approx(T, rel=1e-12)
 
 
+def _zero_step_record(d):
+    return run(d, ProtocolSchedule((Segment("driven", PARAMS_DRIVEN, 0),))).records[0]
+
+
 def test_thermal_fidelity_self():
     spec = ThermalSpec(temperature=10.0, omega_m=OMEGA)
     d = thermal_distribution(spec)
-    assert thermal_fidelity(d, 10.0, OMEGA) == pytest.approx(1.0, abs=1e-9)
+    assert _zero_step_record(d).thermal_fidelity == pytest.approx(1.0, abs=1e-9)
 
 
 def test_thermal_fidelity_ground_state():
     d = PopulationDistribution.from_probabilities([1.0, 0.0, 0.0])
-    assert thermal_fidelity(d, 0.0, OMEGA) == 1.0
+    rec = _zero_step_record(d)
+    assert rec.t_eff_kelvin == 0.0
+    assert rec.thermal_fidelity == 1.0
 
 
 def test_asymptotic_limit_pure_ground():
@@ -360,6 +365,10 @@ def test_sweep_records_per_point_failures():
     assert points[0].error is None
     assert points[1].record is None
     assert "tau" in points[1].error
+    points = sweep("N", [3.0, 10.7], THERMAL_10K, schedule)
+    assert points[0].record.step == 3
+    assert points[1].record is None
+    assert "whole number" in points[1].error
 
 
 def test_sweep_rejects_unknown_axis_and_empty_grid():
