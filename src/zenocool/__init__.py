@@ -43,7 +43,6 @@ from .protocol import (
     run,
     step,
     sweep,
-    truncation_floor,
 )
 from .oracle import (
     ExcitationBlock,
@@ -85,7 +84,7 @@ __all__ = [
     "first_protected_index",
     "AsymptoticReport", "ProtocolSchedule", "RunResult", "Segment",
     "StepRecord", "SweepPoint", "asymptotic_limit", "effective_temperature",
-    "initial_state", "run", "step", "sweep", "truncation_floor",
+    "initial_state", "run", "step", "sweep",
     "ExcitationBlock", "OracleNumericalError", "TrajectoryBatch",
     "block_hamiltonian", "block_propagator", "compare_random_draws",
     "extract_vg_element", "joint_from_blocks", "joint_hamiltonian",

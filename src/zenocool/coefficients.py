@@ -249,8 +249,9 @@ def cooling_free_report(variant: str, params: PhysicalParams, n_max: int) -> Coo
 def first_protected_index(variant: str, params: PhysicalParams) -> float | None:
     """Smallest strictly positive protected index, or None if there is none.
 
-    Used by the protocol layer to size truncations so that population
-    aggregating near the first cooling-free level is never clipped.
+    This is the first level that the variant never cools, so its distance
+    from the ground level in thermal e-folds says whether a run can reach
+    a low occupancy.
     """
     return next((idx for _, idx, _ in _protected_points(variant, params)
                  if idx > 0.0), None)

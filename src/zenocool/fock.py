@@ -181,14 +181,13 @@ def _tail_n_max(n_bar: float, epsilon_tail: float) -> int:
     return m + 1
 
 
-def thermal_distribution(spec: ThermalSpec, *, n_max_floor: int = 0,
+def thermal_distribution(spec: ThermalSpec, *,
                          hard_cap: int = DEFAULT_HARD_CAP) -> PopulationDistribution:
     """Truncated geometric distribution p_n = n_bar^n / (1 + n_bar)^(n+1).
 
-    The truncation keeps the discarded tail mass below ``spec.epsilon_tail``
-    and never falls under ``n_max_floor`` (used by the protocol layer to
-    cover cooling-free indices). The result is normalized over the kept
-    levels.
+    The truncation keeps the discarded tail mass below ``spec.epsilon_tail``;
+    n_bar = 0 gives the one-level ground state. The result is normalized
+    over the kept levels.
 
     Raises
     ------
@@ -197,11 +196,8 @@ def thermal_distribution(spec: ThermalSpec, *, n_max_floor: int = 0,
     """
     n_bar = spec.n_bar
     if n_bar == 0.0:
-        n_max = max(0, n_max_floor)
-        lw = np.full(n_max + 1, -np.inf)
-        lw[0] = 0.0
-        return PopulationDistribution(lw, norm_log=0.0)
-    n_max = max(_tail_n_max(n_bar, spec.epsilon_tail), n_max_floor, 0)
+        return PopulationDistribution(np.zeros(1), norm_log=0.0)
+    n_max = _tail_n_max(n_bar, spec.epsilon_tail)
     if n_max > hard_cap:
         raise CapacityError(
             f"thermal state with n_bar={n_bar:g} needs n_max={n_max}, "

@@ -31,7 +31,6 @@ from .coefficients import (
     CoefficientTable,
     build_table,
     cooling_free_report,
-    first_protected_index,
     switches,
 )
 
@@ -223,15 +222,18 @@ def _observables(idx: int, lw: np.ndarray, segment_id: int, omega_m: float | Non
     return record, norm_log
 
 
-def run(initial: PopulationDistribution, schedule: ProtocolSchedule, *,
-        norm_log_floor: float = DEFAULT_NORM_LOG_FLOOR) -> RunResult:
+def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResult:
     """Evolve ``initial`` through the schedule, one record per measurement.
 
     The first record is the untouched initial state. A segment ends when
     its step budget is exhausted or its ``until_n_bar`` threshold is
     reached on the conditional state, whichever comes first. If the
-    cumulative survival probability underflows ``exp(norm_log_floor)``
-    the run stops early with ``terminated_early`` set.
+    cumulative survival probability underflows
+    ``exp(DEFAULT_NORM_LOG_FLOOR)`` the run stops early with
+    ``terminated_early`` set. A measurement that kills every populated
+    level (all coefficients zero there) leaves no conditional state, and
+    raises ``ValueError("distribution has no surviving population")``
+    instead; a thermal start cannot reach this, because c_0 = 1.
 
     Each measurement adds the segment's log survival to the log-weights in
     place; only the final state is wrapped as a distribution. A NaN or
@@ -256,7 +258,7 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule, *,
             idx += 1
             rec, norm_log = _observables(idx, lw, seg_id, seg.params.omega_m, ws)
             records.append(rec)
-            if norm_log < norm_log_floor:
+            if norm_log < DEFAULT_NORM_LOG_FLOOR:
                 terminated = True
                 break
             if seg.until_n_bar is not None and rec.n_bar <= seg.until_n_bar:
@@ -313,31 +315,19 @@ def asymptotic_limit(initial: PopulationDistribution, variant: str,
     )
 
 
-def truncation_floor(schedule: ProtocolSchedule) -> int:
-    """Smallest n_max that keeps population near protected indices unclipped.
-
-    1.5 times the first positive cooling-free index, maximized over the
-    schedule's segments.
-    """
-    floor = 0
-    for seg in schedule.segments:
-        idx = first_protected_index(seg.variant, seg.params)
-        if idx is not None:
-            floor = max(floor, math.ceil(1.5 * idx))
-    return floor
-
-
 def initial_state(thermal: ThermalSpec, schedule: ProtocolSchedule, *,
                   hard_cap: int = DEFAULT_HARD_CAP) -> PopulationDistribution:
-    """Thermal start truncated generously enough for the whole schedule.
+    """Thermal start of a run, truncated by the thermal tail bound alone.
 
-    The schedule's :func:`truncation_floor` is clamped at ``hard_cap``, so
-    a floor past the cap only trims the margin kept beyond the first
-    cooling-free level, and only the thermal tail bound raises
-    ``CapacityError``.
+    The schedule does not enter the truncation. c_0 = 1, so the ground
+    weight never decays and every other weight only shrinks: the levels
+    cut at ``thermal.epsilon_tail`` hold at most epsilon_tail / P_g <=
+    epsilon_tail * (n_bar_th + 1) of the conditional mass after any number
+    of measurements, wherever the cooling-free levels lie. Raises
+    ``CapacityError`` if the thermal tail needs more than ``hard_cap``
+    levels.
     """
-    floor = min(truncation_floor(schedule), hard_cap)
-    return thermal_distribution(thermal, n_max_floor=floor, hard_cap=hard_cap)
+    return thermal_distribution(thermal, hard_cap=hard_cap)
 
 
 @dataclass(frozen=True)

@@ -32,18 +32,14 @@ from .config import ConfigError, ExperimentConfig
 RUN_COLUMNS = ("N", "n_bar", "F_ground", "P_g", "T_eff_K", "F_th", "segment")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+_RECORD_FMT = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d"
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, row_fmt: str, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        line = row_fmt + "\n"
+        fh.writelines(line % row for row in rows)
 
 
 def _probe_writable(out_dir: Path):
@@ -60,23 +56,26 @@ def _record_row(rec: StepRecord):
 
 
 def write_run_csv(path: Path, result: RunResult):
-    _write_csv(path, RUN_COLUMNS, (_record_row(r) for r in result.records))
+    _write_csv(path, RUN_COLUMNS, _RECORD_FMT,
+               (_record_row(r) for r in result.records))
 
 
 def write_histogram_csv(path: Path, d: PopulationDistribution):
     p = d.probabilities()
-    _write_csv(path, ("n", "p_n"), ((n, p[n]) for n in range(p.size)))
+    _write_csv(path, ("n", "p_n"), "%d,%.17g", enumerate(p.tolist()))
 
 
 def write_coefficients_csv(path: Path, table: CoefficientTable, powers):
     header = ["n", "re", "im", "abs2"] + [f"abs2_pow_{2 * N}" for N in powers]
-    abs2 = np.abs(table.values) ** 2
+    values = table.values
+    abs2 = np.abs(values) ** 2
+    # A scalar power per element: numpy's array ** differs in the last ulp.
     rows = (
-        [n, table.values[n].real, table.values[n].imag, abs2[n]]
-        + [abs2[n] ** N for N in powers]
-        for n in range(table.values.size)
+        (n, re, im, a, *[a ** N for N in powers])
+        for n, (re, im, a) in enumerate(zip(values.real.tolist(),
+                                            values.imag.tolist(), abs2.tolist()))
     )
-    _write_csv(path, header, rows)
+    _write_csv(path, header, "%d" + ",%.17g" * (3 + len(powers)), rows)
 
 
 def _manifest(config: ExperimentConfig, command: str, resolved: dict,
@@ -210,11 +209,10 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict[str, str]:
         writer.writerow(("axis", "value") + RUN_COLUMNS + ("error",))
         for pt in points:
             if pt.record is None:
-                writer.writerow([pt.axis, _fmt(pt.value)] + [""] * len(RUN_COLUMNS)
-                                + [pt.error])
+                cells = [""] * len(RUN_COLUMNS)
             else:
-                writer.writerow([pt.axis, _fmt(pt.value)]
-                                + [_fmt(v) for v in _record_row(pt.record)] + [""])
+                cells = (_RECORD_FMT % _record_row(pt.record)).split(",")
+            writer.writerow([pt.axis, format(pt.value, ".17g"), *cells, pt.error or ""])
     outputs = {"sweep_csv": str(path)}
     resolved = {
         "params": _dimensionless_params(config.params),
@@ -284,7 +282,7 @@ def run_trajectories(config: ExperimentConfig, out_dir, *,
     path = out_dir / "trajectories.csv"
     rows = ((N, estimates[N], errors[N], batch.exact_survival[N])
             for N in range(batch.n_steps + 1))
-    _write_csv(path, ("N", "p_hat", "stderr", "p_exact"), rows)
+    _write_csv(path, ("N", "p_hat", "stderr", "p_exact"), "%d,%.17g,%.17g,%.17g", rows)
     outputs = {"trajectories_csv": str(path)}
     resolved = {
         "params": _dimensionless_params(config.params),

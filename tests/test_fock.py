@@ -87,11 +87,7 @@ def test_thermal_distribution_tail_and_mean_properties():
         assert abs(mean_occupation(d) - n_bar) <= eps * d.n_max + 1e-13
 
 
-def test_thermal_distribution_floor_and_cap():
-    d = thermal_distribution(ThermalSpec(n_bar_th=1.0), n_max_floor=500)
-    assert d.n_max == 500
-    with pytest.raises(CapacityError):
-        thermal_distribution(ThermalSpec(n_bar_th=1.0), n_max_floor=200, hard_cap=100)
+def test_thermal_distribution_cap():
     with pytest.raises(CapacityError):
         thermal_distribution(ThermalSpec(n_bar_th=5000.0), hard_cap=10000)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from zenocool import (
     sweep,
     thermal_distribution,
     thermal_occupation,
-    truncation_floor,
 )
 import zenocool.protocol as protocol
 from zenocool.fock import logsumexp
@@ -143,6 +143,20 @@ def test_run_early_termination_flag():
     assert result.records[-1].survival_probability < math.exp(-690)
 
 
+def test_run_raises_when_every_level_is_killed():
+    # g_f = g_m with W tau = sqrt(2) g_m tau = pi makes c_1 = 1/2 - 1/2 = 0
+    # exactly (conventional cos(pi/2) is 6e-17 in doubles, not 0): the first
+    # measurement leaves no conditional state, which raises before any early
+    # stop could be flagged.
+    d = PopulationDistribution.from_probabilities([0.0, 1.0])
+    g = math.pi / math.sqrt(2.0)
+    params = PhysicalParams(g_m=g, tau=1.0, g_f=g)
+    assert build_table("driven", params, 1).log_survival[1] == -math.inf
+    schedule = ProtocolSchedule((Segment("driven", params, 5),))
+    with pytest.raises(ValueError, match="no surviving population"):
+        run(d, schedule)
+
+
 def test_effective_temperature_values():
     assert effective_temperature(50.0, OMEGA) == pytest.approx(6.02, rel=5e-3)
     assert effective_temperature(10.0, OMEGA) == pytest.approx(1.25, rel=5e-3)
@@ -235,15 +249,6 @@ def test_thermal_shape_preserved_in_strong_driving_regime():
     assert slope == pytest.approx(predicted, rel=0.05)
 
 
-def test_truncation_floor_covers_protected_range():
-    schedule = ProtocolSchedule((Segment("driven", PARAMS_DRIVEN, 10),))
-    floor = truncation_floor(schedule)
-    assert floor == math.ceil(1.5 * ((4 * math.pi) ** 2 - PARAMS_DRIVEN.gf_tau ** 2)
-                              / PARAMS_DRIVEN.gm_tau ** 2)
-    d = initial_state(THERMAL_10K, schedule)
-    assert d.n_max >= floor
-
-
 RUN_PRESETS = sorted(name for name in PRESETS
                      if "T_kelvin" in PRESETS[name] or "n_bar_th" in PRESETS[name])
 
@@ -323,22 +328,20 @@ def test_run_stops_on_nan_weight(monkeypatch):
 HOT = ThermalSpec(temperature=100.0, omega_m=OMEGA)
 
 
-@pytest.mark.parametrize("ratio, floor", [(284, 67570), (360, 77118)])
-def test_truncation_floor_clamped_at_hard_cap(ratio, floor):
-    # The first cooling-free level sits 54 (61) thermal e-folds out; its 1.5x
-    # floor passes the cap while the thermal tail needs only 23,189 levels.
+@pytest.mark.parametrize("ratio", [50, 100, 284, 360])
+def test_initial_state_is_the_thermal_cut(ratio):
+    # The first cooling-free level sits 3.0 (ratio 50) to 61 (ratio 360)
+    # thermal e-folds out; the truncation follows the thermal tail alone.
     params = PhysicalParams.from_si(OMEGA, G_M, 220 / OMEGA, g_f=ratio * G_M)
     schedule = ProtocolSchedule((Segment("driven", params, 10),))
-    assert truncation_floor(schedule) == floor
-    d = initial_state(HOT, schedule, hard_cap=65536)
-    assert d.n_max == 65536
+    assert initial_state(HOT, schedule, hard_cap=65536).n_max == 23189
     with pytest.raises(CapacityError):
         initial_state(HOT, schedule, hard_cap=20000)  # below the thermal tail
 
 
 PRESET_N_MAX = {
-    "fig3a": 1630, "fig3a_conventional": 187, "fig3b": 1630,
-    "fig3b_conventional": 232, "fig3c": 1630, "fig3c_conventional": 511,
+    "fig3a": 24, "fig3a_conventional": 24, "fig3b": 232,
+    "fig3b_conventional": 232, "fig3c": 511, "fig3c_conventional": 511,
     "fig4": 2319, "fig4_conventional": 2319, "fig5a": 2319, "fig5b": 2319,
     "fig5c": 2319, "fig6": 23189, "fig6_sweep": 23189, "fig7": 2319,
     "fig7_threshold": 2319, "fig8": 2319,
@@ -349,6 +352,82 @@ def test_presets_keep_their_truncation():
     assert sorted(PRESET_N_MAX) == RUN_PRESETS
     for name, n_max in PRESET_N_MAX.items():
         assert _preset_start(name)[1].n_max == n_max, name
+
+
+EPS_REF = 1e-30
+U = 2.0 ** -53
+
+
+def _preset_case(name, axis_value=None):
+    config = parse_config_data({"preset": name})
+    thermal, schedule = config.thermal_spec(), config.schedule()
+    if axis_value is not None:
+        thermal, schedule = protocol._apply_axis(config.sweep.axis, axis_value,
+                                                 thermal, schedule)
+    return thermal, schedule
+
+
+def _trap_case():
+    params = PhysicalParams.from_si(OMEGA, G_M, 220 / OMEGA, g_f=50 * G_M)
+    return HOT, ProtocolSchedule((Segment("driven", params, 300),))
+
+
+BOUND_CASES = {
+    "fig3a": lambda: _preset_case("fig3a"),
+    "fig3b": lambda: _preset_case("fig3b"),
+    "fig3c": lambda: _preset_case("fig3c"),
+    "fig8-g_f-78.0": lambda: _preset_case("fig8", 78.0),
+    "fig8-g_f-100.29": lambda: _preset_case("fig8", 100.29),
+    "100K-ratio-50": _trap_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_thermal_cut_bound_holds(case):
+    """Terminal observables at the thermal cut against a far deeper cut.
+
+    The cut at n_max = M drops initial mass T = r^(M+1) <= eps (r = n_th /
+    (1 + n_th), eps = epsilon_tail), with first moment r^(M+1) (M + 1 +
+    n_th). Weights only shrink (c_0 = 1), so after any number of
+    measurements the mass past M is still at most T, and its share of the
+    conditional state at most eta = eps / ((1 - eps) P), P being the cut
+    run's own P_g. Against the untruncated run:
+
+    - P_g and F_ground move by at most eta, relative;
+    - n_bar moves by at most d = eta * max(M + 1 + n_th, n_bar);
+    - sqrt(F_th) moves by at most eta + 2 Q + sqrt(eta Q)
+      + d / (2 sqrt(c (c + 1))), with c = n_bar - d and Q the mass past M
+      of the geometric reference at n_bar + d (the last term is d times
+      half the square root of the geometric family's Fisher information),
+      so F_th moves by at most twice that.
+
+    The run at ``EPS_REF`` stands in for the untruncated one. Its own
+    deviation and the rounding of both runs (ratios of sums of at most
+    M_ref + 1 positive terms) add 4 (M_ref + 1) u relative, u = 2^-53.
+    """
+    thermal, schedule = BOUND_CASES[case]()
+    cut = initial_state(thermal, schedule)
+    deep = initial_state(replace(thermal, epsilon_tail=EPS_REF), schedule)
+    assert deep.n_max > cut.n_max
+    got = run(cut, schedule).records[-1]
+    want = run(deep, schedule).records[-1]
+
+    eps, m, n_th = thermal.epsilon_tail, cut.n_max, thermal.n_bar
+    eta = eps / ((1.0 - eps) * got.survival_probability)
+    rnd = 4.0 * (deep.n_max + 1) * U
+    d = eta * max(m + 1 + n_th, got.n_bar)
+    c_lo, c_hi = got.n_bar - d, got.n_bar + d
+    q = (c_hi / (1.0 + c_hi)) ** (m + 1)
+    d_sqrt_f = (eta + 2.0 * q + math.sqrt(eta * q)
+                + d / (2.0 * math.sqrt(c_lo * (c_lo + 1.0))))
+
+    assert abs(got.survival_probability - want.survival_probability) <= (
+        (eta + rnd) * want.survival_probability)
+    assert abs(got.ground_fidelity - want.ground_fidelity) <= (
+        (eta + rnd) * want.ground_fidelity)
+    assert abs(got.n_bar - want.n_bar) <= d + rnd * want.n_bar
+    assert abs(got.thermal_fidelity - want.thermal_fidelity) <= (
+        2.0 * d_sqrt_f + rnd * want.thermal_fidelity)
 
 
 def test_sweep_temperature_axis():
