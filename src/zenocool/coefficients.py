@@ -133,7 +133,7 @@ class CoefficientTable:
             raise ValueError("values must be a nonempty 1-d array")
         if v[0] != 1.0:
             raise ValueError("ground-state coefficient must be exactly 1")
-        mags = np.abs(v)
+        mags = self.magnitude
         if np.any(mags > 1.0 + _MAG_TOL):
             worst = int(np.argmax(mags))
             raise ValueError(
@@ -145,6 +145,17 @@ class CoefficientTable:
         return self.values.size - 1
 
     @cached_property
+    def magnitude(self) -> np.ndarray:
+        """Per-level amplitude factor |c_n| of one measurement (read-only).
+
+        ``log_survival`` is computed from it, and the engine's amplitude
+        view of the state is multiplied by it at every measurement.
+        """
+        out = np.abs(self.values)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def log_survival(self) -> np.ndarray:
         """Per-level log survival 2 log|c_n| of one measurement (read-only).
 
@@ -153,7 +164,7 @@ class CoefficientTable:
         read it from here; a zero coefficient gives ``-inf``.
         """
         with np.errstate(divide="ignore"):
-            out = 2.0 * np.log(np.abs(self.values))
+            out = 2.0 * np.log(self.magnitude)
         out.flags.writeable = False
         return out
 

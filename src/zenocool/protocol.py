@@ -9,6 +9,24 @@ segment's per-level log survival to one log-weight array in place. All
 observables (mean occupancy, ground fidelity, cumulative survival
 probability, effective temperature, thermality) are evaluated after every
 step.
+
+The log-weights lw are the state of record, updated exactly as the
+one-step reference :func:`step` updates them. The observables come from
+an amplitude view of the same state, u_n = exp((lw_n - top) / 2), which
+each measurement multiplies by |c_n|; mass, n_bar and ground fidelity are
+then sums of products of u, with no ``exp`` per step. The view is built
+from lw with one ``exp`` at the start of a run, and rebuilt whenever its
+mass u.u falls below ``_MIN_VIEW_MASS``, so it stays exact over any dynamic
+range. It is not rebuilt at a segment switch: lw carries more rounding
+than u (each step rounds a log-weight of tens of e-folds), and a rebuild
+would hand it to the records: at the switch of ``fig7`` it moved the
+final n_bar by 7e-15 relative, against 8e-16 without.
+
+The thermal fidelity's reference rho^(2n) / Z, rho^2 = n_bar / (1 + n_bar),
+uses the same 708 e-fold convention as every sum of exponentials here
+(``fock.LOG_TINY``): rho^n is evaluated as rho^(128 a) rho^b, and a term
+with a factor more than 708 e-folds down is dropped, which moves the
+fidelity's square root by less than exp(-708).
 """
 
 from __future__ import annotations
@@ -35,6 +53,16 @@ from .coefficients import (
 )
 
 DEFAULT_NORM_LOG_FLOOR = -700.0
+
+# The amplitude view of a run is rebuilt from the log-weights once its mass
+# falls below this. Its largest weight is then at least this over n_max + 1,
+# so a weight or product of amplitudes keeps full precision down to
+# tiny * (n_max + 1) / _MIN_VIEW_MASS ~ 1e-292 (n_max + 1) of the mass. A
+# thermal start never rebuilds: c_0 = 1 keeps its top amplitude u_0 at 1.
+_MIN_VIEW_MASS = 1e-16
+
+_DOT_CHUNK = 8192
+_BLOCK = 128
 
 SWEEP_AXES = ("g_f", "T", "tau", "N")
 
@@ -143,83 +171,120 @@ def effective_temperature(n_bar: float, omega_m: float) -> float:
     return HBAR * omega_m / (KB * math.log1p(1.0 / n_bar))
 
 
-class _Workspace:
-    """Scratch arrays for the observables of one truncation, reused every step.
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b, in pieces of at most ``_DOT_CHUNK`` elements.
 
-    Fresh temporaries of n_max + 1 doubles per step cost more in page
-    faults than the arithmetic on them, so every array op writes here.
+    OpenBLAS spreads a ddot of more than 10,000 elements over its thread
+    pool; on a 2-core machine that doubled the CPU time and made a run at
+    n_max 23,189 slower than one thread does.
+    """
+    if a.size <= _DOT_CHUNK:
+        return float(a.dot(b))
+    return float(sum(a[i:i + _DOT_CHUNK].dot(b[i:i + _DOT_CHUNK])
+                     for i in range(0, a.size, _DOT_CHUNK)))
+
+
+class _AmplitudeView:
+    """u_n = exp((lw_n - top) / 2): square roots of the weights, scaled by the largest.
+
+    :meth:`observe` rebuilds u from the log-weights (:meth:`refresh`)
+    whenever its mass has fallen below ``_MIN_VIEW_MASS``; the grid starts
+    empty, so the first call builds it. Levels more than ``LOG_TINY``
+    below the largest amplitude are 0 in u until the next rebuild: u only
+    shrinks and the mass stays above ``_MIN_VIEW_MASS`` until then, so
+    their share stays below exp(2 LOG_TINY) / _MIN_VIEW_MASS.
+
+    u is the head of a zero-padded grid of ``_BLOCK`` columns, level
+    n = _BLOCK a + b at row a, column b, so that the thermal-fidelity
+    overlap sum_a rho^(_BLOCK a) sum_b u_n rho^b is one matrix-vector
+    product and two short ``exp`` calls instead of one ``exp`` per level.
     """
 
     def __init__(self, size: int):
+        rows = -(-size // _BLOCK)
+        self.grid = np.zeros((rows, _BLOCK))
+        self.u = self.grid.reshape(-1)[:size]
         self.levels = np.arange(size, dtype=float)
-        self.x = np.empty(size)
-        self.w = np.empty(size)
         self.t = np.empty(size)
-        self.live = np.empty(size, dtype=bool)
+        self.top = 0.0
+        # n = _BLOCK a + b: exponents b along a row and _BLOCK a down the rows
+        self.col = np.arange(_BLOCK, dtype=float)
+        self.row = np.arange(rows, dtype=float) * _BLOCK
+        # rho^b and rho^(_BLOCK a); index 0 stays 1
+        self.col_pow = np.ones(_BLOCK)
+        self.row_pow = np.ones(rows)
 
-    def exp(self, x: np.ndarray) -> np.ndarray:
-        """exp(x) into ``w``, with 0 wherever x <= LOG_TINY."""
-        np.greater(x, LOG_TINY, out=self.live)
-        self.w.fill(0.0)
-        return np.exp(x, out=self.w, where=self.live)
+    def refresh(self, lw: np.ndarray) -> None:
+        top = float(lw.max())  # NaN or +inf anywhere in lw shows up here
+        if math.isnan(top) or top == math.inf:
+            raise ValueError("log_weights must be finite or -inf")
+        if top == -math.inf:
+            raise ValueError("distribution has no surviving population")
+        x = np.subtract(lw, top, out=self.t)
+        x *= 0.5
+        self.u.fill(0.0)
+        np.exp(x, out=self.u, where=x > LOG_TINY)
+        self.top = top
 
+    def _mass_and_moment(self) -> tuple[float, float]:
+        """u.u and u.(n u)."""
+        u = self.u
+        return _dot(u, u), _dot(np.multiply(self.levels, u, out=self.t), u)
 
-def _geometric_fidelity(x: np.ndarray, log_mass: float, n_bar_q: float,
-                        ws: _Workspace) -> float:
-    """Uhlmann fidelity of diagonal p = exp(x - log_mass) against a geometric state.
+    def _overlap(self, log_rho: float) -> float:
+        """sum_n u_n rho^n, dropping each factor rho^b, rho^(_BLOCK a) under exp(LOG_TINY)."""
+        cols = min(_BLOCK, int(LOG_TINY / log_rho) + 1)
+        rows = min(self.row.size, int(LOG_TINY / (_BLOCK * log_rho)) + 1)
+        x = np.multiply(self.col[1:cols], log_rho, out=self.col_pow[1:cols])
+        np.exp(x, out=x)
+        self.col_pow[cols:] = 0.0
+        x = np.multiply(self.row[1:rows], log_rho, out=self.row_pow[1:rows])
+        np.exp(x, out=x)
+        return float((self.grid[:rows] @ self.col_pow).dot(self.row_pow[:rows]))
 
-    The geometric state q_n = r^n / sum_{m<=M} r^m, r = n_bar_q / (1 +
-    n_bar_q), is truncated to the same M = n_max; its normaliser has the
-    closed form (1 - r^(M+1)) / (1 - r). sqrt(p_n q_n) is taken as
-    exp((log p_n + log q_n) / 2). Overwrites ``ws.t`` and ``ws.w``.
-    """
-    if n_bar_q <= 0.0:
-        return math.exp(x[0] - log_mass)
-    log_r = -math.log1p(1.0 / n_bar_q)
-    log_norm = math.log(math.expm1(x.size * log_r) / math.expm1(log_r))
-    half = np.multiply(ws.levels, log_r, out=ws.t)
-    half += x
-    half -= log_mass + log_norm
-    half *= 0.5
-    return float(ws.exp(half).sum() ** 2)
+    def observe(self, idx: int, lw: np.ndarray, segment_id: int,
+                omega_m: float | None, norm_log: float | None = None
+                ) -> tuple[StepRecord, float]:
+        """Every observable of the state with log-weights ``lw``, and its log mass.
 
-
-def _observables(idx: int, lw: np.ndarray, segment_id: int, omega_m: float | None,
-                 ws: _Workspace, norm_log: float | None = None
-                 ) -> tuple[StepRecord, float]:
-    """Every observable of the state with log-weights ``lw``, and its log mass.
-
-    One max-shifted ``exp`` gives the populations, hence n_bar, the ground
-    fidelity and the total mass; levels more than ``LOG_TINY`` below the
-    largest weight count as empty. ``norm_log`` overrides the computed log
-    mass where it is known exactly (the initial state).
-    """
-    shift = float(lw.max())  # NaN or +inf anywhere in lw shows up here
-    if math.isnan(shift) or shift == math.inf:
-        raise ValueError("log_weights must be finite or -inf")
-    if shift == -math.inf:
-        raise ValueError("distribution has no surviving population")
-    x = np.subtract(lw, shift, out=ws.x)
-    w = ws.exp(x)
-    mass = float(w.sum())
-    log_mass = shift + math.log(mass)
-    if norm_log is None:
-        norm_log = log_mass
-    n_bar = float(np.multiply(ws.levels, w, out=ws.t).sum()) / mass
-    if omega_m is not None:
-        t_eff = effective_temperature(n_bar, omega_m)
-    else:
-        t_eff = math.nan
-    record = StepRecord(
-        step=idx,
-        n_bar=n_bar,
-        ground_fidelity=math.exp(x[0]) / mass,
-        survival_probability=math.exp(norm_log),
-        t_eff_kelvin=t_eff,
-        thermal_fidelity=_geometric_fidelity(x, math.log(mass), n_bar, ws),
-        segment=segment_id,
-    )
-    return record, norm_log
+        ``norm_log`` overrides the log mass where it is known exactly (the
+        initial state). The thermal fidelity's geometric reference
+        rho^(2n) / Z, rho = sqrt(n_bar / (1 + n_bar)), is truncated to the
+        same n_max, with Z in closed form. A term whose rho^n has a factor
+        under exp(``LOG_TINY``) is dropped; u_n^2 <= mass and Z >= 1, so it
+        would move the fidelity's square root by less than exp(LOG_TINY).
+        """
+        mass, moment = self._mass_and_moment()
+        if not mass >= _MIN_VIEW_MASS:  # also NaN and an empty view
+            self.refresh(lw)
+            mass, moment = self._mass_and_moment()
+        if norm_log is None:
+            norm_log = self.top + math.log(mass)
+        try:
+            survival = math.exp(norm_log)
+        except OverflowError:
+            raise ValueError(f"norm_log {norm_log!r} exceeds log(DBL_MAX): the "
+                             "survival probability overflows a double") from None
+        n_bar = moment / mass
+        u0 = float(self.u[0])
+        ground = u0 / mass * u0
+        if n_bar > 0.0:
+            log_rho = -0.5 * math.log1p(1.0 / n_bar)
+            z = math.expm1(2.0 * self.u.size * log_rho) / math.expm1(2.0 * log_rho)
+            thermal = (self._overlap(log_rho) / math.sqrt(mass * z)) ** 2
+        else:
+            thermal = ground
+        record = StepRecord(
+            step=idx,
+            n_bar=n_bar,
+            ground_fidelity=ground,
+            survival_probability=survival,
+            t_eff_kelvin=(effective_temperature(n_bar, omega_m)
+                          if omega_m is not None else math.nan),
+            thermal_fidelity=thermal,
+            segment=segment_id,
+        )
+        return record, norm_log
 
 
 def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResult:
@@ -233,17 +298,24 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
     ``terminated_early`` set. A measurement that kills every populated
     level (all coefficients zero there) leaves no conditional state, and
     raises ``ValueError("distribution has no surviving population")``
-    instead; a thermal start cannot reach this, because c_0 = 1.
+    instead; a thermal start cannot reach this, because c_0 = 1. A start
+    whose ``norm_log`` exceeds log(DBL_MAX) ~ 709.78 raises ``ValueError``,
+    since its survival probability is not a double.
 
-    Each measurement adds the segment's log survival to the log-weights in
-    place; only the final state is wrapped as a distribution. A NaN or
-    +inf weight propagates into the maximum the observables take, so the
-    step that makes one fails as the distribution's own check would.
+    The log-weights are the state of record: each measurement adds the
+    segment's log survival to them in place, exactly as :func:`step`
+    does, and the final state wraps them. The records come from an
+    amplitude view of the same state, which each measurement multiplies
+    by the segment's |c_n|; it is built from the log-weights at the start
+    and rebuilt whenever its mass falls below ``_MIN_VIEW_MASS``, so it
+    stays exact whatever the dynamic range of the state (module
+    docstring). A NaN weight propagates into the view's mass, and the
+    rebuild it forces fails as the distribution's own check would.
     """
     omega_m = schedule.segments[0].params.omega_m
     lw = initial.log_weights.copy()
-    ws = _Workspace(lw.size)
-    rec, norm_log = _observables(0, lw, 0, omega_m, ws, initial.norm_log)
+    view = _AmplitudeView(lw.size)
+    rec, norm_log = view.observe(0, lw, 0, omega_m, initial.norm_log)
     records = [rec]
     idx = 0
     terminated = False
@@ -252,11 +324,13 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
             break
         if seg.steps == 0:
             continue
-        log_survival = build_table(seg.variant, seg.params, initial.n_max).log_survival
+        table = build_table(seg.variant, seg.params, initial.n_max)
+        log_survival, magnitude = table.log_survival, table.magnitude
         for _ in range(seg.steps):
             lw += log_survival
+            view.u *= magnitude
             idx += 1
-            rec, norm_log = _observables(idx, lw, seg_id, seg.params.omega_m, ws)
+            rec, norm_log = view.observe(idx, lw, seg_id, seg.params.omega_m)
             records.append(rec)
             if norm_log < DEFAULT_NORM_LOG_FLOOR:
                 terminated = True

@@ -261,6 +261,12 @@ def test_log_survival_is_shared_and_read_only():
     assert log_s[0] == 0.0
     with pytest.raises(ValueError):
         log_s[1] = 0.0
+    mags = table.magnitude
+    assert mags is table.magnitude
+    np.testing.assert_array_equal(mags, np.abs(table.values))
+    assert mags[0] == 1.0
+    with pytest.raises(ValueError):
+        mags[1] = 0.0
 
 
 def test_variant_switch_rule_and_inverse():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -323,6 +324,88 @@ def test_run_stops_on_nan_weight(monkeypatch):
     schedule = ProtocolSchedule((Segment("conventional", PARAMS_CONV, 3),))
     with pytest.raises(ValueError, match="finite"):
         run(d, schedule)
+
+
+def test_run_rejects_a_start_whose_mass_overflows():
+    # exp(800) is not a double, so no survival probability can be recorded
+    d = PopulationDistribution(np.array([0.0, 800.0]))
+    schedule = ProtocolSchedule((Segment("conventional", PARAMS_CONV, 0),))
+    with pytest.raises(ValueError, match="norm_log"):
+        run(d, schedule)
+
+
+def test_run_keeps_full_precision_over_a_wide_dynamic_range():
+    """A start spanning 1,390 e-folds, cooled until only the ground level is left.
+
+    |c_1| = sin(1e-3) ~ 1e-3, so level 1 loses 13.8 e-folds a measurement
+    and falls below the ground level after about 100 steps, while the
+    ground level sits e^-695 under it in amplitude at the start: the
+    amplitude view has to be rebuilt as level 1 decays, or products of
+    amplitudes leave the normal doubles.
+    Later n_bar underflows to exactly 0, the zero-occupancy branch of the
+    thermal fidelity. Values under 1e-280, where products of amplitudes
+    approach the subnormal range, are compared in absolute terms.
+    """
+    d = PopulationDistribution(np.array([-690.0, 700.0]))
+    params = PhysicalParams(g_m=1.0, tau=math.pi / 2.0 - 1e-3)
+    schedule = ProtocolSchedule((Segment("conventional", params, 200),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(d, schedule)
+    assert len(result.records) == 201
+    assert not result.terminated_early
+    assert result.records[-1].ground_fidelity == pytest.approx(1.0, abs=1e-12)
+    assert result.records[-1].n_bar == 0.0
+    expected, segments, final = _step_reference(d, schedule)
+    got = np.array([[r.n_bar, r.ground_fidelity, r.survival_probability,
+                     r.thermal_fidelity] for r in result.records])
+    np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-280)
+    np.testing.assert_array_equal(result.final.log_weights, final.log_weights)
+
+
+def _long_double_records(initial, schedule):
+    """n_bar, F_ground and log P_g of every step, evolved in long double.
+
+    Each segment's log survival is 2 log|c_n| of the table's own double
+    magnitudes, taken in long double, and the log-weights after k steps
+    are lw_0 + k * that; the observables are max-shifted long-double sums.
+    """
+    lw = initial.log_weights.astype(np.longdouble)
+    levels = np.arange(lw.size, dtype=np.longdouble)
+    rows = []
+
+    def observe(x):
+        top = x.max()
+        p = np.exp(x - top)
+        mass = p.sum()
+        rows.append([(levels * p).sum() / mass, p[0] / mass, top + np.log(mass)])
+
+    observe(lw)
+    for seg in schedule.segments:
+        mags = build_table(seg.variant, seg.params, initial.n_max).magnitude
+        with np.errstate(divide="ignore"):
+            log_s = 2 * np.log(mags.astype(np.longdouble))
+        for k in range(1, seg.steps + 1):
+            observe(lw + k * log_s)
+        lw = lw + seg.steps * log_s
+    return np.array(rows, dtype=np.longdouble)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("name", ["fig4", "fig7"])
+def test_run_matches_long_double_evolution(name):
+    schedule, initial = _preset_start(name)
+    assert all(seg.until_n_bar is None for seg in schedule.segments)
+    result = run(initial, schedule)
+    want = _long_double_records(initial, schedule)
+    got = np.array([[r.n_bar, r.ground_fidelity, math.log(r.survival_probability)]
+                    for r in result.records], dtype=np.longdouble)
+    assert got.shape == want.shape
+    # log P_g is 0 at step 0, where only an absolute comparison makes sense
+    assert float(abs(got[0, 2] - want[0, 2])) <= 5e-15
+    got[0, 2] = want[0, 2] = 1.0
+    assert float((np.abs(got - want) / np.abs(want)).max()) <= 5e-15
 
 
 HOT = ThermalSpec(temperature=100.0, omega_m=OMEGA)
