@@ -11,7 +11,6 @@ finite-statistics estimates of the cumulative success probability.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -193,13 +192,13 @@ def sample_trajectories(initial: PopulationDistribution,
     """
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
-    realized = run(initial, schedule)
-    step_segments = [rec.segment for rec in realized.records[1:]]
-    n_steps = len(step_segments)
-    runs = [(seg_id, len(list(group)))
-            for seg_id, group in itertools.groupby(step_segments)]
+    realized = run(initial, schedule).records
+    n_steps = len(realized) - 1
+    # segment ids never decrease along a run, so a count per id is a run length
+    runs = [(seg_id, k) for seg_id, k in enumerate(np.bincount(
+        realized.segment[1:], minlength=len(schedule.segments)).tolist()) if k]
     log_survival = {}
-    for seg_id in sorted(set(step_segments)):
+    for seg_id, _ in runs:
         seg = schedule.segments[seg_id]
         log_survival[seg_id] = build_table(seg.variant, seg.params,
                                            initial.n_max).log_survival
@@ -234,8 +233,8 @@ def sample_trajectories(initial: PopulationDistribution,
         lengths[start:start + size] = chunk_lengths
         start += size
     stream_ids = tuple(str(c.spawn_key) for c in children)
-    exact = np.array([rec.survival_probability for rec in realized.records])
-    return TrajectoryBatch(seed, n_trajectories, n_steps, lengths, stream_ids, exact)
+    return TrajectoryBatch(seed, n_trajectories, n_steps, lengths, stream_ids,
+                           realized.survival_probability)
 
 
 def _phase_aligned_error(a: complex, b: complex) -> float:

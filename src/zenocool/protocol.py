@@ -22,8 +22,10 @@ than u (each step rounds a log-weight of tens of e-folds), and a rebuild
 would hand it to the records: at the switch of ``fig7`` it moved the
 final n_bar by 7e-15 relative, against 8e-16 without.
 
-The thermal fidelity's reference rho^(2n) / Z, rho^2 = n_bar / (1 + n_bar),
-uses the same 708 e-fold convention as every sum of exponentials here
+The thermal fidelity's reference is the untruncated thermal state
+rho^(2n) / Z, rho^2 = n_bar / (1 + n_bar), Z = 1 + n_bar, so it depends on
+the state alone and not on n_max. Its overlap with the state uses the same
+708 e-fold convention as every sum of exponentials here
 (``fock.LOG_TINY``): rho^n is evaluated as rho^(128 a) rho^b, and a term
 with a factor more than 708 e-folds down is dropped, which moves the
 fidelity's square root by less than exp(-708).
@@ -102,22 +104,21 @@ class ProtocolSchedule:
         return sum(s.steps for s in self.segments)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Observables after measurement number ``step`` (0 = initial state)."""
+# Observables after measurement number ``step`` (0 = initial state).
+StepRecord = np.dtype([
+    ("step", np.int64),
+    ("n_bar", np.float64),
+    ("ground_fidelity", np.float64),
+    ("survival_probability", np.float64),
+    ("t_eff_kelvin", np.float64),
+    ("thermal_fidelity", np.float64),
+    ("segment", np.int64),
+])
 
-    step: int
-    n_bar: float
-    ground_fidelity: float
-    survival_probability: float
-    t_eff_kelvin: float
-    thermal_fidelity: float
-    segment: int
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    records: tuple[StepRecord, ...]
+    records: np.recarray  # read-only, dtype StepRecord
     final: PopulationDistribution
     terminated_early: bool
 
@@ -242,17 +243,15 @@ class _AmplitudeView:
         np.exp(x, out=x)
         return float((self.grid[:rows] @ self.col_pow).dot(self.row_pow[:rows]))
 
-    def observe(self, idx: int, lw: np.ndarray, segment_id: int,
-                omega_m: float | None, norm_log: float | None = None
-                ) -> tuple[StepRecord, float]:
-        """Every observable of the state with log-weights ``lw``, and its log mass.
+    def observe(self, lw: np.ndarray, norm_log: float | None = None
+                ) -> tuple[float, float, float, float, float]:
+        """(n_bar, ground fidelity, survival, thermal fidelity, log mass) of ``lw``.
 
         ``norm_log`` overrides the log mass where it is known exactly (the
-        initial state). The thermal fidelity's geometric reference
-        rho^(2n) / Z, rho = sqrt(n_bar / (1 + n_bar)), is truncated to the
-        same n_max, with Z in closed form. A term whose rho^n has a factor
-        under exp(``LOG_TINY``) is dropped; u_n^2 <= mass and Z >= 1, so it
-        would move the fidelity's square root by less than exp(LOG_TINY).
+        initial state). A term of the thermal overlap whose rho^n has a
+        factor under exp(``LOG_TINY``) is dropped; u_n^2 <= mass and
+        Z >= 1, so it would move the fidelity's square root by less than
+        exp(LOG_TINY).
         """
         mass, moment = self._mass_and_moment()
         if not mass >= _MIN_VIEW_MASS:  # also NaN and an empty view
@@ -270,21 +269,10 @@ class _AmplitudeView:
         ground = u0 / mass * u0
         if n_bar > 0.0:
             log_rho = -0.5 * math.log1p(1.0 / n_bar)
-            z = math.expm1(2.0 * self.u.size * log_rho) / math.expm1(2.0 * log_rho)
-            thermal = (self._overlap(log_rho) / math.sqrt(mass * z)) ** 2
+            thermal = (self._overlap(log_rho) / math.sqrt(mass * (1.0 + n_bar))) ** 2
         else:
             thermal = ground
-        record = StepRecord(
-            step=idx,
-            n_bar=n_bar,
-            ground_fidelity=ground,
-            survival_probability=survival,
-            t_eff_kelvin=(effective_temperature(n_bar, omega_m)
-                          if omega_m is not None else math.nan),
-            thermal_fidelity=thermal,
-            segment=segment_id,
-        )
-        return record, norm_log
+        return n_bar, ground, survival, thermal, norm_log
 
 
 def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResult:
@@ -311,13 +299,16 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
     stays exact whatever the dynamic range of the state (module
     docstring). A NaN weight propagates into the view's mass, and the
     rebuild it forces fails as the distribution's own check would.
+
+    The records are gathered as rows and become one read-only array at
+    the end, where ``t_eff_kelvin`` is filled with
+    :func:`effective_temperature` at the ``omega_m`` of each row's
+    segment (NaN where that is unset).
     """
-    omega_m = schedule.segments[0].params.omega_m
     lw = initial.log_weights.copy()
     view = _AmplitudeView(lw.size)
-    rec, norm_log = view.observe(0, lw, 0, omega_m, initial.norm_log)
-    records = [rec]
-    idx = 0
+    n_bar, ground, survival, thermal, norm_log = view.observe(lw, initial.norm_log)
+    rows = [(0, n_bar, ground, survival, math.nan, thermal, 0)]
     terminated = False
     for seg_id, seg in enumerate(schedule.segments):
         if terminated:
@@ -329,16 +320,20 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
         for _ in range(seg.steps):
             lw += log_survival
             view.u *= magnitude
-            idx += 1
-            rec, norm_log = view.observe(idx, lw, seg_id, seg.params.omega_m)
-            records.append(rec)
+            n_bar, ground, survival, thermal, norm_log = view.observe(lw)
+            rows.append((len(rows), n_bar, ground, survival, math.nan, thermal, seg_id))
             if norm_log < DEFAULT_NORM_LOG_FLOOR:
                 terminated = True
                 break
-            if seg.until_n_bar is not None and rec.n_bar <= seg.until_n_bar:
+            if seg.until_n_bar is not None and n_bar <= seg.until_n_bar:
                 break
-    return RunResult(tuple(records), PopulationDistribution(lw, norm_log=norm_log),
-                     terminated)
+    records = np.array(rows, dtype=StepRecord).view(np.recarray)
+    omega_m = [s.params.omega_m for s in schedule.segments]
+    records.t_eff_kelvin = [
+        math.nan if omega_m[seg_id] is None else effective_temperature(n, omega_m[seg_id])
+        for n, seg_id in zip(records.n_bar.tolist(), records.segment.tolist())]
+    records.flags.writeable = False
+    return RunResult(records, PopulationDistribution(lw, norm_log=norm_log), terminated)
 
 
 def _interpolate_log_weight(log_p: np.ndarray, index: float) -> float:
@@ -408,7 +403,7 @@ def initial_state(thermal: ThermalSpec, schedule: ProtocolSchedule, *,
 class SweepPoint:
     axis: str
     value: float
-    record: StepRecord | None
+    record: np.record | None  # dtype StepRecord
     error: str | None = None
 
 

@@ -21,7 +21,6 @@ from .protocol import (
     ProtocolSchedule,
     RunResult,
     Segment,
-    StepRecord,
     initial_state,
     run,
     sweep,
@@ -33,6 +32,9 @@ RUN_COLUMNS = ("N", "n_bar", "F_ground", "P_g", "T_eff_K", "F_th", "segment")
 
 
 _RECORD_FMT = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d"
+
+# Largest unitarity defect of an oracle propagator that run_oracle_check accepts.
+UNITARITY_TOLERANCE = 1e-12
 
 
 def _write_csv(path: Path, header, row_fmt: str, rows):
@@ -50,14 +52,8 @@ def _probe_writable(out_dir: Path):
     probe.unlink()
 
 
-def _record_row(rec: StepRecord):
-    return (rec.step, rec.n_bar, rec.ground_fidelity, rec.survival_probability,
-            rec.t_eff_kelvin, rec.thermal_fidelity, rec.segment)
-
-
 def write_run_csv(path: Path, result: RunResult):
-    _write_csv(path, RUN_COLUMNS, _RECORD_FMT,
-               (_record_row(r) for r in result.records))
+    _write_csv(path, RUN_COLUMNS, _RECORD_FMT, result.records.tolist())
 
 
 def write_histogram_csv(path: Path, d: PopulationDistribution):
@@ -172,15 +168,17 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict[str, str]:
         "seed": config.seed,
     }
     if has_thermal:
+        steps_run = np.bincount(result.records.segment[1:],
+                                minlength=len(schedule.segments)).tolist()
         resolved.update({
             "n_bar_th": config.thermal_spec().n_bar,
             "epsilon_tail": config.epsilon_tail,
             "n_max": initial.n_max,
             "segments": [
-                {"variant": s.variant, "steps": s.steps,
+                {"variant": s.variant, "steps": s.steps, "steps_run": k,
                  "until_n_bar": s.until_n_bar,
                  "params": _dimensionless_params(s.params)}
-                for s in schedule.segments
+                for s, k in zip(schedule.segments, steps_run)
             ],
             "measurements_recorded": len(result.records) - 1,
             "terminated_early": result.terminated_early,
@@ -211,7 +209,7 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict[str, str]:
             if pt.record is None:
                 cells = [""] * len(RUN_COLUMNS)
             else:
-                cells = (_RECORD_FMT % _record_row(pt.record)).split(",")
+                cells = (_RECORD_FMT % pt.record.item()).split(",")
             writer.writerow([pt.axis, format(pt.value, ".17g"), *cells, pt.error or ""])
     outputs = {"sweep_csv": str(path)}
     resolved = {
@@ -228,8 +226,7 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict[str, str]:
 
 
 def run_oracle_check(out_dir, *, draws: int = 200, seed: int = 7,
-                     tolerance: float = 1e-10,
-                     unitarity_tolerance: float = 1e-12) -> dict:
+                     tolerance: float = 1e-10) -> dict:
     """Closed form versus eigen-exponential report; raises if out of tolerance."""
     out_dir = Path(out_dir)
     _probe_writable(out_dir)
@@ -242,7 +239,7 @@ def run_oracle_check(out_dir, *, draws: int = 200, seed: int = 7,
         "max_phase_aligned_error": max(r["phase_aligned_error"] for r in rows),
         "max_unitarity_defect": max(r["unitarity_defect"] for r in rows),
         "tolerance": tolerance,
-        "unitarity_tolerance": unitarity_tolerance,
+        "unitarity_tolerance": UNITARITY_TOLERANCE,
         "rows": rows,
         "wall_time_s": time.perf_counter() - start,
         "package": "zenocool",
@@ -256,10 +253,10 @@ def run_oracle_check(out_dir, *, draws: int = 200, seed: int = 7,
         raise FloatingPointError(
             f"oracle disagreement {report['max_abs_error']:g} exceeds {tolerance:g}"
         )
-    if not report["max_unitarity_defect"] <= unitarity_tolerance:
+    if not report["max_unitarity_defect"] <= UNITARITY_TOLERANCE:
         raise FloatingPointError(
             f"unitarity defect {report['max_unitarity_defect']:g} exceeds "
-            f"{unitarity_tolerance:g}"
+            f"{UNITARITY_TOLERANCE:g}"
         )
     return report
 

@@ -161,11 +161,24 @@ def test_run_experiment_artifacts(tmp_path):
     hist = read_csv(outputs["histogram_csv"])
     total = sum(float(r["p_n"]) for r in hist)
     assert total == pytest.approx(1.0, abs=1e-9)
-    manifest = json.loads(open(outputs["manifest"]).read())
+    manifest = json.loads(Path(outputs["manifest"]).read_text())
     assert manifest["package"] == "zenocool"
     assert manifest["resolved"]["n_bar_th"] == pytest.approx(83.42, rel=1e-3)
     assert manifest["resolved"]["segments"][0]["params"]["g_m"] > 0
     assert manifest["config"]["seed"] == 7
+
+
+def test_manifest_gives_the_steps_each_segment_ran(tmp_path):
+    # fig7_threshold leaves its 300-step driven segment at n_bar = 10
+    outputs = run_experiment(parse_config_data({"preset": "fig7_threshold"}),
+                             tmp_path / "out")
+    resolved = json.loads(Path(outputs["manifest"]).read_text())["resolved"]
+    driven, conventional = resolved["segments"]
+    assert driven["steps"] == 300
+    assert 0 < driven["steps_run"] < 300
+    assert conventional["steps_run"] == conventional["steps"]
+    assert (driven["steps_run"] + conventional["steps_run"]
+            == resolved["measurements_recorded"])
 
 
 def test_zero_step_schedule_single_row(tmp_path):
@@ -181,7 +194,7 @@ def test_byte_identical_reruns(tmp_path):
     out_a = run_experiment(config, tmp_path / "a")
     out_b = run_experiment(config, tmp_path / "b")
     for key in ("run_csv", "histogram_csv"):
-        assert open(out_a[key], "rb").read() == open(out_b[key], "rb").read()
+        assert Path(out_a[key]).read_bytes() == Path(out_b[key]).read_bytes()
 
 
 def test_fig2_coefficient_export(tmp_path):
@@ -232,7 +245,7 @@ def test_sweep_requires_block(tmp_path):
 def test_oracle_check_report(tmp_path):
     report = run_oracle_check(tmp_path / "out", draws=40, seed=3)
     assert report["max_abs_error"] < 1e-10
-    on_disk = json.loads(open(tmp_path / "out" / "oracle_report.json").read())
+    on_disk = json.loads((tmp_path / "out" / "oracle_report.json").read_text())
     assert len(on_disk["rows"]) == 40
     assert on_disk["seed"] == 3
 
@@ -264,7 +277,7 @@ def test_cli_oracle_numeric_failure(tmp_path):
 def test_cli_preset_and_seed_override(tmp_path):
     assert main(["--quiet", "run", "--preset", "fig5c", "--seed", "123",
                  "--out-dir", str(tmp_path / "out")]) == 0
-    manifest = json.loads(open(tmp_path / "out" / "manifest.json").read())
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["resolved"]["seed"] == 123
     assert (tmp_path / "out" / "histogram.csv").exists()
 
@@ -294,7 +307,7 @@ def test_cli_sweep_and_trajectories(tmp_path):
     rows = read_csv(tmp_path / "t" / "trajectories.csv")
     assert len(rows) == 6
     assert float(rows[0]["p_hat"]) == 1.0
-    manifest = json.loads(open(tmp_path / "t" / "manifest.json").read())
+    manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
     assert manifest["resolved"]["stream_ids"]
 
 

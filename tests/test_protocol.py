@@ -134,6 +134,34 @@ def test_run_threshold_switch():
     assert result.records[last_driven.step - 1].n_bar > 10.0
 
 
+def test_run_stops_a_segment_of_a_billion_steps():
+    """The records grow with the steps run, not with the step budget."""
+    schedule = ProtocolSchedule((
+        Segment("driven", PARAMS_DRIVEN, 10**9, until_n_bar=1.0),))
+    result = run(initial_state(THERMAL_10K, schedule), schedule)
+    assert 100 < len(result.records) < 1000
+    assert result.records[-1].n_bar <= 1.0 < result.records[-2].n_bar
+    assert not result.terminated_early
+
+    d = PopulationDistribution.from_probabilities([0.0, 1.0])
+    params = PhysicalParams(g_m=math.pi / 3.0, tau=1.0)  # halves the weight per step
+    result = run(d, ProtocolSchedule((Segment("conventional", params, 10**9),)))
+    assert result.terminated_early
+    assert len(result.records) < 1200
+
+
+def test_run_records_are_read_only():
+    records = thermal_10k_run("driven", PARAMS_DRIVEN, 5).records
+    assert len(records) == 6
+    assert [r.step for r in records] == list(range(6))
+    with pytest.raises(ValueError, match="read-only"):
+        records.n_bar[1] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        records[1].n_bar = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        records[1] = records[2]
+
+
 def test_run_early_termination_flag():
     d = PopulationDistribution.from_probabilities([0.0, 1.0])
     params = PhysicalParams(g_m=math.pi / 3.0, tau=1.0)  # halves the weight per step
@@ -261,7 +289,7 @@ def _step_reference(initial, schedule, norm_log_floor=-700.0):
         n_bar = mean_occupation(d)
         r = n_bar / (1.0 + n_bar)
         q = r ** np.arange(p.size, dtype=float)
-        q /= q.sum()
+        q *= 1.0 - r
         f_th = float(np.sum(np.sqrt(p * q)) ** 2) if n_bar > 0.0 else float(p[0])
         return [n_bar, p[0], d.survival_probability, f_th]
 

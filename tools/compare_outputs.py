@@ -13,8 +13,10 @@ it also writes each sweep, Monte Carlo trajectories for every preset
 with a schedule, and one oracle report. ``diff`` prints, for every file,
 whether it is byte-identical and otherwise the largest relative change
 |a - b| / max(|a|, |b|) per column (CSV) or per key path (JSON; list
-indices collapse to ``[]``). A text cell that differs counts as ``inf``;
-``wall_time_s`` and the ``outputs`` paths are skipped.
+indices collapse to ``[]``). A text cell that differs counts as ``inf``,
+as does a file or JSON key found in one tree only; ``wall_time_s`` and
+the ``outputs`` paths are skipped. ``diff`` exits 1 when any change
+exceeds ``THRESHOLD`` relative, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ SKIPPED_KEYS = {"wall_time_s", "outputs"}
 SEED = 5
 TRAJECTORIES = 2000
 ORACLE_DRAWS = 200
+THRESHOLD = 1e-12
 
 
 def write_outputs(out_dir, presets=None):
@@ -151,11 +154,15 @@ def main(argv=None) -> int:
         write_outputs(args.out_dir)
         return 0
     report = compare_trees(args.old_dir, args.new_dir)
+    overall = 0.0
     for rel, changes in report.items():
         if isinstance(changes, str):
             print(f"{rel}: {changes}")
+            if changes != "identical":
+                overall = math.inf
             continue
         largest = max(changes.values(), default=0.0)
+        overall = max(overall, largest)
         if not largest:
             print(f"{rel}: no change outside skipped keys")
             continue
@@ -165,7 +172,7 @@ def main(argv=None) -> int:
                 print(f"    {column}: {change:.3g}")
     identical = sum(1 for c in report.values() if c == "identical")
     print(f"{identical} of {len(report)} files identical")
-    return 0
+    return 1 if overall > THRESHOLD else 0
 
 
 if __name__ == "__main__":
