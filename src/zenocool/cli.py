@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure, 3 I/O
-error.
+Exit codes: 0 success, 1 configuration error, 2 numeric failure (any
+``ValueError`` that is not a ``ConfigError``, such as a non-finite
+coefficient), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -144,8 +145,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CapacityError, OracleNumericalError, FloatingPointError,
-            ArithmeticError) as exc:
+    except (CapacityError, OracleNumericalError, ArithmeticError,
+            ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -31,13 +31,18 @@ with c_0 = 1 exactly. A variant label only switches parameters off
 Every variant leaves the ground state untouched (coefficient exactly 1)
 and has magnitude at most 1 elsewhere. Fock levels where the magnitude
 equals 1 are immune to the measurement ("cooling-free"); their locations
-and spacings determine the protocol's usable cooling range and are
-computed by :func:`cooling_free_report`.
+and spacings determine the protocol's usable cooling range. The same
+formula gives them all: |c_n| = 1 exactly where Wt_n tau = m pi, that is
+
+    n_m = ((m pi)^2 - (g_f tau)^2 - (delta tau / 2)^2) / (g_m tau)^2,
+
+for every m with the driving off and for even m with it on (c_n = 1
+then needs cos(W tau) = 1); driving and detuning together leave no
+level. :func:`cooling_free_report` lists them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -133,12 +138,11 @@ class CoefficientTable:
             raise ValueError("values must be a nonempty 1-d array")
         if v[0] != 1.0:
             raise ValueError("ground-state coefficient must be exactly 1")
-        mags = self.magnitude
-        if np.any(mags > 1.0 + _MAG_TOL):
-            worst = int(np.argmax(mags))
-            raise ValueError(
-                f"coefficient magnitude {mags[worst]!r} at n={worst} exceeds 1"
-            )
+        bad = ~(self.magnitude <= 1.0 + _MAG_TOL)  # a NaN magnitude fails too
+        if bad.any():
+            n = int(np.argmax(bad))
+            raise ValueError(f"coefficient {complex(v[n])} at n={n} must be finite "
+                             "with magnitude at most 1")
 
     @property
     def n_max(self) -> int:
@@ -174,14 +178,16 @@ def build_table(variant: str, params: PhysicalParams, n_max: int) -> Coefficient
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     n = np.arange(n_max + 1, dtype=float)
-    return CoefficientTable(variant, coefficient(variant, params, n), params)
+    with np.errstate(invalid="ignore"):  # 0/0 or inf/inf: the table rejects it
+        values = coefficient(variant, params, n)
+    return CoefficientTable(variant, values, params)
 
 
 @dataclass(frozen=True)
 class ProtectedIndex:
     """One cooling-free point: |coefficient| = 1 at real index ``index``."""
 
-    generator: int        # integer j (driven) or k (conventional) producing it
+    generator: int        # m / step of W~_n tau = m pi (step 2 with the driving on)
     index: float          # real-valued protected Fock index, >= 0
     quasi_period: float   # spacing to the next protected index
     nearest: int          # nearest integer Fock level within the truncation
@@ -200,58 +206,39 @@ class CoolingFreeReport:
         return tuple(e.index for e in self.entries)
 
 
-def _driven_protected(gm_tau: float, gf_tau: float):
-    two_pi = 2.0 * math.pi
-    j = max(1, math.ceil(gf_tau / two_pi - 1e-9))
-    while True:
-        idx = ((two_pi * j) ** 2 - gf_tau**2) / gm_tau**2
-        # cancellation noise at an exactly-integer g_f tau / 2 pi boundary
-        rounding = 64.0 * np.finfo(float).eps * (two_pi * j) ** 2 / gm_tau**2
-        if idx >= -rounding:
-            period = 4.0 * (2 * j + 1) * math.pi**2 / gm_tau**2
-            yield j, max(idx, 0.0), period
-        j += 1
-
-
-def _conventional_protected(gm_tau: float, delta_tau: float):
-    # delta_tau = 0 gives the resonant set n_k = (k pi / (g_m tau))^2.
-    k = math.floor(abs(delta_tau) / (2.0 * math.pi)) + 1
-    while True:
-        idx = ((k * math.pi) ** 2 - delta_tau**2 / 4.0) / gm_tau**2
-        period = (2 * k + 1) * math.pi**2 / gm_tau**2
-        yield k, idx, period
-        k += 1
-
-
 def _protected_points(variant: str, params: PhysicalParams):
-    """Every protected (generator, index, quasi-period), by increasing index.
+    """(m / step, n_m, n_{m+step} - n_m) of every level, by increasing n_m.
 
-    The set follows the switched parameters, not the variant label; see
-    :func:`cooling_free_report`.
+    m steps by 2 with the driving on and by 1 without (module docstring).
     """
     p = variant_params(variant, params)
-    if p.gf_tau > 0.0:
-        if p.delta_tau != 0.0:
-            return iter(())
-        return _driven_protected(p.gm_tau, p.gf_tau)
-    return _conventional_protected(p.gm_tau, p.delta_tau)
+    driving = p.gf_tau > 0.0
+    if driving and p.delta_tau != 0.0:
+        return
+    step = 2 if driving else 1
+    gm2 = p.gm_tau**2
+    offset = p.gf_tau**2 + p.delta_tau**2 / 4.0
+    m = step * max(1, math.ceil(math.sqrt(offset) / (step * math.pi) - 1e-9))
+    while True:
+        idx = ((m * math.pi) ** 2 - offset) / gm2
+        # cancellation noise at an exact boundary (m pi)^2 = offset
+        if idx >= -64.0 * np.finfo(float).eps * (m * math.pi) ** 2 / gm2:
+            yield m // step, max(idx, 0.0), step * (2 * m + step) * math.pi**2 / gm2
+        m += step
 
 
 def cooling_free_report(variant: str, params: PhysicalParams, n_max: int) -> CoolingFreeReport:
     """Locate every protected (cooling-free) index at or below n_max.
 
-    Driven variants with ``g_f = 0`` are handled by the conventional set
-    (detuned or not), since the driven coefficient then reduces to the
-    conventional one with twice as many magnitude-1 points as the driven
-    formula alone would find. A detuned driven protocol with the driving
-    on has no exactly protected level above the ground state for generic
-    detuning, so its report is empty.
+    The set is that of the switched parameters: a driven variant with
+    ``g_f = 0`` has the conventional set, and a detuned protocol with the
+    driving on has none, so its report is empty.
     """
-    points = itertools.takewhile(lambda point: point[1] <= n_max,
-                                 _protected_points(variant, params))
     entries = []
-    for gen, idx, period in points:
-        nearest = int(min(max(round(idx), 0), n_max))
+    for gen, idx, period in _protected_points(variant, params):
+        if idx > n_max:
+            break
+        nearest = round(idx)
         mag = abs(coefficient(variant, params, nearest))
         entries.append(ProtectedIndex(gen, idx, period, nearest, float(mag)))
     return CoolingFreeReport(variant, tuple(entries))

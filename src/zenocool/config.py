@@ -218,6 +218,8 @@ def _parse_segment(raw: dict, i: int) -> SegmentSpec:
     if steps < 0:
         raise ConfigError(f"key 'steps' in {where} must be nonnegative")
     until = _typed(raw, "until_n_bar", float, where) if "until_n_bar" in raw else None
+    if until is not None and until <= 0.0:
+        raise ConfigError(f"key 'until_n_bar' in {where} must be positive, got {until!r}")
     g_f = _typed(raw, "g_f", float, where) if "g_f" in raw else None
     delta = _typed(raw, "delta_e", float, where) if "delta_e" in raw else None
     return SegmentSpec(variant, steps, until, g_f, delta)
@@ -334,6 +336,9 @@ def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig
     hard_cap = _typed(data, "hard_cap", int, "config") if "hard_cap" in data else DEFAULT_HARD_CAP
     if hard_cap < 0:
         raise ConfigError("key 'hard_cap' must be nonnegative")
+    if outputs.n_max is not None and outputs.n_max > hard_cap:
+        raise ConfigError(f"key 'n_max' in outputs is {outputs.n_max}, above "
+                          f"'hard_cap' {hard_cap}")
 
     config = ExperimentConfig(
         params=params, segments=segments, temperature=temperature,

@@ -22,6 +22,10 @@ from .coefficients import build_table, coefficient, switches
 from .protocol import ProtocolSchedule, run
 
 
+# Trajectories per independent RNG stream; bounds the sampler's scratch memory.
+_CHUNK_SIZE = 65536
+
+
 class OracleNumericalError(RuntimeError):
     """Eigen-solve or unitarity failure, with the offending block attached."""
 
@@ -170,8 +174,7 @@ class TrajectoryBatch:
 
 def sample_trajectories(initial: PopulationDistribution,
                         schedule: ProtocolSchedule, *,
-                        n_trajectories: int, seed: int,
-                        chunk_size: int = 65536) -> TrajectoryBatch:
+                        n_trajectories: int, seed: int) -> TrajectoryBatch:
     """Monte Carlo rollout of the measurement record.
 
     Each trajectory draws a Fock level from the initial distribution and
@@ -182,8 +185,8 @@ def sample_trajectories(initial: PopulationDistribution,
     per live trajectory gives it as ``floor(log U / log s_n)``: s_n = 1
     survives the run, s_n = 0 fails its first measurement. The cost is
     O(trajectories x segments), not O(trajectories x measurements).
-    Chunks use independent spawned RNG streams, so results are
-    reproducible from one seed and chunks could run in parallel.
+    Chunks of ``_CHUNK_SIZE`` use independent spawned RNG streams, so
+    results are reproducible from one seed and chunks could run in parallel.
 
     The schedule is realized once with the deterministic engine, so
     conditional switches count; trajectories then follow the realized
@@ -206,12 +209,12 @@ def sample_trajectories(initial: PopulationDistribution,
     p = initial.probabilities()
     p = p / p.sum()
     seq = np.random.SeedSequence(seed)
-    n_chunks = max(1, math.ceil(n_trajectories / chunk_size))
+    n_chunks = max(1, math.ceil(n_trajectories / _CHUNK_SIZE))
     children = seq.spawn(n_chunks)
     lengths = np.empty(n_trajectories, dtype=np.int64)
     start = 0
     for child in children:
-        size = min(chunk_size, n_trajectories - start)
+        size = min(_CHUNK_SIZE, n_trajectories - start)
         rng = np.random.default_rng(child)
         levels = rng.choice(p.size, size=size, p=p)
         chunk_lengths = np.full(size, n_steps, dtype=np.int64)

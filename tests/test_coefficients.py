@@ -178,11 +178,31 @@ def test_cooling_free_report_conventional():
 
 
 def test_cooling_free_boundary_integer_ratio():
-    # g_f tau an exact multiple of 2 pi puts a protected index on the ground state
-    params = PhysicalParams(g_m=0.001, tau=100.0, g_f=2.0 * math.pi / 100.0)
-    report = cooling_free_report("driven", params, 1000)
-    assert report.entries[0].index == 0.0
-    assert report.entries[0].generator == 1
+    # g_f tau an exact multiple of 2 pi, or delta tau / 2 one of pi, puts a
+    # protected index on the ground state
+    for variant, params, generator in (
+            ("driven", PhysicalParams(g_m=0.001, tau=100.0, g_f=2.0 * math.pi / 100.0), 1),
+            ("conventional-detuned", PhysicalParams(g_m=0.1, tau=1.0, delta_e=4.0 * math.pi), 2)):
+        report = cooling_free_report(variant, params, 1000)
+        assert report.entries[0].index == 0.0
+        assert report.entries[0].generator == generator
+
+
+@pytest.mark.parametrize("variant, params, levels", [
+    ("conventional", PhysicalParams(g_m=math.pi / 10.0, tau=1.0),
+     [100 * k**2 for k in range(1, 8)]),
+    ("driven", PhysicalParams(g_m=math.pi / 10.0, tau=1.0, g_f=math.pi),
+     [300, 1500, 3500]),
+    ("conventional-detuned", PhysicalParams(g_m=math.pi / 10.0, tau=1.0, delta_e=math.pi),
+     [100 * k**2 - 25 for k in range(1, 8)]),
+])
+def test_cooling_free_report_finds_every_unit_magnitude_level(variant, params, levels):
+    # g_m tau = pi / 10 puts every cooling-free level on an integer
+    table = build_table(variant, params, 5000)
+    found = np.flatnonzero(table.magnitude[1:] >= 1.0 - 1e-12) + 1
+    report = cooling_free_report(variant, params, 5000)
+    assert found.tolist() == levels
+    assert [e.nearest for e in report.entries if e.index > 0.0] == levels
 
 
 def test_protected_indices_have_unit_magnitude():

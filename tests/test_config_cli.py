@@ -385,6 +385,12 @@ def test_import_leaves_scipy_out():
     ("trajectories", [], {**SI_CONFIG, "seed": -1}, "'seed'"),
     ("sweep", [], {**SI_CONFIG, "sweep": {"axis": "N", "values": [10.7]}}, "'values'"),
     ("sweep", [], {**SI_CONFIG, "sweep": {"axis": "N", "values": [-2]}}, "'values'"),
+    ("run", [], {**SI_CONFIG, "segments": [
+        {"variant": "driven", "steps": 5, "until_n_bar": -1.0}]}, "'until_n_bar'"),
+    ("trajectories", [], {**SI_CONFIG, "segments": [
+        {"variant": "driven", "steps": 5, "until_n_bar": 0.0}]}, "'until_n_bar'"),
+    ("coeffs", [], {"preset": "fig2", "outputs": {"coefficients_csv": True,
+                                                  "n_max": 10**12}}, "'n_max'"),
 ])
 def test_cli_rejects_invalid_numbers(tmp_path, capsys, command, extra, config, named):
     argv = ["--quiet", command, "--out-dir", str(tmp_path / "out")] + extra
@@ -395,6 +401,24 @@ def test_cli_rejects_invalid_numbers(tmp_path, capsys, command, extra, config, n
     assert code == 1
     assert named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("g_m, tau", [(1e-200, 700.0), (1e200, 1e200)])
+@pytest.mark.parametrize("command", ["run", "coeffs"])
+def test_cli_non_finite_coefficients_are_a_numeric_failure(tmp_path, capsys, command,
+                                                           g_m, tau):
+    # (g_m tau)^2 underflows to 0 (every n > 0 is 0/0) or g_m tau is inf (inf/inf)
+    config = {"dimensionless": True, "g_m": g_m, "tau": tau, "n_bar_th": 1.0,
+              "segments": [{"variant": "conventional", "steps": 5}]}
+    out = tmp_path / "out"
+    code = main(["--quiet", command, "--out-dir", str(out),
+                 "--config", str(write_config(tmp_path, config))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numeric failure:")
+    assert "finite" in err
+    assert "Traceback" not in err
+    assert list(out.glob("*.csv")) == []
 
 
 def test_trajectories_evolve_the_schedule_once(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import zenocool.oracle
 from zenocool import (
     PhysicalParams,
     PopulationDistribution,
@@ -126,18 +127,16 @@ def test_trajectories_ground_state_all_survive():
     np.testing.assert_array_equal(batch.estimates(), np.ones(21))
 
 
-def test_trajectories_reproducible_and_chunked():
+def test_trajectories_reproducible_and_chunked(monkeypatch):
+    monkeypatch.setattr(zenocool.oracle, "_CHUNK_SIZE", 1024)
     params = PhysicalParams(g_m=math.pi / 10.0, tau=1.0)
     d = PopulationDistribution.from_probabilities([0.3, 0.4, 0.3])
     schedule = ProtocolSchedule((Segment("conventional", params, 15),))
-    a = sample_trajectories(d, schedule, n_trajectories=10000, seed=42,
-                            chunk_size=1024)
-    b = sample_trajectories(d, schedule, n_trajectories=10000, seed=42,
-                            chunk_size=1024)
+    a = sample_trajectories(d, schedule, n_trajectories=10000, seed=42)
+    b = sample_trajectories(d, schedule, n_trajectories=10000, seed=42)
     np.testing.assert_array_equal(a.survival_lengths, b.survival_lengths)
     assert len(a.stream_ids) == math.ceil(10000 / 1024)
-    c = sample_trajectories(d, schedule, n_trajectories=10000, seed=43,
-                            chunk_size=1024)
+    c = sample_trajectories(d, schedule, n_trajectories=10000, seed=43)
     assert not np.array_equal(a.survival_lengths, c.survival_lengths)
 
 

@@ -10,7 +10,9 @@ the old and the new source and comparing them:
 ``write`` runs every preset with one fixed seed and forces the run,
 histogram and coefficient exports of every preset with a thermal state;
 it also writes each sweep, Monte Carlo trajectories for every preset
-with a schedule, and one oracle report. ``diff`` prints, for every file,
+with a schedule, each preset's cooling-free levels (``cooling_free.json``:
+the ``cooling_free_report`` entries of every variant at the preset's
+params and n_max) and one oracle report. ``diff`` prints, for every file,
 whether it is byte-identical and otherwise the largest relative change
 |a - b| / max(|a|, |b|) per column (CSV) or per key path (JSON; list
 indices collapse to ``[]``). A text cell that differs counts as ``inf``,
@@ -27,7 +29,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 SKIPPED_KEYS = {"wall_time_s", "outputs"}
@@ -42,8 +44,9 @@ def write_outputs(out_dir, presets=None):
 
     With no ``presets``, every preset and one oracle report.
     """
-    from zenocool import (PRESETS, parse_config_data, run_experiment,
-                          run_oracle_check, run_sweep, run_trajectories)
+    from zenocool import (PRESETS, VARIANTS, cooling_free_report, parse_config_data,
+                          run_experiment, run_oracle_check, run_sweep,
+                          run_trajectories, thermal_distribution)
 
     out_dir = Path(out_dir)
     for name in presets if presets is not None else sorted(PRESETS):
@@ -58,6 +61,12 @@ def write_outputs(out_dir, presets=None):
         if has_thermal and config.segments:
             run_trajectories(config, out_dir / name / "trajectories",
                              n_trajectories=TRAJECTORIES, seed=SEED)
+        n_max = (config.outputs.n_max if config.outputs.n_max is not None else
+                 thermal_distribution(config.thermal_spec(), hard_cap=config.hard_cap).n_max)
+        levels = {v: [asdict(e) for e in cooling_free_report(v, config.params, n_max).entries]
+                  for v in VARIANTS}
+        (out_dir / name / "cooling_free.json").write_text(
+            json.dumps(levels, indent=2, sort_keys=True) + "\n")
     if presets is None:
         run_oracle_check(out_dir / "oracle", draws=ORACLE_DRAWS, seed=SEED)
 
