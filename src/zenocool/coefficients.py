@@ -113,11 +113,18 @@ def coefficient(variant: str, params: PhysicalParams, n):
     """Coefficient c_n of ``variant`` at a real level index n >= 0.
 
     A scalar n gives a complex number, an array of indices an array.
+    Raises ``ValueError`` where a coefficient is not finite: an underflowing
+    (g_m tau)^2 with the driving off makes every n > 0 a 0/0, and an
+    infinite g_m tau an inf/inf.
     """
     idx = np.asarray(n, dtype=float)
     if not np.all(idx >= 0.0):
         raise ValueError("Fock index must be nonnegative")
-    out = _values(variant_params(variant, params), idx.reshape(-1)).reshape(idx.shape)
+    with np.errstate(invalid="ignore"):  # 0/0, inf/inf, cos(inf): rejected below
+        out = _values(variant_params(variant, params), idx.reshape(-1)).reshape(idx.shape)
+    if not np.isfinite(out).all():
+        raise ValueError(f"coefficient of {variant!r} is not finite at "
+                         f"g_m tau = {params.gm_tau!r}")
     return complex(out) if out.ndim == 0 else out
 
 
@@ -178,9 +185,7 @@ def build_table(variant: str, params: PhysicalParams, n_max: int) -> Coefficient
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     n = np.arange(n_max + 1, dtype=float)
-    with np.errstate(invalid="ignore"):  # 0/0 or inf/inf: the table rejects it
-        values = coefficient(variant, params, n)
-    return CoefficientTable(variant, values, params)
+    return CoefficientTable(variant, coefficient(variant, params, n), params)
 
 
 @dataclass(frozen=True)
@@ -210,13 +215,16 @@ def _protected_points(variant: str, params: PhysicalParams):
     """(m / step, n_m, n_{m+step} - n_m) of every level, by increasing n_m.
 
     m steps by 2 with the driving on and by 1 without (module docstring).
+    Raises ``ValueError`` if (g_m tau)^2 underflows to 0 or is infinite.
     """
     p = variant_params(variant, params)
+    gm2 = p.gm_tau**2
+    if not 0.0 < gm2 < math.inf:
+        raise ValueError(f"(g_m tau)^2 = {gm2!r} must be positive and finite")
     driving = p.gf_tau > 0.0
     if driving and p.delta_tau != 0.0:
         return
     step = 2 if driving else 1
-    gm2 = p.gm_tau**2
     offset = p.gf_tau**2 + p.delta_tau**2 / 4.0
     m = step * max(1, math.ceil(math.sqrt(offset) / (step * math.pi) - 1e-9))
     while True:

@@ -324,6 +324,14 @@ def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig
         if axis == "N" and any(v < 0 or v != int(v) for v in values):
             raise ConfigError("key 'values' in sweep: axis 'N' takes whole "
                               "numbers of measurements >= 0")
+        if axis == "switch":
+            if len(segments) < 2:
+                raise ConfigError("key 'axis' in sweep: axis 'switch' needs at "
+                                  "least two segments")
+            total = segments[0].steps + segments[1].steps
+            if any(not 0 <= v <= total or v != int(v) for v in values):
+                raise ConfigError(f"key 'values' in sweep: axis 'switch' takes whole "
+                                  f"numbers of steps in [0, {total}]")
         sweep_opts = SweepOptions(axis, tuple(float(v) for v in values))
 
     epsilon_tail = (_typed(data, "epsilon_tail", float, "config")
@@ -435,6 +443,13 @@ PRESETS: dict[str, dict] = {
     "fig7_threshold": _si_run(10.0, 30.0, _TAU_700,
                               [{"variant": "driven", "steps": 300, "until_n_bar": 10.0},
                                {"variant": "conventional", "steps": 270}], 71),
+    # fig7's 300 measurements against the step at which the driving goes off.
+    "fig7_switch": {
+        **_si_run(10.0, 30.0, _TAU_700,
+                  [{"variant": "driven", "steps": 30},
+                   {"variant": "conventional", "steps": 270}], 72),
+        "sweep": {"axis": "switch", "values": [0, 20, 60, 120, 189, 300]},
+    },
     # Terminal observables against the driving strength (units of g_m).
     # The grid samples halfway between the g_f*tau = 2*j*pi resonances at
     # which the first cooling-free index crosses the ground state and the

@@ -8,7 +8,9 @@ segment that factor is one fixed operator, so the engine adds the
 segment's per-level log survival to one log-weight array in place. All
 observables (mean occupancy, ground fidelity, cumulative survival
 probability, effective temperature, thermality) are evaluated after every
-step.
+step. A sweep keeps only each grid point's last record, so it reads that
+off the closed form: k_i measurements of segment i leave the log-weights
+lw_0 + sum_i k_i log_survival_i, observed once.
 
 The log-weights lw are the state of record, updated exactly as the
 one-step reference :func:`step` updates them. The observables come from
@@ -66,7 +68,7 @@ _MIN_VIEW_MASS = 1e-16
 _DOT_CHUNK = 8192
 _BLOCK = 128
 
-SWEEP_AXES = ("g_f", "T", "tau", "N")
+SWEEP_AXES = ("g_f", "T", "tau", "N", "switch")
 
 
 @dataclass(frozen=True)
@@ -336,6 +338,37 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
     return RunResult(records, PopulationDistribution(lw, norm_log=norm_log), terminated)
 
 
+def _terminal_record(initial: PopulationDistribution, schedule: ProtocolSchedule) -> np.record:
+    """The last record of ``run(initial, schedule)``, without stepping through it.
+
+    Each segment applies one fixed diagonal operator, so k_i measurements
+    of segment i leave the log-weights ``initial + sum_i k_i log_survival_i``:
+    one observation of that state is the terminal record. Two schedules
+    take :func:`run` instead, because where it stops depends on the path:
+    one with an ``until_n_bar`` segment, and one whose terminal log mass
+    lies within one e-fold of ``DEFAULT_NORM_LOG_FLOOR``. The log mass never
+    grows by more than rounding from step to step (|c_n| <= 1 + 1e-12),
+    so above that margin no earlier step can have crossed the floor.
+    """
+    if any(s.until_n_bar is not None for s in schedule.segments):
+        return run(initial, schedule).records[-1]
+    lw = initial.log_weights.copy()
+    last = 0
+    for seg_id, seg in enumerate(schedule.segments):
+        if seg.steps:
+            lw += seg.steps * build_table(seg.variant, seg.params, initial.n_max).log_survival
+            last = seg_id
+    steps = schedule.total_steps
+    n_bar, ground, survival, thermal, norm_log = _AmplitudeView(lw.size).observe(
+        lw, None if steps else initial.norm_log)
+    if norm_log < DEFAULT_NORM_LOG_FLOOR + 1.0:
+        return run(initial, schedule).records[-1]
+    omega_m = schedule.segments[last].params.omega_m
+    t_eff = math.nan if omega_m is None else effective_temperature(n_bar, omega_m)
+    row = (steps, n_bar, ground, survival, t_eff, thermal, last)
+    return np.array([row], dtype=StepRecord).view(np.recarray)[0]
+
+
 def _interpolate_log_weight(log_p: np.ndarray, index: float) -> float:
     """Log-linear interpolation of a log-probability array at a real index."""
     lo = int(math.floor(index))
@@ -432,6 +465,19 @@ def _apply_axis(axis: str, value: float, thermal: ThermalSpec,
         segs = schedule.segments[:-1] + (replace(schedule.segments[-1],
                                                  steps=int(value)),)
         return thermal, ProtocolSchedule(segs)
+    if axis == "switch":
+        # Grid values are the first segment's steps; the first two
+        # segments keep their combined total.
+        segs = schedule.segments
+        if len(segs) < 2:
+            raise ValueError("switch sweep needs a schedule of at least two segments")
+        total = segs[0].steps + segs[1].steps
+        if value != int(value) or not 0 <= value <= total:
+            raise ValueError(f"switch must be a whole number of steps in [0, {total}], "
+                             f"got {value}")
+        k = int(value)
+        segs = (replace(segs[0], steps=k), replace(segs[1], steps=total - k)) + segs[2:]
+        return thermal, ProtocolSchedule(segs)
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
@@ -439,8 +485,10 @@ def sweep(axis: str, values, thermal: ThermalSpec, schedule: ProtocolSchedule, *
           hard_cap: int = DEFAULT_HARD_CAP) -> list[SweepPoint]:
     """Independent runs over a parameter grid, keeping terminal observables.
 
-    A failing grid point is recorded with its error message and the sweep
-    moves on.
+    Each grid point's terminal record is read off the closed form of its
+    schedule (:func:`_terminal_record`), equal to the last record of a
+    stepped :func:`run`. A failing grid point is recorded with its error
+    message and the sweep moves on.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -452,8 +500,7 @@ def sweep(axis: str, values, thermal: ThermalSpec, schedule: ProtocolSchedule, *
         try:
             th, sched = _apply_axis(axis, float(value), thermal, schedule)
             init = initial_state(th, sched, hard_cap=hard_cap)
-            result = run(init, sched)
-            points.append(SweepPoint(axis, float(value), result.records[-1]))
+            points.append(SweepPoint(axis, float(value), _terminal_record(init, sched)))
         except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract
             points.append(SweepPoint(axis, float(value), None, f"{type(exc).__name__}: {exc}"))
     return points

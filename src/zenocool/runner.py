@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -62,16 +63,21 @@ def write_histogram_csv(path: Path, d: PopulationDistribution):
 
 
 def write_coefficients_csv(path: Path, table: CoefficientTable, powers):
+    """One row per level, written column by column: each column's cells are
+    formatted once, and the power-1 column reuses the ``abs2`` cells."""
     header = ["n", "re", "im", "abs2"] + [f"abs2_pow_{2 * N}" for N in powers]
     values = table.values
-    abs2 = np.abs(values) ** 2
+    abs2 = (np.abs(values) ** 2).tolist()
+    cell = "%.17g".__mod__
+    abs2_cells = list(map(cell, abs2))
+    columns = [map(str, range(len(abs2))), map(cell, values.real.tolist()),
+               map(cell, values.imag.tolist()), abs2_cells]
     # A scalar power per element: numpy's array ** differs in the last ulp.
-    rows = (
-        (n, re, im, a, *[a ** N for N in powers])
-        for n, (re, im, a) in enumerate(zip(values.real.tolist(),
-                                            values.imag.tolist(), abs2.tolist()))
-    )
-    _write_csv(path, header, "%d" + ",%.17g" * (3 + len(powers)), rows)
+    columns += [abs2_cells if N == 1 else map(cell, map(pow, abs2, repeat(N)))
+                for N in powers]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _manifest(config: ExperimentConfig, command: str, resolved: dict,

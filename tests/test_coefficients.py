@@ -306,3 +306,17 @@ def test_variant_switch_rule_and_inverse():
         variant_params("zeno", params)
     with pytest.raises(ValueError, match="unknown variant"):
         coefficient("zeno", params, 1)
+
+
+@pytest.mark.parametrize("params", [
+    PhysicalParams(g_m=1e-200, tau=700.0),   # (g_m tau)^2 underflows to 0
+    PhysicalParams(g_m=1e200, tau=1e200),    # g_m tau overflows to inf
+])
+def test_non_finite_coupling_is_a_value_error(params):
+    # warnings are errors: neither may warn or divide by zero on the way
+    for call in (lambda: cooling_free_report("conventional", params, 10),
+                 lambda: first_protected_index("conventional", params),
+                 lambda: coefficient("conventional", params, 3),
+                 lambda: build_table("conventional", params, 3)):
+        with pytest.raises(ValueError, match="finite"):
+            call()

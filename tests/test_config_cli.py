@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zenocool import ConfigError, PRESETS, parse_config, parse_config_data
+from zenocool import (ConfigError, PRESETS, PhysicalParams, build_table, parse_config,
+                      parse_config_data)
 from zenocool.cli import main
-from zenocool.runner import run_experiment, run_oracle_check, run_sweep
+from zenocool.runner import (run_experiment, run_oracle_check, run_sweep,
+                             write_coefficients_csv)
 
 OMEGA = 1.56e10
 G_M = 2 * math.pi * 1e6
@@ -212,6 +214,28 @@ def test_fig2_coefficient_export(tmp_path):
     assert float(driven[0]["abs2"]) == 1.0
 
 
+def _row_wise_coefficients_csv(path, table, powers):
+    """The coefficient table one %-formatted row at a time: the reference layout."""
+    header = ["n", "re", "im", "abs2"] + [f"abs2_pow_{2 * N}" for N in powers]
+    abs2 = (np.abs(table.values) ** 2).tolist()
+    line = "%d" + ",%.17g" * (3 + len(powers)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for n, (re, im, a) in enumerate(zip(table.values.real.tolist(),
+                                            table.values.imag.tolist(), abs2)):
+            fh.write(line % (n, re, im, a, *[a ** N for N in powers]))
+
+
+@pytest.mark.parametrize("powers", [(1,), (1, 10)])
+@pytest.mark.parametrize("variant", ["driven", "conventional-detuned"])
+def test_coefficients_csv_matches_the_row_wise_layout(tmp_path, variant, powers):
+    table = build_table(variant, PhysicalParams(g_m=0.0004, tau=700.0, g_f=0.02,
+                                                delta_e=0.002), 2500)
+    write_coefficients_csv(tmp_path / "got.csv", table, powers)
+    _row_wise_coefficients_csv(tmp_path / "want.csv", table, powers)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_coefficients_need_truncation(tmp_path):
     data = {"dimensionless": True, "g_m": 1e-4, "tau": 100.0,
             "outputs": {"run_csv": False, "coefficients_csv": True}}
@@ -391,6 +415,13 @@ def test_import_leaves_scipy_out():
         {"variant": "driven", "steps": 5, "until_n_bar": 0.0}]}, "'until_n_bar'"),
     ("coeffs", [], {"preset": "fig2", "outputs": {"coefficients_csv": True,
                                                   "n_max": 10**12}}, "'n_max'"),
+    ("sweep", [], {**SI_CONFIG, "sweep": {"axis": "switch", "values": [2]}}, "'axis'"),
+    ("sweep", [], {"preset": "fig7_switch", "sweep": {"axis": "switch", "values": [2.5]}},
+     "'values'"),
+    ("sweep", [], {"preset": "fig7_switch", "sweep": {"axis": "switch", "values": [301]}},
+     "'values'"),
+    ("sweep", [], {"preset": "fig7_switch", "sweep": {"axis": "switch", "values": [-1]}},
+     "'values'"),
 ])
 def test_cli_rejects_invalid_numbers(tmp_path, capsys, command, extra, config, named):
     argv = ["--quiet", command, "--out-dir", str(tmp_path / "out")] + extra

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -455,7 +456,7 @@ PRESET_N_MAX = {
     "fig3b_conventional": 232, "fig3c": 511, "fig3c_conventional": 511,
     "fig4": 2319, "fig4_conventional": 2319, "fig5a": 2319, "fig5b": 2319,
     "fig5c": 2319, "fig6": 23189, "fig6_sweep": 23189, "fig7": 2319,
-    "fig7_threshold": 2319, "fig8": 2319,
+    "fig7_threshold": 2319, "fig7_switch": 2319, "fig8": 2319,
 }
 
 
@@ -559,6 +560,85 @@ def test_sweep_records_per_point_failures():
     assert points[0].record.step == 3
     assert points[1].record is None
     assert "whole number" in points[1].error
+    points = sweep("switch", [1.0], THERMAL_10K, schedule)
+    assert points[0].record is None
+    assert "two segments" in points[0].error
+    hybrid = ProtocolSchedule((Segment("driven", PARAMS_DRIVEN, 5),
+                               Segment("conventional", PARAMS_CONV, 5)))
+    points = sweep("switch", [2.0, 2.5, 11.0, -1.0], THERMAL_10K, hybrid)
+    assert points[0].record.step == 10
+    assert [p.record for p in points[1:]] == [None] * 3
+    assert all("[0, 10]" in p.error for p in points[1:])
+
+
+TERMINAL_FIELDS = ("n_bar", "ground_fidelity", "survival_probability",
+                   "t_eff_kelvin", "thermal_fidelity")
+
+
+def _assert_same_terminal(got, want):
+    """Equal step and segment; float fields within 1e-12 relative."""
+    assert (got.step, got.segment) == (want.step, want.segment)
+    for field in TERMINAL_FIELDS:
+        assert got[field] == pytest.approx(want[field], rel=1e-12, abs=0.0,
+                                           nan_ok=True), field
+
+
+def _floor_case():
+    # the weight halves per step, so the run stops on the norm floor near step 1,000
+    params = PhysicalParams(g_m=math.pi / 3.0, tau=1.0)
+    return (ProtocolSchedule((Segment("conventional", params, 10**9),)),
+            PopulationDistribution.from_probabilities([0.0, 1.0]))
+
+
+TERMINAL_CASES = {
+    **{name: partial(_preset_start, name) for name in RUN_PRESETS},
+    "zero-step": lambda: (
+        ProtocolSchedule((Segment("driven", PARAMS_DRIVEN, 0),
+                          Segment("conventional", PARAMS_CONV, 0))),
+        thermal_distribution(THERMAL_10K)),
+    "norm-floor": _floor_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(TERMINAL_CASES))
+def test_terminal_record_is_the_last_record_of_run(case):
+    schedule, initial = TERMINAL_CASES[case]()
+    result = run(initial, schedule)
+    got = protocol._terminal_record(initial, schedule)
+    _assert_same_terminal(got, result.records[-1])
+    assert result.terminated_early == (case == "norm-floor")
+
+
+def test_sweep_over_n_reads_the_terminal_record_of_each_run():
+    config = parse_config_data({"preset": "fig7"})
+    thermal, schedule = config.thermal_spec(), config.schedule()
+    grid = [0.0, 1.0, 150.0, 270.0]
+    points = sweep("N", grid, thermal, schedule)
+    for point, n in zip(points, grid):
+        segs = (schedule.segments[0], replace(schedule.segments[1], steps=int(n)))
+        stepped = ProtocolSchedule(segs)
+        _assert_same_terminal(point.record,
+                              run(initial_state(thermal, stepped), stepped).records[-1])
+    assert [(p.record.step, p.record.segment) for p in points] == [
+        (30, 0), (31, 1), (180, 1), (300, 1)]
+
+
+def test_switch_sweep_matches_stepped_runs_and_beats_both_endpoints():
+    """The paper's hybrid claim on fig7: a switch inside the run cools best."""
+    config = parse_config_data({"preset": "fig7_switch"})
+    thermal, (driven, conventional) = config.thermal_spec(), config.schedule().segments
+    points = sweep("switch", config.sweep.values, thermal, config.schedule())
+    assert all(p.error is None for p in points)
+    for point in points:
+        k = int(point.value)
+        stepped = ProtocolSchedule((replace(driven, steps=k),
+                                    replace(conventional, steps=300 - k)))
+        _assert_same_terminal(point.record,
+                              run(initial_state(thermal, stepped), stepped).records[-1])
+    fidelity = [p.record.ground_fidelity for p in points]
+    assert max(fidelity[1:-1]) > max(fidelity[0], fidelity[-1])
+    assert points[3].value == 120.0 and fidelity[3] > 0.9999
+    assert fidelity[0] < 0.35 and fidelity[-1] < 0.66
 
 
 def test_sweep_rejects_unknown_axis_and_empty_grid():
