@@ -52,8 +52,6 @@ from .oracle import (
     block_propagator,
     compare_random_draws,
     extract_vg_element,
-    joint_from_blocks,
-    joint_hamiltonian,
     sample_trajectories,
     unitarity_defect,
 )
@@ -87,8 +85,7 @@ __all__ = [
     "initial_state", "run", "step", "sweep",
     "ExcitationBlock", "OracleNumericalError", "TrajectoryBatch",
     "block_hamiltonian", "block_propagator", "compare_random_draws",
-    "extract_vg_element", "joint_from_blocks", "joint_hamiltonian",
-    "sample_trajectories", "unitarity_defect",
+    "extract_vg_element", "sample_trajectories", "unitarity_defect",
     "PRESETS", "ConfigError", "ExperimentConfig", "OutputOptions",
     "SegmentSpec", "SweepOptions", "parse_config", "parse_config_data",
     "run_experiment", "run_oracle_check", "run_sweep", "run_trajectories",

@@ -68,7 +68,8 @@ def switches(variant: str) -> tuple[bool, bool]:
     try:
         return _SWITCHES[variant]
     except KeyError:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}") from None
+        raise ValueError(f"unknown variant {variant!r}; 'variant' must be one of "
+                         f"{VARIANTS}") from None
 
 
 def variant_params(variant: str, params: PhysicalParams) -> PhysicalParams:
@@ -90,13 +91,14 @@ def variant_of(params: PhysicalParams) -> str:
 
 def _values(params: PhysicalParams, n: np.ndarray) -> np.ndarray:
     """c_n at every index of ``n`` for ``params`` as given (no switching)."""
-    gf2 = params.gf_tau**2
+    # x * x gives inf where Python's float x**2 raises OverflowError
+    gf2 = params.gf_tau * params.gf_tau
     half_delta = 0.5 * params.delta_tau
     out = np.ones(n.shape, dtype=complex)
     pos = n > 0
-    bright = n[pos] * params.gm_tau**2
+    bright = n[pos] * (params.gm_tau * params.gm_tau)
     w2 = gf2 + bright
-    wt = np.sqrt(w2 + half_delta**2)
+    wt = np.sqrt(w2 + half_delta * half_delta)
     bright /= w2  # bright-state weight n g_m^2 / W^2
     re = np.cos(wt)
     if half_delta:
@@ -137,8 +139,7 @@ class CoefficientTable:
     params: PhysicalParams
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        switches(self.variant)
         v = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size == 0:
@@ -215,17 +216,20 @@ def _protected_points(variant: str, params: PhysicalParams):
     """(m / step, n_m, n_{m+step} - n_m) of every level, by increasing n_m.
 
     m steps by 2 with the driving on and by 1 without (module docstring).
-    Raises ``ValueError`` if (g_m tau)^2 underflows to 0 or is infinite.
+    Raises ``ValueError`` if (g_m tau)^2 underflows to 0 or is infinite, or
+    if (g_f tau)^2 + (delta tau / 2)^2 is infinite.
     """
     p = variant_params(variant, params)
-    gm2 = p.gm_tau**2
-    if not 0.0 < gm2 < math.inf:
-        raise ValueError(f"(g_m tau)^2 = {gm2!r} must be positive and finite")
+    # x * x gives inf where Python's float x**2 raises OverflowError
+    gm2 = p.gm_tau * p.gm_tau
+    offset = p.gf_tau * p.gf_tau + p.delta_tau * p.delta_tau / 4.0
+    if not (0.0 < gm2 < math.inf and offset < math.inf):
+        raise ValueError(f"(g_m tau)^2 = {gm2!r} must be positive and finite, and "
+                         f"(g_f tau)^2 + (delta tau / 2)^2 = {offset!r} finite")
     driving = p.gf_tau > 0.0
     if driving and p.delta_tau != 0.0:
         return
     step = 2 if driving else 1
-    offset = p.gf_tau**2 + p.delta_tau**2 / 4.0
     m = step * max(1, math.ceil(math.sqrt(offset) / (step * math.pi) - 1e-9))
     while True:
         idx = ((m * math.pi) ** 2 - offset) / gm2

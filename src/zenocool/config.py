@@ -5,6 +5,9 @@ Configs are flat JSON. Exactly one unit convention per file: either
 seconds and temperatures in kelvin, or ``"dimensionless": true`` and rates
 are ratios to omega_m, ``tau`` is the product omega_m*tau, and the thermal
 state must be given as ``n_bar_th``. Unknown keys are rejected by name.
+Parsing checks the JSON's shape and types, then builds the library
+objects the config describes, whose own rules check the values; a value
+that breaks one is a ``ConfigError`` naming its key.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass, field, replace
 
 from .params import PhysicalParams
 from .fock import DEFAULT_EPSILON_TAIL, DEFAULT_HARD_CAP, ThermalSpec
-from .coefficients import VARIANTS, variant_params
-from .protocol import SWEEP_AXES, ProtocolSchedule, Segment
+from .coefficients import switches, variant_params
+from .protocol import ProtocolSchedule, Segment, _apply_axis, _check_axis
 
 logger = logging.getLogger(__name__)
 
@@ -82,18 +85,16 @@ class ExperimentConfig:
         return self.params.omega_m is not None
 
     def thermal_spec(self) -> ThermalSpec:
+        if self.temperature is None and self.n_bar_th is None:
+            raise ConfigError("config has no thermal state: set T_kelvin or n_bar_th")
+        key = "T_kelvin" if self.temperature is not None else "n_bar_th"
         try:
-            if self.temperature is not None:
-                return ThermalSpec(temperature=self.temperature,
-                                   omega_m=self.params.omega_m,
-                                   epsilon_tail=self.epsilon_tail)
-            if self.n_bar_th is not None:
-                return ThermalSpec(n_bar_th=self.n_bar_th,
-                                   epsilon_tail=self.epsilon_tail)
+            # omega_m goes only with a temperature: a T sweep needs a temperature start
+            return ThermalSpec(temperature=self.temperature, n_bar_th=self.n_bar_th,
+                               omega_m=None if self.temperature is None else self.params.omega_m,
+                               epsilon_tail=self.epsilon_tail)
         except ValueError as exc:
-            key = "T_kelvin" if self.temperature is not None else "n_bar_th"
             raise ConfigError(f"key {key!r}: {exc}") from exc
-        raise ConfigError("config has no thermal state: set T_kelvin or n_bar_th")
 
     def segment_params(self, spec: SegmentSpec) -> PhysicalParams:
         """Effective parameters of one segment.
@@ -102,15 +103,12 @@ class ExperimentConfig:
         g_f = 0); a resonant variant must not carry a detuning.
         """
         p = self.params
-        try:
-            if spec.g_f is not None:
-                g_f = spec.g_f / p.omega_m if self.si_units else spec.g_f
-                p = replace(p, g_f=g_f)
-            if spec.delta_e is not None:
-                d = spec.delta_e / p.omega_m if self.si_units else spec.delta_e
-                p = replace(p, delta_e=d)
-        except ValueError as exc:
-            raise ConfigError(f"segment {spec.variant!r} override: {exc}") from exc
+        if spec.g_f is not None:
+            g_f = spec.g_f / p.omega_m if self.si_units else spec.g_f
+            p = replace(p, g_f=g_f)
+        if spec.delta_e is not None:
+            d = spec.delta_e / p.omega_m if self.si_units else spec.delta_e
+            p = replace(p, delta_e=d)
         switched = variant_params(spec.variant, p)
         if switched.delta_e != p.delta_e:
             raise ConfigError(
@@ -120,13 +118,18 @@ class ExperimentConfig:
         return switched
 
     def schedule(self) -> ProtocolSchedule:
+        """The segments as a schedule; a segment that breaks a rule of
+        ``Segment`` or of its parameters is a ``ConfigError`` naming it."""
         if not self.segments:
             raise ConfigError("config has no segments")
-        return ProtocolSchedule(tuple(
-            Segment(variant=s.variant, params=self.segment_params(s),
-                    steps=s.steps, until_n_bar=s.until_n_bar)
-            for s in self.segments
-        ))
+        segments = []
+        for i, s in enumerate(self.segments):
+            try:
+                segments.append(Segment(s.variant, self.segment_params(s), s.steps,
+                                        s.until_n_bar))
+            except ValueError as exc:
+                raise ConfigError(f"segments[{i}]: {exc}") from exc
+        return ProtocolSchedule(tuple(segments))
 
     def to_dict(self) -> dict:
         """Canonical JSON-ready form; parses back to an equal config."""
@@ -212,14 +215,8 @@ def _parse_segment(raw: dict, i: int) -> SegmentSpec:
         raise ConfigError(f"{where} must be an object")
     _reject_unknown(raw, _SEGMENT_KEYS, where)
     variant = _require(raw, "variant", str, where)
-    if variant not in VARIANTS:
-        raise ConfigError(f"key 'variant' in {where}: unknown variant {variant!r}")
     steps = _require(raw, "steps", int, where)
-    if steps < 0:
-        raise ConfigError(f"key 'steps' in {where} must be nonnegative")
     until = _typed(raw, "until_n_bar", float, where) if "until_n_bar" in raw else None
-    if until is not None and until <= 0.0:
-        raise ConfigError(f"key 'until_n_bar' in {where} must be positive, got {until!r}")
     g_f = _typed(raw, "g_f", float, where) if "g_f" in raw else None
     delta = _typed(raw, "delta_e", float, where) if "delta_e" in raw else None
     return SegmentSpec(variant, steps, until, g_f, delta)
@@ -237,8 +234,10 @@ def _parse_outputs(raw: dict) -> OutputOptions:
         if not isinstance(variants, list) or not variants:
             raise ConfigError("key 'variants' in outputs must be a nonempty list")
         for v in variants:
-            if v not in VARIANTS:
-                raise ConfigError(f"key 'variants' in outputs: unknown variant {v!r}")
+            try:
+                switches(v)
+            except ValueError as exc:
+                raise ConfigError(f"key 'variants' in outputs: {exc}") from exc
         variants = tuple(variants)
     n_max = _typed(raw, "n_max", int, where) if "n_max" in raw else None
     if n_max is not None and n_max < 0:
@@ -299,11 +298,6 @@ def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig
 
     temperature = _typed(data, "T_kelvin", float, "config") if "T_kelvin" in data else None
     n_bar_th = _typed(data, "n_bar_th", float, "config") if "n_bar_th" in data else None
-    if temperature is not None and n_bar_th is not None:
-        raise ConfigError("give only one of 'T_kelvin' and 'n_bar_th'")
-    if temperature is not None and not has_si:
-        raise ConfigError("key 'T_kelvin' needs SI units; dimensionless configs "
-                          "must use 'n_bar_th'")
 
     segments = tuple(_parse_segment(s, i)
                      for i, s in enumerate(data.get("segments", [])))
@@ -314,24 +308,15 @@ def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig
         raw = _typed(data, "sweep", dict, "config")
         _reject_unknown(raw, _SWEEP_KEYS, "sweep")
         axis = _require(raw, "axis", str, "sweep")
-        if axis not in SWEEP_AXES:
-            raise ConfigError(f"key 'axis' in sweep: unknown axis {axis!r}")
+        try:
+            _check_axis(axis, len(segments))
+        except ValueError as exc:
+            raise ConfigError(f"key 'axis' in sweep: {exc}") from exc
         values = _require(raw, "values", list, "sweep")
         if not values or any(isinstance(v, bool) or not isinstance(v, (int, float))
                              or not math.isfinite(v) for v in values):
             raise ConfigError("key 'values' in sweep must be a nonempty list of "
                               "finite numbers")
-        if axis == "N" and any(v < 0 or v != int(v) for v in values):
-            raise ConfigError("key 'values' in sweep: axis 'N' takes whole "
-                              "numbers of measurements >= 0")
-        if axis == "switch":
-            if len(segments) < 2:
-                raise ConfigError("key 'axis' in sweep: axis 'switch' needs at "
-                                  "least two segments")
-            total = segments[0].steps + segments[1].steps
-            if any(not 0 <= v <= total or v != int(v) for v in values):
-                raise ConfigError(f"key 'values' in sweep: axis 'switch' takes whole "
-                                  f"numbers of steps in [0, {total}]")
         sweep_opts = SweepOptions(axis, tuple(float(v) for v in values))
 
     epsilon_tail = (_typed(data, "epsilon_tail", float, "config")
@@ -353,8 +338,15 @@ def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig
         n_bar_th=n_bar_th, epsilon_tail=epsilon_tail, seed=seed,
         hard_cap=hard_cap, outputs=outputs, sweep=sweep_opts, preset=preset,
     )
-    for spec in segments:
-        config.segment_params(spec)  # surface unit/variant conflicts at parse time
+    schedule = config.schedule() if segments else None
+    thermal = None if temperature is None and n_bar_th is None else config.thermal_spec()
+    # A g_f, T or tau grid value fails its own point of the sweep instead.
+    if schedule and sweep_opts and sweep_opts.axis in ("N", "switch"):
+        try:
+            for value in sweep_opts.values:
+                _apply_axis(sweep_opts.axis, value, thermal, schedule)
+        except ValueError as exc:
+            raise ConfigError(f"key 'values' in sweep: {exc}") from exc
     return config
 
 

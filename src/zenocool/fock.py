@@ -161,12 +161,6 @@ class PopulationDistribution:
             raise ValueError("distribution has no surviving population")
         return np.exp(self.log_weights - self.norm_log)
 
-    def renormalized(self) -> "PopulationDistribution":
-        """Same shape with total mass reset to one."""
-        if self.norm_log == -np.inf:
-            raise ValueError("distribution has no surviving population")
-        return PopulationDistribution(self.log_weights - self.norm_log)
-
 
 def mean_occupation(d: PopulationDistribution) -> float:
     """Mean Fock number of the normalized view, sum_n n p_n."""

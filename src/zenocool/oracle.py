@@ -102,54 +102,6 @@ def extract_vg_element(n: int, params: PhysicalParams,
     return complex(u[0, 0])
 
 
-def joint_hamiltonian(params: PhysicalParams, n_max: int) -> np.ndarray:
-    """Full truncated Hamiltonian from ladder and transition operators.
-
-    Basis ordering is level-major: index = level * (n_max + 1) + photon
-    with levels (g, e, f). Used to cross-check the block bookkeeping at
-    small truncations.
-    """
-    dim = n_max + 1
-    b = np.diag(np.sqrt(np.arange(1, dim)), 1)
-    eye = np.eye(dim)
-    sig_ge = np.zeros((3, 3))
-    sig_ge[1, 0] = 1.0  # |e><g|
-    sig_ef = np.zeros((3, 3))
-    sig_ef[2, 1] = 1.0  # |f><e|
-    proj_e = np.zeros((3, 3))
-    proj_e[1, 1] = 1.0
-    h = (params.delta_e * np.kron(proj_e, eye)
-         + params.g_m * (np.kron(sig_ge, b) + np.kron(sig_ge.T, b.T))
-         + params.g_f * np.kron(sig_ef + sig_ef.T, eye))
-    return h
-
-
-def joint_from_blocks(params: PhysicalParams, n_max: int) -> np.ndarray:
-    """The same truncated Hamiltonian assembled block by block.
-
-    Includes the boundary {|e,n_max>, |f,n_max>} fragment whose |g>
-    partner lies beyond the truncation.
-    """
-    dim = n_max + 1
-    h = np.zeros((3 * dim, 3 * dim))
-
-    def idx(level: int, photons: int) -> int:
-        return level * dim + photons
-
-    for n in range(1, n_max + 1):
-        block = block_hamiltonian(n, params).matrix
-        ids = [idx(0, n), idx(1, n - 1), idx(2, n - 1)]
-        for a in range(3):
-            for c in range(3):
-                h[ids[a], ids[c]] = block[a, c]
-    boundary = [idx(1, n_max), idx(2, n_max)]
-    frag = np.array([[params.delta_e, params.g_f], [params.g_f, 0.0]])
-    for a in range(2):
-        for c in range(2):
-            h[boundary[a], boundary[c]] = frag[a, c]
-    return h
-
-
 @dataclass(frozen=True, eq=False)
 class TrajectoryBatch:
     """Survival statistics of a batch of simulated measurement records."""
@@ -240,10 +192,6 @@ def sample_trajectories(initial: PopulationDistribution,
                            realized.survival_probability)
 
 
-def _phase_aligned_error(a: complex, b: complex) -> float:
-    return abs(abs(a) - abs(b))
-
-
 _DRAW_KINDS = ("driven-detuned", "driven", "conventional-detuned", "conventional")
 
 
@@ -279,7 +227,7 @@ def compare_random_draws(n_draws: int, seed: int) -> list[dict]:
             "closed_form": [closed.real, closed.imag],
             "oracle": [oracle_value.real, oracle_value.imag],
             "abs_error": abs(closed - oracle_value),
-            "phase_aligned_error": _phase_aligned_error(closed, oracle_value),
+            "phase_aligned_error": abs(abs(closed) - abs(oracle_value)),
             "unitarity_defect": unitarity_defect(u),
         })
     return rows

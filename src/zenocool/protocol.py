@@ -85,10 +85,11 @@ class Segment:
     until_n_bar: float | None = None
 
     def __post_init__(self):
+        switches(self.variant)
         if self.steps < 0:
-            raise ValueError(f"steps must be nonnegative, got {self.steps}")
+            raise ValueError(f"'steps' must be nonnegative, got {self.steps}")
         if self.until_n_bar is not None and not self.until_n_bar > 0.0:
-            raise ValueError(f"until_n_bar must be positive, got {self.until_n_bar}")
+            raise ValueError(f"'until_n_bar' must be positive, got {self.until_n_bar}")
 
 
 @dataclass(frozen=True)
@@ -303,14 +304,12 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
     rebuild it forces fails as the distribution's own check would.
 
     The records are gathered as rows and become one read-only array at
-    the end, where ``t_eff_kelvin`` is filled with
-    :func:`effective_temperature` at the ``omega_m`` of each row's
-    segment (NaN where that is unset).
+    the end (:func:`_records`).
     """
     lw = initial.log_weights.copy()
     view = _AmplitudeView(lw.size)
     n_bar, ground, survival, thermal, norm_log = view.observe(lw, initial.norm_log)
-    rows = [(0, n_bar, ground, survival, math.nan, thermal, 0)]
+    rows = [(0, n_bar, ground, survival, thermal, 0)]
     terminated = False
     for seg_id, seg in enumerate(schedule.segments):
         if terminated:
@@ -323,19 +322,28 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
             lw += log_survival
             view.u *= magnitude
             n_bar, ground, survival, thermal, norm_log = view.observe(lw)
-            rows.append((len(rows), n_bar, ground, survival, math.nan, thermal, seg_id))
+            rows.append((len(rows), n_bar, ground, survival, thermal, seg_id))
             if norm_log < DEFAULT_NORM_LOG_FLOOR:
                 terminated = True
                 break
             if seg.until_n_bar is not None and n_bar <= seg.until_n_bar:
                 break
-    records = np.array(rows, dtype=StepRecord).view(np.recarray)
+    return RunResult(_records(rows, schedule), PopulationDistribution(lw, norm_log=norm_log),
+                     terminated)
+
+
+def _records(rows, schedule: ProtocolSchedule) -> np.recarray:
+    """Rows (step, n_bar, ground, survival, thermal, segment) as one read-only
+    ``StepRecord`` array; ``t_eff_kelvin`` is :func:`effective_temperature`
+    at the ``omega_m`` of the row's segment, NaN where that is unset."""
     omega_m = [s.params.omega_m for s in schedule.segments]
-    records.t_eff_kelvin = [
-        math.nan if omega_m[seg_id] is None else effective_temperature(n, omega_m[seg_id])
-        for n, seg_id in zip(records.n_bar.tolist(), records.segment.tolist())]
+    records = np.array([
+        (step_, n_bar, ground, survival,
+         math.nan if omega_m[seg] is None else effective_temperature(n_bar, omega_m[seg]),
+         thermal, seg) for step_, n_bar, ground, survival, thermal, seg in rows],
+        dtype=StepRecord).view(np.recarray)
     records.flags.writeable = False
-    return RunResult(records, PopulationDistribution(lw, norm_log=norm_log), terminated)
+    return records
 
 
 def _terminal_record(initial: PopulationDistribution, schedule: ProtocolSchedule) -> np.record:
@@ -363,10 +371,7 @@ def _terminal_record(initial: PopulationDistribution, schedule: ProtocolSchedule
         lw, None if steps else initial.norm_log)
     if norm_log < DEFAULT_NORM_LOG_FLOOR + 1.0:
         return run(initial, schedule).records[-1]
-    omega_m = schedule.segments[last].params.omega_m
-    t_eff = math.nan if omega_m is None else effective_temperature(n_bar, omega_m)
-    row = (steps, n_bar, ground, survival, t_eff, thermal, last)
-    return np.array([row], dtype=StepRecord).view(np.recarray)[0]
+    return _records([(steps, n_bar, ground, survival, thermal, last)], schedule)[0]
 
 
 def _interpolate_log_weight(log_p: np.ndarray, index: float) -> float:
@@ -440,8 +445,20 @@ class SweepPoint:
     error: str | None = None
 
 
+def _check_axis(axis: str, n_segments: int = 2) -> None:
+    """A sweep's shape, apart from its grid values: ``axis`` is known, and
+    ``switch`` has two of the schedule's ``n_segments`` to move steps between."""
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    if axis == "switch" and n_segments < 2:
+        raise ValueError("switch sweep needs a schedule of at least two segments")
+
+
 def _apply_axis(axis: str, value: float, thermal: ThermalSpec,
                 schedule: ProtocolSchedule) -> tuple[ThermalSpec, ProtocolSchedule]:
+    """The thermal state and schedule of one grid point; raises if ``value``
+    breaks its axis's rule."""
+    _check_axis(axis, len(schedule.segments))
     if axis == "g_f":
         # Grid values are driving strengths in units of g_m; segments whose
         # variant keeps the driving off are left as they are.
@@ -465,20 +482,16 @@ def _apply_axis(axis: str, value: float, thermal: ThermalSpec,
         segs = schedule.segments[:-1] + (replace(schedule.segments[-1],
                                                  steps=int(value)),)
         return thermal, ProtocolSchedule(segs)
-    if axis == "switch":
-        # Grid values are the first segment's steps; the first two
-        # segments keep their combined total.
-        segs = schedule.segments
-        if len(segs) < 2:
-            raise ValueError("switch sweep needs a schedule of at least two segments")
-        total = segs[0].steps + segs[1].steps
-        if value != int(value) or not 0 <= value <= total:
-            raise ValueError(f"switch must be a whole number of steps in [0, {total}], "
-                             f"got {value}")
-        k = int(value)
-        segs = (replace(segs[0], steps=k), replace(segs[1], steps=total - k)) + segs[2:]
-        return thermal, ProtocolSchedule(segs)
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    # switch: grid values are the first segment's steps; the first two
+    # segments keep their combined total.
+    segs = schedule.segments
+    total = segs[0].steps + segs[1].steps
+    if value != int(value) or not 0 <= value <= total:
+        raise ValueError(f"switch must be a whole number of steps in [0, {total}], "
+                         f"got {value}")
+    k = int(value)
+    segs = (replace(segs[0], steps=k), replace(segs[1], steps=total - k)) + segs[2:]
+    return thermal, ProtocolSchedule(segs)
 
 
 def sweep(axis: str, values, thermal: ThermalSpec, schedule: ProtocolSchedule, *,
@@ -490,8 +503,7 @@ def sweep(axis: str, values, thermal: ThermalSpec, schedule: ProtocolSchedule, *
     stepped :func:`run`. A failing grid point is recorded with its error
     message and the sweep moves on.
     """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    _check_axis(axis)  # a schedule too short for switch fails per grid point
     values = list(values)
     if not values:
         raise ValueError("sweep grid must be nonempty")

@@ -311,12 +311,16 @@ def test_variant_switch_rule_and_inverse():
 @pytest.mark.parametrize("params", [
     PhysicalParams(g_m=1e-200, tau=700.0),   # (g_m tau)^2 underflows to 0
     PhysicalParams(g_m=1e200, tau=1e200),    # g_m tau overflows to inf
+    PhysicalParams(g_m=1e160, tau=1.0),      # finite g_m tau, (g_m tau)^2 overflows
+    PhysicalParams(g_m=1.0, tau=1.0, g_f=1e160),      # (g_f tau)^2 overflows
+    PhysicalParams(g_m=1.0, tau=1.0, delta_e=1e160),  # (delta tau / 2)^2 overflows
 ])
 def test_non_finite_coupling_is_a_value_error(params):
     # warnings are errors: neither may warn or divide by zero on the way
-    for call in (lambda: cooling_free_report("conventional", params, 10),
-                 lambda: first_protected_index("conventional", params),
-                 lambda: coefficient("conventional", params, 3),
-                 lambda: build_table("conventional", params, 3)):
+    variant = variant_of(params)
+    for call in (lambda: cooling_free_report(variant, params, 10),
+                 lambda: first_protected_index(variant, params),
+                 lambda: coefficient(variant, params, 3),
+                 lambda: build_table(variant, params, 3)):
         with pytest.raises(ValueError, match="finite"):
             call()

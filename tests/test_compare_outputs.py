@@ -41,6 +41,13 @@ def test_diff_exits_1_only_above_the_threshold(tmp_path, capsys):
     diff = ["diff", str(tmp_path / "a"), str(tmp_path / "b")]
     assert tool.main(diff) == 0
 
+    # A file in the new tree alone, such as a new preset's, is listed, not counted.
+    added = tmp_path / "b" / "fig5x" / "run" / "run.csv"
+    added.parent.mkdir(parents=True)
+    added.write_text("N,n_bar\n0,1\n")
+    assert tool.main(diff) == 0
+    assert "fig5x/run/run.csv: only in new" in capsys.readouterr().out
+
     run_csv = tmp_path / "b" / "fig5c" / "run" / "run.csv"
     lines = run_csv.read_text().splitlines()
     cells = lines[1].split(",")

@@ -385,6 +385,18 @@ def test_cli_cold_limit_runs_in_ground_state(tmp_path):
     assert all(float(r["P_g"]) == 1.0 for r in rows)
 
 
+def test_package_exports_each_name_once_and_no_test_only_code():
+    import zenocool
+    assert len(set(zenocool.__all__)) == len(zenocool.__all__)
+    for name in zenocool.__all__:
+        assert getattr(zenocool, name) is not None, name
+    assert not hasattr(zenocool, "joint_hamiltonian")
+    assert not hasattr(zenocool, "joint_from_blocks")
+    assert not hasattr(zenocool.oracle, "joint_hamiltonian")
+    assert not hasattr(zenocool.oracle, "joint_from_blocks")
+    assert not hasattr(zenocool.PopulationDistribution, "renormalized")
+
+
 def test_import_leaves_scipy_out():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
@@ -422,6 +434,10 @@ def test_import_leaves_scipy_out():
      "'values'"),
     ("sweep", [], {"preset": "fig7_switch", "sweep": {"axis": "switch", "values": [-1]}},
      "'values'"),
+    ("run", [], {**SI_CONFIG, "segments": [{"variant": "zeno", "steps": 5}]}, "'variant'"),
+    ("run", [], {**SI_CONFIG, "segments": [{"variant": "driven", "steps": -1}]}, "'steps'"),
+    ("sweep", [], {**SI_CONFIG, "sweep": {"axis": "kappa", "values": [1.0]}}, "'axis'"),
+    ("run", [], {**SI_CONFIG, "n_bar_th": 5.0}, "'T_kelvin'"),
 ])
 def test_cli_rejects_invalid_numbers(tmp_path, capsys, command, extra, config, named):
     argv = ["--quiet", command, "--out-dir", str(tmp_path / "out")] + extra

@@ -112,13 +112,6 @@ def test_mean_occupation_undefined_for_dead_state():
         mean_occupation(dead)
 
 
-def test_renormalized_unit_mass():
-    d = PopulationDistribution(np.log([0.2, 0.1, 0.05]))
-    r = d.renormalized()
-    assert r.norm_log == pytest.approx(0.0, abs=1e-12)
-    assert r.probabilities().sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_log_weights_reject_nan_and_inf():
     with pytest.raises(ValueError):
         PopulationDistribution(np.array([0.0, np.nan]))

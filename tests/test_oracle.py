@@ -15,8 +15,6 @@ from zenocool import (
     coefficient,
     compare_random_draws,
     extract_vg_element,
-    joint_from_blocks,
-    joint_hamiltonian,
     run,
     sample_trajectories,
     unitarity_defect,
@@ -96,6 +94,54 @@ def test_vg_element_matches_detuned_conventional_closed_form():
         closed = coefficient("conventional-detuned", params, n)
         assert oracle_value == pytest.approx(closed, abs=1e-10)
         assert abs(oracle_value) == pytest.approx(abs(closed), abs=1e-10)
+
+
+def joint_hamiltonian(params: PhysicalParams, n_max: int) -> np.ndarray:
+    """Full truncated Hamiltonian from ladder and transition operators.
+
+    Basis ordering is level-major: index = level * (n_max + 1) + photon
+    with levels (g, e, f). Used to cross-check the block bookkeeping at
+    small truncations.
+    """
+    dim = n_max + 1
+    b = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    eye = np.eye(dim)
+    sig_ge = np.zeros((3, 3))
+    sig_ge[1, 0] = 1.0  # |e><g|
+    sig_ef = np.zeros((3, 3))
+    sig_ef[2, 1] = 1.0  # |f><e|
+    proj_e = np.zeros((3, 3))
+    proj_e[1, 1] = 1.0
+    h = (params.delta_e * np.kron(proj_e, eye)
+         + params.g_m * (np.kron(sig_ge, b) + np.kron(sig_ge.T, b.T))
+         + params.g_f * np.kron(sig_ef + sig_ef.T, eye))
+    return h
+
+
+def joint_from_blocks(params: PhysicalParams, n_max: int) -> np.ndarray:
+    """The same truncated Hamiltonian assembled block by block.
+
+    Includes the boundary {|e,n_max>, |f,n_max>} fragment whose |g>
+    partner lies beyond the truncation.
+    """
+    dim = n_max + 1
+    h = np.zeros((3 * dim, 3 * dim))
+
+    def idx(level: int, photons: int) -> int:
+        return level * dim + photons
+
+    for n in range(1, n_max + 1):
+        block = block_hamiltonian(n, params).matrix
+        ids = [idx(0, n), idx(1, n - 1), idx(2, n - 1)]
+        for a in range(3):
+            for c in range(3):
+                h[ids[a], ids[c]] = block[a, c]
+    boundary = [idx(1, n_max), idx(2, n_max)]
+    frag = np.array([[params.delta_e, params.g_f], [params.g_f, 0.0]])
+    for a in range(2):
+        for c in range(2):
+            h[boundary[a], boundary[c]] = frag[a, c]
+    return h
 
 
 def test_joint_hamiltonian_matches_block_assembly():

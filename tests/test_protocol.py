@@ -656,3 +656,5 @@ def test_schedule_validation():
         Segment("driven", PARAMS_DRIVEN, -1)
     with pytest.raises(ValueError):
         Segment("driven", PARAMS_DRIVEN, 5, until_n_bar=0.0)
+    with pytest.raises(ValueError, match="unknown variant"):
+        Segment("bogus", PARAMS_DRIVEN, 3)

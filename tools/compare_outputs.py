@@ -16,9 +16,11 @@ params and n_max) and one oracle report. ``diff`` prints, for every file,
 whether it is byte-identical and otherwise the largest relative change
 |a - b| / max(|a|, |b|) per column (CSV) or per key path (JSON; list
 indices collapse to ``[]``). A text cell that differs counts as ``inf``,
-as does a file or JSON key found in one tree only; ``wall_time_s`` and
-the ``outputs`` paths are skipped. ``diff`` exits 1 when any change
-exceeds ``THRESHOLD`` relative, and 0 otherwise.
+as does a file missing from the new tree or a JSON key found in one tree
+only; a file found in the new tree alone (a new preset's) is listed as
+"only in new" and not counted. ``wall_time_s`` and the ``outputs`` paths
+are skipped. ``diff`` exits 1 when any change exceeds ``THRESHOLD``
+relative, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def main(argv=None) -> int:
     for rel, changes in report.items():
         if isinstance(changes, str):
             print(f"{rel}: {changes}")
-            if changes != "identical":
+            if changes == "only in old":
                 overall = math.inf
             continue
         largest = max(changes.values(), default=0.0)
