@@ -48,10 +48,11 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--preset", choices=sorted(PRESETS),
-                     help="bundled parameter preset (overlaid under the config)")
+def _add_common(sub, reads_config: bool = True):
+    if reads_config:
+        sub.add_argument("--config", help="JSON config file")
+        sub.add_argument("--preset", choices=sorted(PRESETS),
+                         help="bundled parameter preset (overlaid under the config)")
     sub.add_argument("--out-dir", required=True, help="output directory")
     sub.add_argument("--seed", type=_integer(0), help="override the config seed")
     sub.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle-check",
                               help="compare closed forms against exact propagators")
-    _add_common(p_oracle)
+    _add_common(p_oracle, reads_config=False)
     p_oracle.add_argument("--draws", type=_integer(1), default=200)
     p_oracle.add_argument("--tolerance", type=_tolerance, default=1e-10)
 

@@ -89,10 +89,8 @@ class ExperimentConfig:
             raise ConfigError("config has no thermal state: set T_kelvin or n_bar_th")
         key = "T_kelvin" if self.temperature is not None else "n_bar_th"
         try:
-            # omega_m goes only with a temperature: a T sweep needs a temperature start
             return ThermalSpec(temperature=self.temperature, n_bar_th=self.n_bar_th,
-                               omega_m=None if self.temperature is None else self.params.omega_m,
-                               epsilon_tail=self.epsilon_tail)
+                               omega_m=self.params.omega_m, epsilon_tail=self.epsilon_tail)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: {exc}") from exc
 
@@ -309,7 +307,7 @@ def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig
         _reject_unknown(raw, _SWEEP_KEYS, "sweep")
         axis = _require(raw, "axis", str, "sweep")
         try:
-            _check_axis(axis, len(segments))
+            _check_axis(axis, has_si, len(segments))
         except ValueError as exc:
             raise ConfigError(f"key 'axis' in sweep: {exc}") from exc
         values = _require(raw, "values", list, "sweep")

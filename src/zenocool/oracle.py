@@ -147,11 +147,9 @@ def sample_trajectories(initial: PopulationDistribution,
     """
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
-    realized = run(initial, schedule).records
-    n_steps = len(realized) - 1
-    # segment ids never decrease along a run, so a count per id is a run length
-    runs = [(seg_id, k) for seg_id, k in enumerate(np.bincount(
-        realized.segment[1:], minlength=len(schedule.segments)).tolist()) if k]
+    realized = run(initial, schedule)
+    n_steps = len(realized.records) - 1
+    runs = [(seg_id, k) for seg_id, k in enumerate(realized.steps_run) if k]
     log_survival = {}
     for seg_id, _ in runs:
         seg = schedule.segments[seg_id]
@@ -189,7 +187,7 @@ def sample_trajectories(initial: PopulationDistribution,
         start += size
     stream_ids = tuple(str(c.spawn_key) for c in children)
     return TrajectoryBatch(seed, n_trajectories, n_steps, lengths, stream_ids,
-                           realized.survival_probability)
+                           realized.records.survival_probability)
 
 
 _DRAW_KINDS = ("driven-detuned", "driven", "conventional-detuned", "conventional")

@@ -124,6 +124,7 @@ class RunResult:
     records: np.recarray  # read-only, dtype StepRecord
     final: PopulationDistribution
     terminated_early: bool
+    steps_run: tuple[int, ...]  # measurements each segment ran
 
 
 @dataclass(frozen=True)
@@ -310,6 +311,7 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
     view = _AmplitudeView(lw.size)
     n_bar, ground, survival, thermal, norm_log = view.observe(lw, initial.norm_log)
     rows = [(0, n_bar, ground, survival, thermal, 0)]
+    steps_run = [0] * len(schedule.segments)
     terminated = False
     for seg_id, seg in enumerate(schedule.segments):
         if terminated:
@@ -318,6 +320,7 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
             continue
         table = build_table(seg.variant, seg.params, initial.n_max)
         log_survival, magnitude = table.log_survival, table.magnitude
+        first = len(rows)
         for _ in range(seg.steps):
             lw += log_survival
             view.u *= magnitude
@@ -328,8 +331,9 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
                 break
             if seg.until_n_bar is not None and n_bar <= seg.until_n_bar:
                 break
+        steps_run[seg_id] = len(rows) - first
     return RunResult(_records(rows, schedule), PopulationDistribution(lw, norm_log=norm_log),
-                     terminated)
+                     terminated, tuple(steps_run))
 
 
 def _records(rows, schedule: ProtocolSchedule) -> np.recarray:
@@ -445,20 +449,23 @@ class SweepPoint:
     error: str | None = None
 
 
-def _check_axis(axis: str, n_segments: int = 2) -> None:
-    """A sweep's shape, apart from its grid values: ``axis`` is known, and
-    ``switch`` has two of the schedule's ``n_segments`` to move steps between."""
+def _check_axis(axis: str, has_omega_m: bool, n_segments: int = 2) -> None:
+    """A sweep's shape, apart from its grid values: ``axis`` is known,
+    ``switch`` has two of the schedule's ``n_segments`` to move steps between,
+    and ``T`` has an ``omega_m`` to turn each temperature into an occupancy."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if axis == "switch" and n_segments < 2:
         raise ValueError("switch sweep needs a schedule of at least two segments")
+    if axis == "T" and not has_omega_m:
+        raise ValueError("temperature sweep needs omega_m (SI units)")
 
 
 def _apply_axis(axis: str, value: float, thermal: ThermalSpec,
                 schedule: ProtocolSchedule) -> tuple[ThermalSpec, ProtocolSchedule]:
     """The thermal state and schedule of one grid point; raises if ``value``
     breaks its axis's rule."""
-    _check_axis(axis, len(schedule.segments))
+    _check_axis(axis, thermal.omega_m is not None, len(schedule.segments))
     if axis == "g_f":
         # Grid values are driving strengths in units of g_m; segments whose
         # variant keeps the driving off are left as they are.
@@ -469,8 +476,6 @@ def _apply_axis(axis: str, value: float, thermal: ThermalSpec,
         )
         return thermal, ProtocolSchedule(segs)
     if axis == "T":
-        if thermal.omega_m is None:
-            raise ValueError("temperature sweep needs a thermal spec with omega_m")
         return replace(thermal, temperature=value, n_bar_th=None), schedule
     if axis == "tau":
         segs = tuple(replace(s, params=replace(s.params, tau=value))
@@ -503,7 +508,8 @@ def sweep(axis: str, values, thermal: ThermalSpec, schedule: ProtocolSchedule, *
     stepped :func:`run`. A failing grid point is recorded with its error
     message and the sweep moves on.
     """
-    _check_axis(axis)  # a schedule too short for switch fails per grid point
+    # n_segments keeps its default: a schedule too short for switch fails per grid point
+    _check_axis(axis, thermal.omega_m is not None)
     values = list(values)
     if not values:
         raise ValueError("sweep grid must be nonempty")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from contextlib import contextmanager
 from itertools import repeat
 from pathlib import Path
 
@@ -80,47 +81,58 @@ def write_coefficients_csv(path: Path, table: CoefficientTable, powers):
         fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
-def _manifest(config: ExperimentConfig, command: str, resolved: dict,
-              outputs: dict[str, str], elapsed: float) -> dict:
-    return {
+def _dimensionless_params(params) -> dict:
+    return {"g_m": params.g_m, "g_f": params.g_f, "delta_e": params.delta_e,
+            "tau": params.tau, "omega_m_rad_s": params.omega_m}
+
+
+def _write_json(path: Path, data: dict):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+@contextmanager
+def _artifacts(out_dir, config: ExperimentConfig, command: str):
+    """Probe ``out_dir``, time the body and then write its ``manifest.json``.
+
+    Yields ``(out_dir, outputs, resolved)``: the body names each file it
+    writes in ``outputs`` and adds what it resolved to ``resolved``, which
+    starts with the config's params and seed. A body that raises leaves no
+    manifest.
+    """
+    out_dir = Path(out_dir)
+    _probe_writable(out_dir)
+    start = time.perf_counter()
+    outputs: dict[str, str] = {}
+    resolved = {"params": _dimensionless_params(config.params), "seed": config.seed}
+    yield out_dir, outputs, resolved
+    path = out_dir / "manifest.json"
+    _write_json(path, {
         "package": "zenocool",
         "version": __version__,
         "command": command,
         "config": config.to_dict(),
         "resolved": resolved,
         "outputs": outputs,
-        "wall_time_s": elapsed,
-    }
+        "wall_time_s": time.perf_counter() - start,
+    })
+    outputs["manifest"] = str(path)
 
 
-def _write_manifest(out_dir: Path, manifest: dict):
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _dimensionless_params(params) -> dict:
-    return {"g_m": params.g_m, "g_f": params.g_f, "delta_e": params.delta_e,
-            "tau": params.tau, "omega_m_rad_s": params.omega_m}
-
-
-def _write_tables(config: ExperimentConfig, out_dir: Path, default_n_max: int | None,
-                  outputs: dict[str, str]):
-    variants = config.outputs.variants
-    if variants is None:
-        variants = (tuple(dict.fromkeys(s.variant for s in config.segments))
-                    or (variant_of(config.params),))
+def _write_tables(config: ExperimentConfig, schedule: ProtocolSchedule, out_dir: Path,
+                  default_n_max: int | None, outputs: dict[str, str]):
+    """One table per variant, at the params of the variant's first segment
+    (the config's own params for a variant outside the schedule)."""
+    params = {}
+    for s in schedule.segments:
+        params.setdefault(s.variant, s.params)
     n_max = config.outputs.n_max if config.outputs.n_max is not None else default_n_max
     if n_max is None:
         raise ConfigError("coefficient export needs outputs.n_max when there "
                           "is no thermal state to size the truncation")
-    for variant in variants:
-        seg_params = config.params
-        for spec in config.segments:
-            if spec.variant == variant:
-                seg_params = config.segment_params(spec)
-                break
-        table = build_table(variant, seg_params, n_max)
+    for variant in config.outputs.variants or tuple(params):
+        table = build_table(variant, params.get(variant, config.params), n_max)
         name = f"coefficients_{variant}.csv"
         write_coefficients_csv(out_dir / name, table, config.outputs.powers)
         outputs[name] = str(out_dir / name)
@@ -134,66 +146,49 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict[str, str]:
     if requested); a config with no thermal state at all can only export
     coefficient tables.
     """
-    out_dir = Path(out_dir)
-    _probe_writable(out_dir)
-    start = time.perf_counter()
-    outputs: dict[str, str] = {}
-
     has_thermal = config.temperature is not None or config.n_bar_th is not None
-    result = None
-    initial = None
-    schedule = None
-    if has_thermal:
-        thermal = config.thermal_spec()
+    with _artifacts(out_dir, config, "run") as (out_dir, outputs, resolved):
+        if not has_thermal and (config.segments or config.outputs.run_csv
+                                and not config.outputs.coefficients_csv):
+            raise ConfigError("running a schedule needs a thermal state: "
+                              "set T_kelvin or n_bar_th")
         if config.segments:
             schedule = config.schedule()
         else:
             # Observation-only: one zero-step segment of the base model.
             schedule = ProtocolSchedule((Segment(variant_of(config.params),
                                                  config.params, 0),))
-        initial = initial_state(thermal, schedule, hard_cap=config.hard_cap)
-        result = run(initial, schedule)
-        if config.outputs.run_csv:
-            path = out_dir / "run.csv"
-            write_run_csv(path, result)
-            outputs["run_csv"] = str(path)
-        if config.outputs.histogram_csv:
-            path = out_dir / "histogram.csv"
-            write_histogram_csv(path, result.final)
-            outputs["histogram_csv"] = str(path)
-    elif config.segments or config.outputs.run_csv and not config.outputs.coefficients_csv:
-        raise ConfigError("running a schedule needs a thermal state: "
-                          "set T_kelvin or n_bar_th")
-
-    if config.outputs.coefficients_csv:
-        _write_tables(config, out_dir,
-                      initial.n_max if initial is not None else None, outputs)
-
-    resolved: dict = {
-        "params": _dimensionless_params(config.params),
-        "seed": config.seed,
-    }
-    if has_thermal:
-        steps_run = np.bincount(result.records.segment[1:],
-                                minlength=len(schedule.segments)).tolist()
-        resolved.update({
-            "n_bar_th": config.thermal_spec().n_bar,
-            "epsilon_tail": config.epsilon_tail,
-            "n_max": initial.n_max,
-            "segments": [
-                {"variant": s.variant, "steps": s.steps, "steps_run": k,
-                 "until_n_bar": s.until_n_bar,
-                 "params": _dimensionless_params(s.params)}
-                for s, k in zip(schedule.segments, steps_run)
-            ],
-            "measurements_recorded": len(result.records) - 1,
-            "terminated_early": result.terminated_early,
-        })
-    if config.outputs.coefficients_csv and config.outputs.n_max is not None:
-        resolved["table_n_max"] = config.outputs.n_max
-    _write_manifest(out_dir, _manifest(config, "run", resolved, outputs,
-                                       time.perf_counter() - start))
-    outputs["manifest"] = str(out_dir / "manifest.json")
+        n_max = None
+        if has_thermal:
+            thermal = config.thermal_spec()
+            initial = initial_state(thermal, schedule, hard_cap=config.hard_cap)
+            n_max = initial.n_max
+            result = run(initial, schedule)
+            if config.outputs.run_csv:
+                path = out_dir / "run.csv"
+                write_run_csv(path, result)
+                outputs["run_csv"] = str(path)
+            if config.outputs.histogram_csv:
+                path = out_dir / "histogram.csv"
+                write_histogram_csv(path, result.final)
+                outputs["histogram_csv"] = str(path)
+            resolved.update({
+                "n_bar_th": thermal.n_bar,
+                "epsilon_tail": config.epsilon_tail,
+                "n_max": n_max,
+                "segments": [
+                    {"variant": s.variant, "steps": s.steps, "steps_run": k,
+                     "until_n_bar": s.until_n_bar,
+                     "params": _dimensionless_params(s.params)}
+                    for s, k in zip(schedule.segments, result.steps_run)
+                ],
+                "measurements_recorded": len(result.records) - 1,
+                "terminated_early": result.terminated_early,
+            })
+        if config.outputs.coefficients_csv:
+            _write_tables(config, schedule, out_dir, n_max, outputs)
+            if config.outputs.n_max is not None:
+                resolved["table_n_max"] = config.outputs.n_max
     return outputs
 
 
@@ -201,33 +196,25 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict[str, str]:
     """Independent runs over the configured grid, one terminal row each."""
     if config.sweep is None:
         raise ConfigError("config has no 'sweep' block")
-    out_dir = Path(out_dir)
-    _probe_writable(out_dir)
-    start = time.perf_counter()
-
-    points = sweep(config.sweep.axis, config.sweep.values, config.thermal_spec(),
-                   config.schedule(), hard_cap=config.hard_cap)
-    path = out_dir / "sweep.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("axis", "value") + RUN_COLUMNS + ("error",))
-        for pt in points:
-            if pt.record is None:
-                cells = [""] * len(RUN_COLUMNS)
-            else:
-                cells = (_RECORD_FMT % pt.record.item()).split(",")
-            writer.writerow([pt.axis, format(pt.value, ".17g"), *cells, pt.error or ""])
-    outputs = {"sweep_csv": str(path)}
-    resolved = {
-        "params": _dimensionless_params(config.params),
-        "axis": config.sweep.axis,
-        "values": list(config.sweep.values),
-        "failures": sum(1 for p in points if p.error is not None),
-        "seed": config.seed,
-    }
-    _write_manifest(out_dir, _manifest(config, "sweep", resolved, outputs,
-                                       time.perf_counter() - start))
-    outputs["manifest"] = str(out_dir / "manifest.json")
+    with _artifacts(out_dir, config, "sweep") as (out_dir, outputs, resolved):
+        points = sweep(config.sweep.axis, config.sweep.values, config.thermal_spec(),
+                       config.schedule(), hard_cap=config.hard_cap)
+        path = out_dir / "sweep.csv"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("axis", "value") + RUN_COLUMNS + ("error",))
+            for pt in points:
+                if pt.record is None:
+                    cells = [""] * len(RUN_COLUMNS)
+                else:
+                    cells = (_RECORD_FMT % pt.record.item()).split(",")
+                writer.writerow([pt.axis, format(pt.value, ".17g"), *cells, pt.error or ""])
+        outputs["sweep_csv"] = str(path)
+        resolved.update({
+            "axis": config.sweep.axis,
+            "values": list(config.sweep.values),
+            "failures": sum(1 for p in points if p.error is not None),
+        })
     return outputs
 
 
@@ -251,9 +238,7 @@ def run_oracle_check(out_dir, *, draws: int = 200, seed: int = 7,
         "package": "zenocool",
         "version": __version__,
     }
-    with open(out_dir / "oracle_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "oracle_report.json", report)
     # "not <=" so that a NaN error or tolerance fails the check
     if not report["max_abs_error"] <= tolerance:
         raise FloatingPointError(
@@ -270,33 +255,26 @@ def run_oracle_check(out_dir, *, draws: int = 200, seed: int = 7,
 def run_trajectories(config: ExperimentConfig, out_dir, *,
                      n_trajectories: int, seed: int | None = None) -> dict[str, str]:
     """Monte Carlo survival estimates next to the deterministic curve."""
-    out_dir = Path(out_dir)
-    _probe_writable(out_dir)
-    start = time.perf_counter()
     seed = config.seed if seed is None else seed
-
-    thermal = config.thermal_spec()
-    schedule = config.schedule()
-    initial = initial_state(thermal, schedule, hard_cap=config.hard_cap)
-    batch = sample_trajectories(initial, schedule,
-                                n_trajectories=n_trajectories, seed=seed)
-    estimates = batch.estimates()
-    errors = batch.standard_errors()
-    path = out_dir / "trajectories.csv"
-    rows = ((N, estimates[N], errors[N], batch.exact_survival[N])
-            for N in range(batch.n_steps + 1))
-    _write_csv(path, ("N", "p_hat", "stderr", "p_exact"), "%d,%.17g,%.17g,%.17g", rows)
-    outputs = {"trajectories_csv": str(path)}
-    resolved = {
-        "params": _dimensionless_params(config.params),
-        "n_bar_th": thermal.n_bar,
-        "n_max": initial.n_max,
-        "n_trajectories": batch.n_trajectories,
-        "n_steps": batch.n_steps,
-        "seed": seed,
-        "stream_ids": list(batch.stream_ids),
-    }
-    _write_manifest(out_dir, _manifest(config, "trajectories", resolved, outputs,
-                                       time.perf_counter() - start))
-    outputs["manifest"] = str(out_dir / "manifest.json")
+    with _artifacts(out_dir, config, "trajectories") as (out_dir, outputs, resolved):
+        thermal = config.thermal_spec()
+        schedule = config.schedule()
+        initial = initial_state(thermal, schedule, hard_cap=config.hard_cap)
+        batch = sample_trajectories(initial, schedule,
+                                    n_trajectories=n_trajectories, seed=seed)
+        estimates = batch.estimates()
+        errors = batch.standard_errors()
+        path = out_dir / "trajectories.csv"
+        rows = ((N, estimates[N], errors[N], batch.exact_survival[N])
+                for N in range(batch.n_steps + 1))
+        _write_csv(path, ("N", "p_hat", "stderr", "p_exact"), "%d,%.17g,%.17g,%.17g", rows)
+        outputs["trajectories_csv"] = str(path)
+        resolved.update({
+            "n_bar_th": thermal.n_bar,
+            "n_max": initial.n_max,
+            "n_trajectories": batch.n_trajectories,
+            "n_steps": batch.n_steps,
+            "seed": seed,
+            "stream_ids": list(batch.stream_ids),
+        })
     return outputs

@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zenocool import (ConfigError, PRESETS, PhysicalParams, build_table, parse_config,
-                      parse_config_data)
+from zenocool import (CapacityError, ConfigError, PRESETS, PhysicalParams, build_table,
+                      parse_config, parse_config_data)
 from zenocool.cli import main
 from zenocool.runner import (run_experiment, run_oracle_check, run_sweep,
-                             write_coefficients_csv)
+                             run_trajectories, write_coefficients_csv)
 
 OMEGA = 1.56e10
 G_M = 2 * math.pi * 1e6
@@ -183,6 +183,43 @@ def test_manifest_gives_the_steps_each_segment_ran(tmp_path):
             == resolved["measurements_recorded"])
 
 
+def _trajectories(config, out_dir):
+    return run_trajectories(config, out_dir, n_trajectories=50)
+
+
+ENTRY_POINTS = {"run": run_experiment, "sweep": run_sweep, "trajectories": _trajectories}
+
+
+@pytest.mark.parametrize("command", sorted(ENTRY_POINTS))
+def test_manifest_names_its_entry_point_and_every_output(tmp_path, command):
+    config = parse_config_data({
+        **SI_CONFIG,
+        "outputs": {"histogram_csv": True, "coefficients_csv": True},
+        "sweep": {"axis": "T", "values": [1.0, 10.0]},
+    })
+    outputs = ENTRY_POINTS[command](config, tmp_path)
+    manifest = json.loads(Path(outputs["manifest"]).read_text())
+    assert sorted(manifest) == ["command", "config", "outputs", "package",
+                                "resolved", "version", "wall_time_s"]
+    assert manifest["command"] == command
+    assert outputs["manifest"] == str(tmp_path / "manifest.json")
+    assert manifest["outputs"] == {k: v for k, v in outputs.items() if k != "manifest"}
+    assert all(Path(path).exists() for path in outputs.values())
+
+
+@pytest.mark.parametrize("command, config, error", [
+    ("run", {**SI_CONFIG, "hard_cap": 10}, CapacityError),
+    ("trajectories", {**SI_CONFIG, "hard_cap": 10}, CapacityError),
+    ("sweep", {**{k: v for k, v in SI_CONFIG.items() if k != "T_kelvin"},
+               "sweep": {"axis": "g_f", "values": [1.0]}}, ConfigError),
+])
+def test_an_entry_point_that_raises_writes_no_manifest(tmp_path, command, config, error):
+    with pytest.raises(error):
+        ENTRY_POINTS[command](parse_config_data(config), tmp_path / "out")
+    assert (tmp_path / "out").is_dir()
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_zero_step_schedule_single_row(tmp_path):
     config = parse_config_data({**SI_CONFIG, "segments": []})
     outputs = run_experiment(config, tmp_path / "out")
@@ -259,6 +296,18 @@ def test_sweep_runner(tmp_path):
     assert [r["value"] for r in rows] == ["1", "10"]
     assert all(r["error"] == "" for r in rows)
     assert float(rows[0]["n_bar"]) < float(rows[1]["n_bar"])
+
+
+def test_si_temperature_sweep_starts_from_n_bar_th(tmp_path):
+    # each grid point sets its own temperature, so the start's occupancy drops out
+    grid = {"axis": "T", "values": [5.0, 10.0]}
+    from_kelvin = run_sweep(parse_config_data({**SI_CONFIG, "sweep": grid}), tmp_path / "k")
+    no_kelvin = {k: v for k, v in SI_CONFIG.items() if k != "T_kelvin"}
+    from_n_bar = run_sweep(parse_config_data({**no_kelvin, "n_bar_th": 100.0, "sweep": grid}),
+                           tmp_path / "n")
+    assert [r["error"] for r in read_csv(from_n_bar["sweep_csv"])] == ["", ""]
+    assert (Path(from_n_bar["sweep_csv"]).read_bytes()
+            == Path(from_kelvin["sweep_csv"]).read_bytes())
 
 
 def test_sweep_requires_block(tmp_path):
@@ -438,6 +487,10 @@ def test_import_leaves_scipy_out():
     ("run", [], {**SI_CONFIG, "segments": [{"variant": "driven", "steps": -1}]}, "'steps'"),
     ("sweep", [], {**SI_CONFIG, "sweep": {"axis": "kappa", "values": [1.0]}}, "'axis'"),
     ("run", [], {**SI_CONFIG, "n_bar_th": 5.0}, "'T_kelvin'"),
+    ("sweep", [], {"dimensionless": True, "g_m": 0.0004, "g_f": 0.012, "tau": 700.0,
+                   "n_bar_th": 83.4, "segments": [{"variant": "driven", "steps": 3}],
+                   "sweep": {"axis": "T", "values": [5.0]}}, "'axis'"),
+    ("oracle-check", ["--preset", "fig4"], None, "--preset"),
 ])
 def test_cli_rejects_invalid_numbers(tmp_path, capsys, command, extra, config, named):
     argv = ["--quiet", command, "--out-dir", str(tmp_path / "out")] + extra

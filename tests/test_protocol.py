@@ -609,6 +609,18 @@ def test_terminal_record_is_the_last_record_of_run(case):
     assert result.terminated_early == (case == "norm-floor")
 
 
+@pytest.mark.parametrize("case", ["fig7_threshold", "norm-floor"])
+def test_run_counts_the_steps_each_segment_ran(case):
+    schedule, initial = TERMINAL_CASES[case]()
+    result = run(initial, schedule)
+    segment = result.records.segment[1:]
+    assert result.steps_run == tuple(int(np.sum(segment == i))
+                                     for i in range(len(schedule.segments)))
+    assert sum(result.steps_run) == len(result.records) - 1
+    # both runs stop their first segment short of its budget
+    assert 0 < result.steps_run[0] < schedule.segments[0].steps
+
+
 def test_sweep_over_n_reads_the_terminal_record_of_each_run():
     config = parse_config_data({"preset": "fig7"})
     thermal, schedule = config.thermal_spec(), config.schedule()
