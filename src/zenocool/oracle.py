@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import PhysicalParams
-from .fock import PopulationDistribution
+from .fock import CapacityError, PopulationDistribution
 from .coefficients import build_table, coefficient, switches
 from .protocol import ProtocolSchedule, run
 
@@ -124,6 +124,56 @@ class TrajectoryBatch:
         return np.sqrt(p * (1.0 - p) / self.n_trajectories)
 
 
+# numpy's Generator.choice accepts probabilities that sum to 1 within this.
+_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+class _LevelTable:
+    """Inverse CDF of a level distribution, searched through a guide table.
+
+    ``levels(u)`` gives ``cdf.searchsorted(u, side="right")`` over the CDF
+    that numpy's ``Generator.choice`` builds, so the uniforms of
+    ``Generator.random(size)`` map to the levels that
+    ``Generator.choice(p.size, size, p=p)`` draws from the same stream, bit
+    for bit. The guide table (Chen's method) splits [0, 1) into ``m``
+    buckets; a u in [j/m, (j+1)/m) has its level in [guide[j], guide[j+1]],
+    so one comparison resolves a bucket that spans at most one level and
+    only the other draws are binary-searched. The checks on ``p`` are
+    choice's.
+    """
+
+    def __init__(self, p: np.ndarray, m: int):
+        p = np.asarray(p, dtype=float)
+        total = p.sum()
+        if np.isnan(total):
+            raise ValueError("level probabilities contain NaN")
+        if np.any(p < 0.0):
+            raise ValueError("level probabilities must be nonnegative")
+        if abs(total - 1.0) > _SUM_ATOL:
+            raise ValueError(f"level probabilities sum to {total!r}, not 1")
+        self.cdf = p.cumsum()
+        self.cdf /= self.cdf[-1]
+        self.m = m
+        edges = np.arange(m + 1) / m
+        guide = self.cdf.searchsorted(edges, side="right")
+        self.lower_edge = edges[:-1]
+        self.first = guide[:-1]
+        self.wide = np.diff(guide) > 1
+
+    def levels(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the level of each uniform in ``u`` (values in [0, 1)) to ``out``."""
+        # u * m rounds below m for every double u < 1, but it can round up
+        # to j for a u just below the edge j/m: such a u moves down a bucket
+        bucket = np.multiply(u, self.m).astype(np.intp)
+        bucket -= u < self.lower_edge[bucket]
+        # every index is in range; mode "raise" would copy through a temporary
+        np.take(self.first, bucket, out=out, mode="clip")
+        out += self.cdf[out] <= u
+        rest = np.flatnonzero(self.wide[bucket])
+        out[rest] = self.cdf.searchsorted(u[rest], side="right")
+        return out
+
+
 def sample_trajectories(initial: PopulationDistribution,
                         schedule: ProtocolSchedule, *,
                         n_trajectories: int, seed: int) -> TrajectoryBatch:
@@ -140,13 +190,30 @@ def sample_trajectories(initial: PopulationDistribution,
     Chunks of ``_CHUNK_SIZE`` use independent spawned RNG streams, so
     results are reproducible from one seed and chunks could run in parallel.
 
+    Each chunk reads its levels through ``_LevelTable``, with min(levels,
+    n_trajectories) buckets, from one uniform per trajectory, so they and
+    every later draw are those of ``Generator.choice(p.size, size, p=p)`` on
+    the same stream.
+
     The schedule is realized once with the deterministic engine, so
     conditional switches count; trajectories then follow the realized
     sequence of segments, and that run's survival curve is returned as
     ``exact_survival``.
+
+    Raises
+    ------
+    CapacityError
+        If the survival lengths of ``n_trajectories`` cannot be allocated.
     """
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
+    try:
+        lengths = np.empty(n_trajectories, dtype=np.int64)
+    except (MemoryError, ValueError) as exc:
+        raise CapacityError(
+            f"n_trajectories={n_trajectories} needs {8 * n_trajectories} bytes "
+            f"of survival lengths, which cannot be allocated"
+        ) from exc
     realized = run(initial, schedule)
     n_steps = len(realized.records) - 1
     runs = [(seg_id, k) for seg_id, k in enumerate(realized.steps_run) if k]
@@ -158,32 +225,45 @@ def sample_trajectories(initial: PopulationDistribution,
 
     p = initial.probabilities()
     p = p / p.sum()
+    table = _LevelTable(p, min(p.size, n_trajectories))
     seq = np.random.SeedSequence(seed)
-    n_chunks = max(1, math.ceil(n_trajectories / _CHUNK_SIZE))
-    children = seq.spawn(n_chunks)
-    lengths = np.empty(n_trajectories, dtype=np.int64)
+    children = seq.spawn(math.ceil(n_trajectories / _CHUNK_SIZE))
+    width = min(_CHUNK_SIZE, n_trajectories)
+    uniform = np.empty(width)
+    chunk_levels = np.empty(width, dtype=np.intp)
+    log_s = np.empty(width)
+    survived = np.empty(width)
     start = 0
     for child in children:
         size = min(_CHUNK_SIZE, n_trajectories - start)
         rng = np.random.default_rng(child)
-        levels = rng.choice(p.size, size=size, p=p)
-        chunk_lengths = np.full(size, n_steps, dtype=np.int64)
-        live = np.arange(size)
+        levels = table.levels(rng.random(out=uniform[:size]), chunk_levels[:size])
+        chunk_lengths = lengths[start:start + size]
+        chunk_lengths.fill(n_steps)
+        live = None  # positions of the live trajectories; None while all live
         offset = 0
         for seg_id, k in runs:
-            if live.size == 0:
+            n = levels.size
+            if n == 0:
                 break
-            log_s = log_survival[seg_id][levels[live]]
-            log_u = np.log1p(-rng.random(live.size))  # log U, U in (0, 1]
-            survived = np.full(live.size, np.inf)
-            mortal = log_s < 0.0
+            # every index is in range; mode "raise" would copy through a temporary
+            ls = np.take(log_survival[seg_id], levels, out=log_s[:n], mode="clip")
+            log_u = rng.random(out=uniform[:n])
+            np.negative(log_u, out=log_u)
+            np.log1p(log_u, out=log_u)  # log U, U in (0, 1]
+            sv = survived[:n]
+            sv.fill(np.inf)
             with np.errstate(over="ignore"):
-                survived[mortal] = np.floor(log_u[mortal] / log_s[mortal])
-            died = survived < k
-            chunk_lengths[live[died]] = offset + survived[died].astype(np.int64)
-            live = live[~died]
+                np.divide(log_u, ls, out=sv, where=ls < 0.0)
+            np.floor(sv, out=sv)
+            dies = sv < k
+            died = np.flatnonzero(dies)
+            chunk_lengths[died if live is None else live[died]] = (
+                offset + sv[died].astype(np.int64))
+            kept = np.flatnonzero(~dies)
+            live = kept if live is None else live[kept]
+            levels = levels[kept]
             offset += k
-        lengths[start:start + size] = chunk_lengths
         start += size
     stream_ids = tuple(str(c.spawn_key) for c in children)
     return TrajectoryBatch(seed, n_trajectories, n_steps, lengths, stream_ids,

@@ -521,6 +521,20 @@ def test_cli_non_finite_coefficients_are_a_numeric_failure(tmp_path, capsys, com
     assert list(out.glob("*.csv")) == []
 
 
+def test_cli_trajectory_count_beyond_memory_is_a_capacity_error(tmp_path, capsys):
+    # numpy refuses 2**62 int64 lengths with ValueError before any allocation
+    out = tmp_path / "out"
+    code = main(["--quiet", "trajectories", "--preset", "fig3c", "--out-dir", str(out),
+                 "--trajectories", str(2**62)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numeric failure:")
+    assert f"n_trajectories={2**62}" in err
+    assert f"{8 * 2**62} bytes" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_trajectories_evolve_the_schedule_once(tmp_path, monkeypatch):
     import zenocool.oracle
     import zenocool.runner

@@ -1,7 +1,9 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zenocool.oracle
 from zenocool import (
@@ -15,10 +17,13 @@ from zenocool import (
     coefficient,
     compare_random_draws,
     extract_vg_element,
+    initial_state,
+    parse_config_data,
     run,
     sample_trajectories,
     unitarity_defect,
 )
+from zenocool.oracle import TrajectoryBatch, _LevelTable
 
 
 def random_params(rng, **overrides):
@@ -236,3 +241,179 @@ def test_trajectories_validation():
     schedule = ProtocolSchedule((Segment("conventional", params, 1),))
     with pytest.raises(ValueError):
         sample_trajectories(d, schedule, n_trajectories=0, seed=0)
+
+
+def reference_sample_trajectories(initial, schedule, *, n_trajectories, seed):
+    """The sampler as it was before the guide-table level draw, kept verbatim.
+
+    Levels come from ``rng.choice``, and each segment copies its live
+    trajectories through boolean masks.
+    """
+    _CHUNK_SIZE = zenocool.oracle._CHUNK_SIZE
+    if n_trajectories < 1:
+        raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
+    realized = run(initial, schedule)
+    n_steps = len(realized.records) - 1
+    runs = [(seg_id, k) for seg_id, k in enumerate(realized.steps_run) if k]
+    log_survival = {}
+    for seg_id, _ in runs:
+        seg = schedule.segments[seg_id]
+        log_survival[seg_id] = build_table(seg.variant, seg.params,
+                                           initial.n_max).log_survival
+
+    p = initial.probabilities()
+    p = p / p.sum()
+    seq = np.random.SeedSequence(seed)
+    n_chunks = max(1, math.ceil(n_trajectories / _CHUNK_SIZE))
+    children = seq.spawn(n_chunks)
+    lengths = np.empty(n_trajectories, dtype=np.int64)
+    start = 0
+    for child in children:
+        size = min(_CHUNK_SIZE, n_trajectories - start)
+        rng = np.random.default_rng(child)
+        levels = rng.choice(p.size, size=size, p=p)
+        chunk_lengths = np.full(size, n_steps, dtype=np.int64)
+        live = np.arange(size)
+        offset = 0
+        for seg_id, k in runs:
+            if live.size == 0:
+                break
+            log_s = log_survival[seg_id][levels[live]]
+            log_u = np.log1p(-rng.random(live.size))  # log U, U in (0, 1]
+            survived = np.full(live.size, np.inf)
+            mortal = log_s < 0.0
+            with np.errstate(over="ignore"):
+                survived[mortal] = np.floor(log_u[mortal] / log_s[mortal])
+            died = survived < k
+            chunk_lengths[live[died]] = offset + survived[died].astype(np.int64)
+            live = live[~died]
+            offset += k
+        lengths[start:start + size] = chunk_lengths
+        start += size
+    stream_ids = tuple(str(c.spawn_key) for c in children)
+    return TrajectoryBatch(seed, n_trajectories, n_steps, lengths, stream_ids,
+                           realized.records.survival_probability)
+
+
+def _preset_case(name):
+    config = parse_config_data({"preset": name})
+    schedule = config.schedule()
+    return initial_state(config.thermal_spec(), schedule, hard_cap=config.hard_cap), schedule
+
+
+def _certain_and_impossible_case():
+    # g_m = g_f = 1 and g_m tau = pi / sqrt(2): level 1 has s = 0, levels 0 and 7 s = 1
+    params = PhysicalParams(g_m=1.0, tau=math.pi / math.sqrt(2.0), g_f=1.0)
+    log_s = build_table("driven", params, 12).log_survival
+    assert log_s[1] == -np.inf and log_s[0] == 0.0 and log_s[7] == 0.0
+    schedule = ProtocolSchedule((
+        Segment("driven", params, 4),
+        Segment("conventional", PhysicalParams(g_m=math.pi / 10.0, tau=1.0), 5),
+        Segment("driven", params, 3),
+    ))
+    return PopulationDistribution.from_probabilities(np.full(13, 1.0 / 13.0)), schedule
+
+
+SAMPLER_CASES = {
+    **{name: (partial(_preset_case, name), 70_000)
+       for name in ("fig3c", "fig4", "fig7", "fig7_threshold")},
+    "fig6": (partial(_preset_case, "fig6"), 3_000),
+    "certain-and-impossible": (_certain_and_impossible_case, 70_000),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 1024], ids=["default-chunk", "chunk-1024"])
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+def test_sampler_matches_the_choice_sampler(monkeypatch, case, chunk):
+    build, n_trajectories = SAMPLER_CASES[case]
+    if chunk is not None:
+        monkeypatch.setattr(zenocool.oracle, "_CHUNK_SIZE", chunk)
+        n_trajectories = min(n_trajectories, 5 * chunk - 120)
+    # at least two streams, the last one partial
+    assert n_trajectories % zenocool.oracle._CHUNK_SIZE != 0
+    assert n_trajectories > zenocool.oracle._CHUNK_SIZE or case == "fig6"
+    initial, schedule = build()
+    got = sample_trajectories(initial, schedule, n_trajectories=n_trajectories, seed=17)
+    want = reference_sample_trajectories(initial, schedule,
+                                         n_trajectories=n_trajectories, seed=17)
+    np.testing.assert_array_equal(got.survival_lengths, want.survival_lengths)
+    assert got.stream_ids == want.stream_ids
+    assert got.n_steps == want.n_steps
+
+
+def _normalized(weights):
+    w = np.asarray(weights, dtype=float)
+    return w / w.sum()
+
+
+def _point_mass(n_levels, at):
+    p = np.zeros(n_levels)
+    p[at] = 1.0
+    return p
+
+
+def _geometric(n_levels, n_bar):
+    return _normalized((n_bar / (1.0 + n_bar)) ** np.arange(n_levels))
+
+
+LEVEL_DISTRIBUTIONS = st.one_of(
+    st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1e-9, 0.25, 1.0, 3.0]),
+             min_size=1, max_size=300).filter(lambda w: sum(w) > 0.0).map(_normalized),
+    st.integers(1, 500).map(lambda n: _point_mass(n, 0)),
+    st.integers(1, 500).map(lambda n: _point_mass(n, n - 1)),
+    st.just(np.ones(1)),
+    st.builds(_geometric, st.integers(1, 23_190), st.floats(1e-3, 1e4)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=LEVEL_DISTRIBUTIONS, buckets=st.integers(1, 25_000),
+       size=st.integers(1, 3_000), seed=st.integers(0, 2**63))
+def test_level_draw_is_choice_on_the_same_stream(p, buckets, size, seed):
+    table = _LevelTable(p, buckets)
+    u = np.random.default_rng(seed).random(size)
+    got = table.levels(u, np.empty(size, dtype=np.intp))
+    np.testing.assert_array_equal(got, np.random.default_rng(seed).choice(p.size, size, p=p))
+
+
+@pytest.mark.parametrize("p", [
+    _geometric(23_190, 2318.8),
+    _geometric(512, 20.0),
+    _normalized([0.0, 3.0, 0.0, 0.0, 1.0, 0.0, 1e-300, 2.0, 0.0]),
+    _point_mass(40, 0),
+    _point_mass(40, 39),
+    np.ones(1),
+    np.array([5.0 / 6.0, 1.0 - 5.0 / 6.0]),
+], ids=["geometric-23190", "geometric-512", "zeros", "mass-first", "mass-last", "one-level",
+        "level-on-edge"])
+@pytest.mark.parametrize("buckets", [1, 3, 6, 7, 40, 1000, 23_190])
+def test_level_draw_at_bucket_edges(p, buckets):
+    # "level-on-edge" puts a CDF step on the edge 5/6, where u = 5/6 - 1 ulp
+    # gives u * 6 = 5 in floating point
+    edges = np.arange(buckets + 1) / buckets
+    u = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+                        [0.0, 1.0 - 2.0**-53]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    got = _LevelTable(p, buckets).levels(u, np.empty(u.size, dtype=np.intp))
+    np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
+
+
+@pytest.mark.parametrize("p, message", [
+    ([0.5, math.nan, 0.5], "NaN"),
+    ([1.5, -0.5], "nonnegative"),
+    ([0.5, 0.5 + 1e-7], "sum"),
+])
+def test_level_table_rejects_what_choice_rejects(p, message):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(p), 4, p=p)
+    with pytest.raises(ValueError, match=message):
+        _LevelTable(np.array(p), len(p))
+
+
+def test_level_table_accepts_a_sum_within_choice_tolerance():
+    p = np.array([0.5, 0.5 + 1e-9])
+    got = _LevelTable(p, 2).levels(np.random.default_rng(3).random(1000),
+                                   np.empty(1000, dtype=np.intp))
+    np.testing.assert_array_equal(got, np.random.default_rng(3).choice(2, 1000, p=p))

@@ -621,6 +621,29 @@ def test_run_counts_the_steps_each_segment_ran(case):
     assert 0 < result.steps_run[0] < schedule.segments[0].steps
 
 
+@pytest.mark.parametrize("name", RUN_PRESETS)
+def test_ground_fidelity_times_survival_is_the_initial_ground_weight(name):
+    # c_0 = 1, so the unnormalized ground weight never moves: F_ground * P_g = p_0
+    schedule, initial = _preset_start(name)
+    records = run(initial, schedule).records
+    p_0 = math.exp(initial.log_weights[0] - initial.norm_log)
+    np.testing.assert_allclose(records.ground_fidelity * records.survival_probability,
+                               p_0, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("name", ["fig7", "fig7_switch"])
+def test_terminal_record_does_not_depend_on_segment_order(name):
+    # every segment is diagonal in the Fock basis, so the segments commute
+    schedule, initial = _preset_start(name)
+    forward = protocol._terminal_record(initial, schedule)
+    backward = protocol._terminal_record(
+        initial, ProtocolSchedule(schedule.segments[::-1]))
+    floats = [f for f in forward.dtype.names if forward.dtype[f].kind == "f"]
+    assert len(floats) == 5
+    for field in floats:
+        assert backward[field] == pytest.approx(forward[field], rel=1e-15, abs=0), field
+
+
 def test_sweep_over_n_reads_the_terminal_record_of_each_run():
     config = parse_config_data({"preset": "fig7"})
     thermal, schedule = config.thermal_spec(), config.schedule()
