@@ -4,10 +4,12 @@ Configs are flat JSON. Exactly one unit convention per file: either
 ``omega_m_rad_s`` is present and every rate is in rad/s with ``tau`` in
 seconds and temperatures in kelvin, or ``"dimensionless": true`` and rates
 are ratios to omega_m, ``tau`` is the product omega_m*tau, and the thermal
-state must be given as ``n_bar_th``. Unknown keys are rejected by name.
-Parsing checks the JSON's shape and types, then builds the library
-objects the config describes, whose own rules check the values; a value
-that breaks one is a ``ConfigError`` naming its key.
+state must be given as ``n_bar_th``. Unknown keys and keys of the wrong
+kind are rejected by name; the spec dataclasses declare the keys inside
+``segments``, ``outputs`` and ``sweep``, and every default. Parsing
+checks the JSON's shape and types, then builds the library objects the
+config describes, whose own rules check the values; a value that breaks
+one is a ``ConfigError`` naming its key.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from .params import PhysicalParams
 from .fock import DEFAULT_EPSILON_TAIL, DEFAULT_HARD_CAP, ThermalSpec
@@ -29,15 +32,15 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
+# The kind of each top-level key; keys inside ``segments``, ``outputs`` and
+# ``sweep`` are the fields of their spec dataclasses below. ``preset`` is read
+# first, to expand it, and never reaches the reader.
 _TOP_KEYS = {
-    "preset", "dimensionless", "omega_m_rad_s", "g_m", "g_f", "delta_e", "tau",
-    "T_kelvin", "n_bar_th", "epsilon_tail", "segments", "seed", "hard_cap",
-    "outputs", "sweep",
+    "dimensionless": bool, "omega_m_rad_s": float, "g_m": float, "g_f": float,
+    "delta_e": float, "tau": float, "T_kelvin": float, "n_bar_th": float,
+    "epsilon_tail": float, "segments": list, "seed": int, "hard_cap": int,
+    "outputs": dict, "sweep": dict,
 }
-_SEGMENT_KEYS = {"variant", "steps", "until_n_bar", "g_f", "delta_e"}
-_OUTPUT_KEYS = {"run_csv", "histogram_csv", "coefficients_csv", "powers",
-                "variants", "n_max"}
-_SWEEP_KEYS = {"axis", "values"}
 
 
 @dataclass(frozen=True)
@@ -152,40 +155,36 @@ class ExperimentConfig:
         if self.n_bar_th is not None:
             out["n_bar_th"] = self.n_bar_th
         out["epsilon_tail"] = self.epsilon_tail
-        out["segments"] = [
-            {k: v for k, v in {
-                "variant": s.variant, "steps": s.steps,
-                "until_n_bar": s.until_n_bar, "g_f": s.g_f,
-                "delta_e": s.delta_e,
-            }.items() if v is not None}
-            for s in self.segments
-        ]
+        out["segments"] = [_plain(s) for s in self.segments]
         out["seed"] = self.seed
         out["hard_cap"] = self.hard_cap
-        out["outputs"] = {
-            "run_csv": self.outputs.run_csv,
-            "histogram_csv": self.outputs.histogram_csv,
-            "coefficients_csv": self.outputs.coefficients_csv,
-            "powers": list(self.outputs.powers),
-        }
-        if self.outputs.variants is not None:
-            out["outputs"]["variants"] = list(self.outputs.variants)
-        if self.outputs.n_max is not None:
-            out["outputs"]["n_max"] = self.outputs.n_max
+        out["outputs"] = _plain(self.outputs)
         if self.sweep is not None:
-            out["sweep"] = {"axis": self.sweep.axis,
-                            "values": list(self.sweep.values)}
+            out["sweep"] = _plain(self.sweep)
         return out
 
 
-def _require(data: dict, key: str, kind, where: str):
-    if key not in data:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return _typed(data, key, kind, where)
+def _plain(spec) -> dict:
+    """A spec's fields as JSON keys: ``None`` left out, tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(spec).items() if v is not None}
 
 
-def _typed(data: dict, key: str, kind, where: str):
-    value = data[key]
+# A field's JSON kind, by the first name in its annotation (a string, under
+# ``from __future__ import annotations``).
+_JSON_KINDS = {"str": str, "int": int, "float": float, "bool": bool, "tuple": list}
+
+
+def _spec_keys(spec) -> tuple[dict[str, type], tuple[str, ...]]:
+    """The kind of each field of a spec dataclass, and the fields it requires."""
+    kinds = {f.name: _JSON_KINDS[re.match(r"\w+", f.type)[0]] for f in fields(spec)}
+    return kinds, tuple(f.name for f in fields(spec) if f.default is MISSING)
+
+
+_SPEC_KEYS = {spec: _spec_keys(spec) for spec in (SegmentSpec, OutputOptions, SweepOptions)}
+
+
+def _typed(key: str, value, kind, where: str):
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         if not math.isfinite(value):
             raise ConfigError(f"key {key!r} in {where} must be a finite number, "
@@ -201,60 +200,75 @@ def _typed(data: dict, key: str, kind, where: str):
                       f"got {type(value).__name__}")
 
 
-def _reject_unknown(data: dict, allowed: set[str], where: str):
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
+def _require(raw: dict, keys, where: str):
+    for key in keys:
+        if key not in raw:
+            raise ConfigError(f"missing required key {key!r} in {where}")
 
 
-def _parse_segment(raw: dict, i: int) -> SegmentSpec:
-    where = f"segments[{i}]"
+def _read(raw, kinds: dict[str, type], where: str) -> dict:
+    """The keys of one JSON object, each checked against its kind; an unknown
+    key is named."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be an object")
-    _reject_unknown(raw, _SEGMENT_KEYS, where)
-    variant = _require(raw, "variant", str, where)
-    steps = _require(raw, "steps", int, where)
-    until = _typed(raw, "until_n_bar", float, where) if "until_n_bar" in raw else None
-    g_f = _typed(raw, "g_f", float, where) if "g_f" in raw else None
-    delta = _typed(raw, "delta_e", float, where) if "delta_e" in raw else None
-    return SegmentSpec(variant, steps, until, g_f, delta)
+    unknown = sorted(raw.keys() - kinds.keys())
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}")
+    return {key: _typed(key, value, kinds[key], where) for key, value in raw.items()}
 
 
-def _parse_outputs(raw: dict) -> OutputOptions:
-    where = "outputs"
-    _reject_unknown(raw, _OUTPUT_KEYS, where)
-    powers = raw.get("powers", [1])
-    if (not isinstance(powers, list) or not powers
-            or any(not isinstance(p, int) or isinstance(p, bool) or p < 1 for p in powers)):
-        raise ConfigError("key 'powers' in outputs must be a nonempty list of positive ints")
-    variants = raw.get("variants")
-    if variants is not None:
-        if not isinstance(variants, list) or not variants:
+def _read_spec(spec, raw, where: str) -> dict:
+    """The keys of one object that a spec dataclass declares, checked."""
+    kinds, required = _SPEC_KEYS[spec]
+    keys = _read(raw, kinds, where)
+    _require(keys, required, where)
+    return keys
+
+
+def _parse_outputs(raw) -> OutputOptions:
+    keys = _read_spec(OutputOptions, raw, "outputs")
+    if "powers" in keys:
+        powers = keys["powers"]
+        if not powers or any(not isinstance(p, int) or isinstance(p, bool) or p < 1
+                             for p in powers):
+            raise ConfigError("key 'powers' in outputs must be a nonempty list of "
+                              "positive ints")
+        keys["powers"] = tuple(powers)
+    if "variants" in keys:
+        if not keys["variants"]:
             raise ConfigError("key 'variants' in outputs must be a nonempty list")
-        for v in variants:
+        for v in keys["variants"]:
             try:
                 switches(v)
             except ValueError as exc:
                 raise ConfigError(f"key 'variants' in outputs: {exc}") from exc
-        variants = tuple(variants)
-    n_max = _typed(raw, "n_max", int, where) if "n_max" in raw else None
-    if n_max is not None and n_max < 0:
+        keys["variants"] = tuple(keys["variants"])
+    if "n_max" in keys and keys["n_max"] < 0:
         raise ConfigError("key 'n_max' in outputs must be nonnegative")
-    return OutputOptions(
-        run_csv=_typed(raw, "run_csv", bool, where) if "run_csv" in raw else True,
-        histogram_csv=_typed(raw, "histogram_csv", bool, where) if "histogram_csv" in raw else False,
-        coefficients_csv=_typed(raw, "coefficients_csv", bool, where) if "coefficients_csv" in raw else False,
-        powers=tuple(powers),
-        variants=variants,
-        n_max=n_max,
-    )
+    return OutputOptions(**keys)
+
+
+def _parse_sweep(raw, has_si: bool, n_segments: int) -> SweepOptions:
+    keys = _read_spec(SweepOptions, raw, "sweep")
+    try:
+        _check_axis(keys["axis"], has_si, n_segments)
+    except ValueError as exc:
+        raise ConfigError(f"key 'axis' in sweep: {exc}") from exc
+    values = keys["values"]
+    if not values or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                         or not math.isfinite(v) for v in values):
+        raise ConfigError("key 'values' in sweep must be a nonempty list of "
+                          "finite numbers")
+    return SweepOptions(keys["axis"], tuple(float(v) for v in values))
 
 
 def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig:
     """Validate a raw config mapping, expanding its preset if named.
 
     ``preset`` overlays the named preset under the explicit keys: the
-    preset provides defaults and the mapping's own keys win.
+    preset provides defaults and the mapping's own keys win. Only the keys
+    the mapping holds are passed on, so every default is the one its
+    dataclass declares.
     """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -264,88 +278,57 @@ def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig
     if preset is not None and named is not None and preset != named:
         raise ConfigError(f"preset {preset!r} conflicts with config preset {named!r}")
     preset = named or preset
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; "
-                              f"available: {', '.join(sorted(PRESETS))}")
-        merged = dict(PRESETS[preset])
-        merged.update({k: v for k, v in data.items() if k != "preset"})
-        data = merged
-        logger.info("expanded preset %r to %s", preset, json.dumps(data, sort_keys=True))
+    if preset is not None and preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r}; "
+                          f"available: {', '.join(sorted(PRESETS))}")
+    keys = dict(PRESETS[preset]) if preset is not None else {}
+    keys.update((k, v) for k, v in data.items() if k != "preset")
+    if preset is not None and logger.isEnabledFor(logging.INFO):
+        logger.info("expanded preset %r to %s", preset, json.dumps(keys, sort_keys=True))
 
-    _reject_unknown(data, _TOP_KEYS, "config")
-    dimensionless = _typed(data, "dimensionless", bool, "config") if "dimensionless" in data else False
-    has_si = "omega_m_rad_s" in data
-    if dimensionless == has_si:
+    keys = _read(keys, _TOP_KEYS, "config")
+    has_si = "omega_m_rad_s" in keys
+    if keys.pop("dimensionless", False) == has_si:
         raise ConfigError("set exactly one unit convention: key 'omega_m_rad_s' "
                           "(SI) or key 'dimensionless': true")
-
-    g_m = _require(data, "g_m", float, "config")
-    g_f = _typed(data, "g_f", float, "config") if "g_f" in data else 0.0
-    delta_e = _typed(data, "delta_e", float, "config") if "delta_e" in data else 0.0
-    tau = _require(data, "tau", float, "config")
+    _require(keys, ("g_m", "tau"), "config")
+    rates = {k: keys.pop(k) for k in ("g_m", "tau", "g_f", "delta_e") if k in keys}
     try:
-        if has_si:
-            params = PhysicalParams.from_si(
-                omega_m=_require(data, "omega_m_rad_s", float, "config"),
-                g_m=g_m, tau=tau, g_f=g_f, delta_e=delta_e)
-        else:
-            params = PhysicalParams(g_m=g_m, tau=tau, g_f=g_f, delta_e=delta_e)
+        params = (PhysicalParams.from_si(keys.pop("omega_m_rad_s"), **rates) if has_si
+                  else PhysicalParams(**rates))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    temperature = _typed(data, "T_kelvin", float, "config") if "T_kelvin" in data else None
-    n_bar_th = _typed(data, "n_bar_th", float, "config") if "n_bar_th" in data else None
+    if "T_kelvin" in keys:
+        keys["temperature"] = keys.pop("T_kelvin")
+    if "segments" in keys:
+        keys["segments"] = tuple(SegmentSpec(**_read_spec(SegmentSpec, s, f"segments[{i}]"))
+                                 for i, s in enumerate(keys["segments"]))
+    if "outputs" in keys:
+        keys["outputs"] = _parse_outputs(keys["outputs"])
+    if "sweep" in keys:
+        keys["sweep"] = _parse_sweep(keys["sweep"], has_si, len(keys.get("segments", ())))
 
-    segments = tuple(_parse_segment(s, i)
-                     for i, s in enumerate(data.get("segments", [])))
-    outputs = _parse_outputs(data.get("outputs", {})) if "outputs" in data else OutputOptions()
-
-    sweep_opts = None
-    if "sweep" in data:
-        raw = _typed(data, "sweep", dict, "config")
-        _reject_unknown(raw, _SWEEP_KEYS, "sweep")
-        axis = _require(raw, "axis", str, "sweep")
-        try:
-            _check_axis(axis, has_si, len(segments))
-        except ValueError as exc:
-            raise ConfigError(f"key 'axis' in sweep: {exc}") from exc
-        values = _require(raw, "values", list, "sweep")
-        if not values or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                             or not math.isfinite(v) for v in values):
-            raise ConfigError("key 'values' in sweep must be a nonempty list of "
-                              "finite numbers")
-        sweep_opts = SweepOptions(axis, tuple(float(v) for v in values))
-
-    epsilon_tail = (_typed(data, "epsilon_tail", float, "config")
-                    if "epsilon_tail" in data else DEFAULT_EPSILON_TAIL)
-    if not 0.0 < epsilon_tail <= 1e-6:
+    c = ExperimentConfig(params=params, preset=preset, **keys)
+    if not 0.0 < c.epsilon_tail <= 1e-6:
         raise ConfigError("key 'epsilon_tail' must be in (0, 1e-6]")
-    seed = _typed(data, "seed", int, "config") if "seed" in data else 0
-    if seed < 0:
+    if c.seed < 0:
         raise ConfigError("key 'seed' must be nonnegative")
-    hard_cap = _typed(data, "hard_cap", int, "config") if "hard_cap" in data else DEFAULT_HARD_CAP
-    if hard_cap < 0:
+    if c.hard_cap < 0:
         raise ConfigError("key 'hard_cap' must be nonnegative")
-    if outputs.n_max is not None and outputs.n_max > hard_cap:
-        raise ConfigError(f"key 'n_max' in outputs is {outputs.n_max}, above "
-                          f"'hard_cap' {hard_cap}")
-
-    config = ExperimentConfig(
-        params=params, segments=segments, temperature=temperature,
-        n_bar_th=n_bar_th, epsilon_tail=epsilon_tail, seed=seed,
-        hard_cap=hard_cap, outputs=outputs, sweep=sweep_opts, preset=preset,
-    )
-    schedule = config.schedule() if segments else None
-    thermal = None if temperature is None and n_bar_th is None else config.thermal_spec()
+    if c.outputs.n_max is not None and c.outputs.n_max > c.hard_cap:
+        raise ConfigError(f"key 'n_max' in outputs is {c.outputs.n_max}, above "
+                          f"'hard_cap' {c.hard_cap}")
+    schedule = c.schedule() if c.segments else None
+    thermal = None if c.temperature is None and c.n_bar_th is None else c.thermal_spec()
     # A g_f, T or tau grid value fails its own point of the sweep instead.
-    if schedule and sweep_opts and sweep_opts.axis in ("N", "switch"):
+    if schedule and c.sweep and c.sweep.axis in ("N", "switch"):
         try:
-            for value in sweep_opts.values:
-                _apply_axis(sweep_opts.axis, value, thermal, schedule)
+            for value in c.sweep.values:
+                _apply_axis(c.sweep.axis, value, thermal, schedule)
         except ValueError as exc:
             raise ConfigError(f"key 'values' in sweep: {exc}") from exc
-    return config
+    return c
 
 
 def parse_config(path, preset: str | None = None) -> ExperimentConfig:

@@ -43,6 +43,7 @@ import numpy as np
 from .params import HBAR, KB, PhysicalParams
 from .fock import (
     DEFAULT_HARD_CAP,
+    CapacityError,
     LOG_TINY,
     PopulationDistribution,
     ThermalSpec,
@@ -398,6 +399,8 @@ def asymptotic_limit(initial: PopulationDistribution, variant: str,
     Only the ground state and the cooling-free indices survive infinitely
     many measurements; the limiting survival probability is the initial
     weight they carry and the limiting occupancy is their weighted mean.
+    The strict reading counts each level within 1e-12 of |c| = 1 once,
+    however many indices round to it; the ground level's weight is p_0.
     """
     log_p = initial.log_weights - initial.norm_log
     p0 = float(np.exp(log_p[0]))
@@ -406,6 +409,7 @@ def asymptotic_limit(initial: PopulationDistribution, variant: str,
     contributions = []
     ideal_mass, ideal_moment = p0, 0.0
     strict_mass, strict_moment = p0, 0.0
+    counted = {0}
     for entry in report.entries:
         if entry.index <= 0.0:
             continue
@@ -413,7 +417,8 @@ def asymptotic_limit(initial: PopulationDistribution, variant: str,
         contributions.append((entry.index, w))
         ideal_mass += w
         ideal_moment += entry.index * w
-        if entry.coef_magnitude >= 1.0 - 1e-12:
+        if entry.coef_magnitude >= 1.0 - 1e-12 and entry.nearest not in counted:
+            counted.add(entry.nearest)
             w_int = float(np.exp(log_p[entry.nearest]))
             strict_mass += w_int
             strict_moment += entry.nearest * w_int
@@ -505,8 +510,10 @@ def sweep(axis: str, values, thermal: ThermalSpec, schedule: ProtocolSchedule, *
 
     Each grid point's terminal record is read off the closed form of its
     schedule (:func:`_terminal_record`), equal to the last record of a
-    stepped :func:`run`. A failing grid point is recorded with its error
-    message and the sweep moves on.
+    stepped :func:`run`. A grid point that fails as an input or numeric
+    fault (``ValueError``, ``ArithmeticError``, ``CapacityError``) is
+    recorded with its error message and the sweep moves on; any other
+    exception is a fault of the program and propagates.
     """
     # n_segments keeps its default: a schedule too short for switch fails per grid point
     _check_axis(axis, thermal.omega_m is not None)
@@ -519,6 +526,6 @@ def sweep(axis: str, values, thermal: ThermalSpec, schedule: ProtocolSchedule, *
             th, sched = _apply_axis(axis, float(value), thermal, schedule)
             init = initial_state(th, sched, hard_cap=hard_cap)
             points.append(SweepPoint(axis, float(value), _terminal_record(init, sched)))
-        except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract
+        except (ValueError, ArithmeticError, CapacityError) as exc:
             points.append(SweepPoint(axis, float(value), None, f"{type(exc).__name__}: {exc}"))
     return points

@@ -137,6 +137,21 @@ def test_all_presets_parse():
         assert config.preset == name
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_round_trips(name):
+    config = parse_config_data({"preset": name})
+    assert parse_config_data(config.to_dict()) == config
+
+
+def test_si_segment_detuning_is_given_in_rad_s():
+    delta = 2 * math.pi * 3e5
+    config = parse_config_data({**SI_CONFIG, "segments": [
+        {"variant": "conventional-detuned", "steps": 2, "delta_e": delta}]})
+    assert config.schedule().segments[0].params.delta_e == delta / OMEGA
+    assert config.params.delta_e == 0.0
+    assert config.to_dict()["segments"][0]["delta_e"] == delta
+
+
 def test_resonant_variant_rejects_detuning():
     bad = {**SI_CONFIG, "delta_e": 1e5}
     with pytest.raises(ConfigError, match="driven-detuned"):
@@ -308,6 +323,21 @@ def test_si_temperature_sweep_starts_from_n_bar_th(tmp_path):
     assert [r["error"] for r in read_csv(from_n_bar["sweep_csv"])] == ["", ""]
     assert (Path(from_n_bar["sweep_csv"]).read_bytes()
             == Path(from_kelvin["sweep_csv"]).read_bytes())
+
+
+def test_cli_sweep_writes_a_failed_point_as_an_error_row(tmp_path):
+    config = write_config(tmp_path, {"preset": "fig6_sweep",
+                                     "sweep": {"axis": "T", "values": [0.5, -1.0]}})
+    out = tmp_path / "out"
+    assert main(["--quiet", "sweep", "--config", str(config), "--out-dir", str(out)]) == 0
+    error = "ValueError: temperature must be positive and finite, got -1.0"
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[2] == "T,-1," + "," * 7 + f'"{error}"'
+    rows = read_csv(out / "sweep.csv")
+    assert [r["error"] for r in rows] == ["", error]
+    assert rows[0]["n_bar"] != ""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved"]["failures"] == 1
 
 
 def test_sweep_requires_block(tmp_path):
@@ -491,6 +521,15 @@ def test_import_leaves_scipy_out():
                    "n_bar_th": 83.4, "segments": [{"variant": "driven", "steps": 3}],
                    "sweep": {"axis": "T", "values": [5.0]}}, "'axis'"),
     ("oracle-check", ["--preset", "fig4"], None, "--preset"),
+    ("run", [], {**SI_CONFIG, "epsilon_tail": 1e-3}, "'epsilon_tail'"),
+    ("run", [], {**SI_CONFIG, "hard_cap": -1}, "'hard_cap'"),
+    ("run", [], {"preset": "fig4", "segments": 5}, "'segments'"),
+    ("run", [], {"preset": "fig4", "segments": {"variant": "driven", "steps": 5}},
+     "'segments'"),
+    ("run", [], {"preset": "fig4", "segments": None}, "'segments'"),
+    ("run", [], {"preset": "fig4", "outputs": 5}, "'outputs'"),
+    ("run", [], {"preset": "fig4", "outputs": []}, "'outputs'"),
+    ("run", [], {"preset": "fig4", "outputs": None}, "'outputs'"),
 ])
 def test_cli_rejects_invalid_numbers(tmp_path, capsys, command, extra, config, named):
     argv = ["--quiet", command, "--out-dir", str(tmp_path / "out")] + extra

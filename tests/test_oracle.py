@@ -341,6 +341,19 @@ def test_sampler_matches_the_choice_sampler(monkeypatch, case, chunk):
     assert got.n_steps == want.n_steps
 
 
+def test_sampler_leaves_a_chunk_once_every_trajectory_died():
+    # |c_5| = sin(0.0005 pi) ~ 1.6e-3: no trajectory on level 5 outlives the
+    # first segment, so the chunk never draws for the second
+    params = PhysicalParams(g_m=0.999 * math.pi / (2.0 * math.sqrt(5.0)), tau=1.0)
+    schedule = ProtocolSchedule((Segment("conventional", params, 10),
+                                 Segment("conventional", params, 5)))
+    initial = PopulationDistribution.from_probabilities([0, 0, 0, 0, 0, 1])
+    got = sample_trajectories(initial, schedule, n_trajectories=3_000, seed=17)
+    want = reference_sample_trajectories(initial, schedule, n_trajectories=3_000, seed=17)
+    assert not got.survival_lengths.any()
+    np.testing.assert_array_equal(got.survival_lengths, want.survival_lengths)
+
+
 def _normalized(weights):
     w = np.asarray(weights, dtype=float)
     return w / w.sum()

@@ -250,6 +250,17 @@ def test_asymptotic_limit_conventional_thermal():
     assert report.survival_ideal > d.probabilities()[0]
 
 
+def test_asymptotic_limit_counts_each_level_once():
+    # cooling-free indices 0.025, 0.099, 0.222 and 0.395 all round to level 0,
+    # whose weight p_0 already holds
+    d = thermal_distribution(ThermalSpec(n_bar_th=2.0))
+    report = asymptotic_limit(d, "conventional", PhysicalParams(g_m=2.0, tau=10.0))
+    p_0 = d.probabilities()[0]
+    assert p_0 == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert report.survival_strict == pytest.approx(p_0, rel=0.0, abs=1e-15)
+    assert report.n_bar_strict == 0.0
+
+
 def test_diagonal_operators_commute():
     d = thermal_distribution(ThermalSpec(n_bar_th=20.0))
     table_a = build_table("driven", PARAMS_DRIVEN, d.n_max)
@@ -550,6 +561,24 @@ def test_sweep_temperature_axis():
     assert all(p.error is None for p in points)
 
 
+def test_sweep_propagates_a_fault_of_the_program(monkeypatch):
+    # only input and numeric faults become error rows; a TypeError is a bug
+    real = protocol._terminal_record
+    calls = []
+
+    def faulty(initial, schedule):
+        calls.append(schedule)
+        if len(calls) == 2:
+            raise TypeError("fault at one grid point")
+        return real(initial, schedule)
+
+    monkeypatch.setattr(protocol, "_terminal_record", faulty)
+    schedule = ProtocolSchedule((Segment("driven", PARAMS_DRIVEN, 5),))
+    with pytest.raises(TypeError, match="fault at one grid point"):
+        sweep("T", [1.0, 10.0, 20.0], THERMAL_10K, schedule)
+    assert len(calls) == 2
+
+
 def test_sweep_records_per_point_failures():
     schedule = ProtocolSchedule((Segment("driven", PARAMS_DRIVEN, 5),))
     points = sweep("tau", [700.0, -1.0], THERMAL_10K, schedule)
@@ -607,6 +636,17 @@ def test_terminal_record_is_the_last_record_of_run(case):
     got = protocol._terminal_record(initial, schedule)
     _assert_same_terminal(got, result.records[-1])
     assert result.terminated_early == (case == "norm-floor")
+
+
+def test_run_skips_the_segments_after_a_norm_floor_stop():
+    schedule, initial = _floor_case()
+    schedule = ProtocolSchedule(schedule.segments + (replace(schedule.segments[0], steps=5),))
+    result = run(initial, schedule)
+    assert result.terminated_early
+    assert result.steps_run[1] == 0
+    assert result.steps_run[0] == len(result.records) - 1
+    assert not np.any(result.records.segment == 1)
+    _assert_same_terminal(protocol._terminal_record(initial, schedule), result.records[-1])
 
 
 @pytest.mark.parametrize("case", ["fig7_threshold", "norm-floor"])
