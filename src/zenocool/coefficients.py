@@ -89,25 +89,35 @@ def variant_of(params: PhysicalParams) -> str:
     return next(v for v, s in _SWITCHES.items() if s == on)
 
 
-def _values(params: PhysicalParams, n: np.ndarray) -> np.ndarray:
-    """c_n at every index of ``n`` for ``params`` as given (no switching)."""
+def _values(gm_tau, gf_tau, delta_tau, n: np.ndarray) -> np.ndarray:
+    """c_n at every index of ``n`` from g_m tau, g_f tau and delta tau as given.
+
+    The three products are scalars or arrays of ``n``'s shape, so one call
+    tabulates a variant or evaluates a batch of parameter draws. Nothing
+    is switched off here (see :func:`variant_params`).
+    """
     # x * x gives inf where Python's float x**2 raises OverflowError
-    gf2 = params.gf_tau * params.gf_tau
-    half_delta = 0.5 * params.delta_tau
-    out = np.ones(n.shape, dtype=complex)
-    pos = n > 0
-    bright = n[pos] * (params.gm_tau * params.gm_tau)
-    w2 = gf2 + bright
-    wt = np.sqrt(w2 + half_delta * half_delta)
-    bright /= w2  # bright-state weight n g_m^2 / W^2
-    re = np.cos(wt)
-    if half_delta:
-        # the phase exp(-i delta tau / 2) is one scalar: rotate in real arithmetic
-        im = (half_delta / wt) * np.sin(wt)
-        c, s = math.cos(half_delta), math.sin(half_delta)
-        re, im = c * re + s * im, c * im - s * re
-        out.imag[pos] = bright * im
-    out.real[pos] = gf2 / w2 + bright * re
+    gf2 = gf_tau * gf_tau
+    half_delta = 0.5 * delta_tau
+    # n = 0 with the driving off is a 0/0, set to 1 below; any other 0/0,
+    # inf/inf or cos(inf) is left for the caller to reject
+    with np.errstate(invalid="ignore"):
+        bright = n * (gm_tau * gm_tau)
+        w2 = gf2 + bright
+        wt = np.sqrt(w2 + half_delta * half_delta)
+        bright /= w2  # bright-state weight n g_m^2 / W^2
+        out = np.zeros(wt.shape, dtype=complex)
+        re = np.cos(wt)
+        if np.count_nonzero(half_delta):  # np.any costs ~4 us on a scalar
+            # rotate by the phase exp(-i delta tau / 2) in real arithmetic;
+            # (cos 0, sin 0) = (1, 0) leaves a resonant element's real part
+            # exact, and its imaginary part stays the +0 it has without one
+            im = (half_delta / wt) * np.sin(wt)
+            c, s = np.cos(half_delta), np.sin(half_delta)
+            re, im = c * re + s * im, c * im - s * re
+            out.imag = np.where(half_delta != 0.0, bright * im, 0.0)
+        out.real = gf2 / w2 + bright * re
+    out[n == 0.0] = 1.0
     return out
 
 
@@ -122,8 +132,8 @@ def coefficient(variant: str, params: PhysicalParams, n):
     idx = np.asarray(n, dtype=float)
     if not np.all(idx >= 0.0):
         raise ValueError("Fock index must be nonnegative")
-    with np.errstate(invalid="ignore"):  # 0/0, inf/inf, cos(inf): rejected below
-        out = _values(variant_params(variant, params), idx.reshape(-1)).reshape(idx.shape)
+    p = variant_params(variant, params)
+    out = _values(p.gm_tau, p.gf_tau, p.delta_tau, idx.reshape(-1)).reshape(idx.shape)
     if not np.isfinite(out).all():
         raise ValueError(f"coefficient of {variant!r} is not finite at "
                          f"g_m tau = {params.gm_tau!r}")

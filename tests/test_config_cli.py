@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zenocool.runner
+
 from zenocool import (CapacityError, ConfigError, PRESETS, PhysicalParams, build_table,
                       parse_config, parse_config_data)
 from zenocool.cli import main
@@ -353,6 +355,24 @@ def test_oracle_check_report(tmp_path):
     assert on_disk["seed"] == 3
 
 
+def test_a_nan_in_the_oracle_rows_fails_the_check(tmp_path, monkeypatch):
+    draws = zenocool.runner.compare_random_draws
+
+    def poisoned(n_draws, seed):
+        rows = draws(n_draws, seed)
+        rows[1]["abs_error"] = math.nan
+        rows[2]["unitarity_defect"] = math.nan
+        return rows
+    monkeypatch.setattr(zenocool.runner, "compare_random_draws", poisoned)
+    with pytest.raises(FloatingPointError):
+        run_oracle_check(tmp_path / "out", draws=20)
+    report = json.loads((tmp_path / "out" / "oracle_report.json").read_text())
+    assert math.isnan(report["max_abs_error"])
+    assert math.isnan(report["max_unitarity_defect"])
+    assert main(["--quiet", "oracle-check", "--out-dir", str(tmp_path / "o"),
+                 "--draws", "20"]) == 2
+
+
 def test_cli_run_and_exit_codes(tmp_path):
     config_path = write_config(tmp_path, SI_CONFIG)
     assert main(["--quiet", "run", "--config", str(config_path),
@@ -476,16 +496,27 @@ def test_package_exports_each_name_once_and_no_test_only_code():
     assert not hasattr(zenocool.PopulationDistribution, "renormalized")
 
 
-def test_import_leaves_scipy_out():
+def fresh_python(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports this tree."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, zenocool; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_import_leaves_scipy_out():
+    out = fresh_python("import sys, zenocool; print(sorted(m for m in sys.modules "
+                       "if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
+
+
+def test_cli_import_loads_no_third_party_module_but_numpy():
+    out = fresh_python(
+        "import sys; before = set(sys.modules); import zenocool.cli; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names)))")
+    assert out.strip() == "['numpy', 'zenocool']"
 
 
 @pytest.mark.parametrize("command, extra, config, named", [

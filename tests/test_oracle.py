@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import zenocool.oracle
 from zenocool import (
+    VARIANTS,
+    OracleNumericalError,
     PhysicalParams,
     PopulationDistribution,
     ProtocolSchedule,
@@ -23,6 +25,8 @@ from zenocool import (
     sample_trajectories,
     unitarity_defect,
 )
+from zenocool.cli import main
+from zenocool.coefficients import _values, variant_params
 from zenocool.oracle import TrajectoryBatch, _LevelTable
 
 
@@ -169,6 +173,85 @@ def test_compare_random_draws_tolerances():
     assert max(r["unitarity_defect"] for r in rows) < 1e-12
 
 
+def same_bits(a, b) -> bool:
+    """Equal as doubles, down to the sign of a zero."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(VARIANTS),
+       draws=st.lists(st.tuples(st.floats(1e-5, 1e-2), st.floats(1.0, 1000.0),
+                                st.floats(0.0, 100.0),
+                                st.one_of(st.just(0.0), st.floats(-50.0, 50.0)),
+                                st.integers(0, 300)),
+                      min_size=1, max_size=12))
+def test_batched_closed_form_is_the_scalar_one(variant, draws):
+    # one parameter set per element, and always a ground level among them
+    draws = [*draws, (*draws[0][:4], 0)]
+    params = [variant_params(variant, PhysicalParams(g_m=g, tau=t, g_f=g * f, delta_e=g * d))
+              for g, t, f, d, _ in draws]
+    n = np.array([d[4] for d in draws], dtype=float)
+    got = _values(np.array([p.gm_tau for p in params]), np.array([p.gf_tau for p in params]),
+                  np.array([p.delta_tau for p in params]), n)
+    expected = [coefficient(variant, p, int(k)) for p, k in zip(params, n)]
+    assert got.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_draws_match_the_one_block_path(seed):
+    for row in compare_random_draws(200, seed):
+        params = PhysicalParams(g_m=row["g_m"], tau=row["tau"], g_f=row["g_f"],
+                                delta_e=row["delta_e"])
+        n = row["n"]
+        closed = coefficient(row["variant"], params, n)
+        assert same_bits(row["closed_form"], [closed.real, closed.imag])
+        oracle_value = extract_vg_element(n, params)
+        assert same_bits(row["oracle"], [oracle_value.real, oracle_value.imag])
+        one_block = unitarity_defect(block_propagator(block_hamiltonian(n, params),
+                                                      params.tau))
+        assert abs(row["unitarity_defect"] - one_block) <= 1e-15
+
+
+def test_random_draws_keep_their_order():
+    # (variant, n, g_m, tau, g_f, delta_e) of seed 7's first rows, as drawn
+    # one parameter at a time in this order since the oracle check began
+    expected = [
+        ("driven-detuned", 11, 0.00017790613846114522, 898.2416629598797,
+         0.01379992458110904, -0.004888732770566094),
+        ("driven", 60, 0.0005586076652115126, 15.212651519918978,
+         0.04587444893981403, 0.0),
+        ("conventional-detuned", 68, 0.00039277049631522185, 473.25560331528357,
+         0.0, -0.007736305147618301),
+        ("conventional", 55, 3.2339937429435045e-05, 450.6255428238201, 0.0, 0.0),
+        ("driven-detuned", 140, 0.00010211664032423169, 557.9623785537475,
+         0.010165714438614058, 0.0029885651940950177),
+        ("driven", 125, 0.0009504303482968096, 223.15561125324297,
+         0.015227037914085143, 0.0),
+        ("conventional-detuned", 28, 0.00016791102337389616, 53.502587881769536,
+         0.0, -0.007796439956380765),
+        ("conventional", 103, 8.558783695033978e-05, 917.9960954609237, 0.0, 0.0),
+    ]
+    rows = compare_random_draws(8, seed=7)
+    assert [tuple(r[k] for k in ("variant", "n", "g_m", "tau", "g_f", "delta_e"))
+            for r in rows] == expected
+
+
+def test_a_failing_eigen_solve_names_its_block(monkeypatch, tmp_path):
+    target = next(r for r in compare_random_draws(20, seed=9)[5:] if r["n"] > 0)
+    coupling = target["g_m"] * math.sqrt(target["n"])
+    eigh = np.linalg.eigh
+
+    def failing(a):
+        if a.shape[-1] == 3 and np.any(a[..., 0, 1] == coupling):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+    monkeypatch.setattr(zenocool.oracle.np.linalg, "eigh", failing)
+    with pytest.raises(OracleNumericalError, match=f"block n={target['n']}:"):
+        compare_random_draws(20, seed=9)
+    assert main(["--quiet", "oracle-check", "--out-dir", str(tmp_path / "o"),
+                 "--draws", "20", "--seed", "9"]) == 2
+
+
 def test_trajectories_ground_state_all_survive():
     params = PhysicalParams(g_m=1e-4, tau=100.0, g_f=3e-3)
     d = PopulationDistribution.from_probabilities([1.0] + [0.0] * 5)
@@ -176,6 +259,23 @@ def test_trajectories_ground_state_all_survive():
     batch = sample_trajectories(d, schedule, n_trajectories=5000, seed=0)
     assert np.all(batch.survival_lengths == 20)
     np.testing.assert_array_equal(batch.estimates(), np.ones(21))
+
+
+def test_trajectory_lengths_are_counted_once(monkeypatch):
+    batch = TrajectoryBatch(seed=0, n_trajectories=4, n_steps=3,
+                            survival_lengths=np.array([0, 1, 3, 3]), stream_ids=(),
+                            exact_survival=np.ones(4))
+    calls = []
+    bincount = np.bincount
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bincount(*args, **kwargs)
+    monkeypatch.setattr(zenocool.oracle.np, "bincount", counted)
+    p = np.array([1.0, 0.75, 0.5, 0.5])
+    np.testing.assert_array_equal(batch.estimates(), p)
+    np.testing.assert_array_equal(batch.standard_errors(), np.sqrt(p * (1.0 - p) / 4))
+    assert len(calls) == 1
 
 
 def test_trajectories_reproducible_and_chunked(monkeypatch):
