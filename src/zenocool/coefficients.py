@@ -126,8 +126,9 @@ def coefficient(variant: str, params: PhysicalParams, n):
 
     A scalar n gives a complex number, an array of indices an array.
     Raises ``ValueError`` where a coefficient is not finite: an underflowing
-    (g_m tau)^2 with the driving off makes every n > 0 a 0/0, and an
-    infinite g_m tau an inf/inf.
+    (g_m tau)^2 with the driving off makes every n > 0 a 0/0, an infinite
+    g_m tau an inf/inf, and an overflowing (g_f tau)^2 an inf/inf too; the
+    message gives the three products of the switched params.
     """
     idx = np.asarray(n, dtype=float)
     if not np.all(idx >= 0.0):
@@ -136,7 +137,8 @@ def coefficient(variant: str, params: PhysicalParams, n):
     out = _values(p.gm_tau, p.gf_tau, p.delta_tau, idx.reshape(-1)).reshape(idx.shape)
     if not np.isfinite(out).all():
         raise ValueError(f"coefficient of {variant!r} is not finite at "
-                         f"g_m tau = {params.gm_tau!r}")
+                         f"g_m tau = {p.gm_tau!r}, g_f tau = {p.gf_tau!r}, "
+                         f"delta tau = {p.delta_tau!r}")
     return complex(out) if out.ndim == 0 else out
 
 

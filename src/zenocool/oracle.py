@@ -19,7 +19,8 @@ import numpy as np
 
 from .params import PhysicalParams
 from .fock import CapacityError, PopulationDistribution
-from .coefficients import _values, build_table, switches
+# build_table stays bound here, though unused: bench/ patches it by name
+from .coefficients import _values, build_table, switches  # noqa: F401
 from .protocol import ProtocolSchedule, run
 
 
@@ -244,12 +245,8 @@ def sample_trajectories(initial: PopulationDistribution,
         ) from exc
     realized = run(initial, schedule)
     n_steps = len(realized.records) - 1
-    runs = [(seg_id, k) for seg_id, k in enumerate(realized.steps_run) if k]
-    log_survival = {}
-    for seg_id, _ in runs:
-        seg = schedule.segments[seg_id]
-        log_survival[seg_id] = build_table(seg.variant, seg.params,
-                                           initial.n_max).log_survival
+    runs = [(realized.tables[seg_id].log_survival, k)
+            for seg_id, k in enumerate(realized.steps_run) if k]
 
     p = initial.probabilities()
     p = p / p.sum()
@@ -270,12 +267,12 @@ def sample_trajectories(initial: PopulationDistribution,
         chunk_lengths.fill(n_steps)
         live = None  # positions of the live trajectories; None while all live
         offset = 0
-        for seg_id, k in runs:
+        for log_survival, k in runs:
             n = levels.size
             if n == 0:
                 break
             # every index is in range; mode "raise" would copy through a temporary
-            ls = np.take(log_survival[seg_id], levels, out=log_s[:n], mode="clip")
+            ls = np.take(log_survival, levels, out=log_s[:n], mode="clip")
             log_u = rng.random(out=uniform[:n])
             np.negative(log_u, out=log_u)
             np.log1p(log_u, out=log_u)  # log U, U in (0, 1]

@@ -126,24 +126,20 @@ class RunResult:
     final: PopulationDistribution
     terminated_early: bool
     steps_run: tuple[int, ...]  # measurements each segment ran
+    # each segment's operator (:func:`_tables`); None where it has zero steps
+    tables: tuple[CoefficientTable | None, ...]
 
 
 @dataclass(frozen=True)
 class AsymptoticReport:
     """Infinite-measurement limit of a variant on an initial distribution.
 
-    The protected indices are generically non-integer, so two readings are
-    reported: ``survival_ideal``/``n_bar_ideal`` evaluate the limit formula
-    at the real indices with log-linearly interpolated populations, while
-    ``survival_strict``/``n_bar_strict`` count only integer levels whose
-    coefficient magnitude is 1 within 1e-12.
+    The protected indices are generically non-integer, so only integer
+    levels whose coefficient magnitude is 1 within 1e-12 are counted.
     """
 
-    survival_ideal: float
-    n_bar_ideal: float
     survival_strict: float
     n_bar_strict: float
-    contributions: tuple[tuple[float, float], ...]  # (real index, weight)
 
 
 def step(d: PopulationDistribution, table: CoefficientTable) -> PopulationDistribution:
@@ -306,20 +302,22 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
     rebuild it forces fails as the distribution's own check would.
 
     The records are gathered as rows and become one read-only array at
-    the end (:func:`_records`).
+    the end (:func:`_records`). Every segment's table is built before the
+    first step (:func:`_tables`) and returned in ``tables``, so a segment
+    whose table cannot be built raises even if the run would stop first.
     """
+    tables = _tables(schedule, initial.n_max)
     lw = initial.log_weights.copy()
     view = _AmplitudeView(lw.size)
     n_bar, ground, survival, thermal, norm_log = view.observe(lw, initial.norm_log)
     rows = [(0, n_bar, ground, survival, thermal, 0)]
     steps_run = [0] * len(schedule.segments)
     terminated = False
-    for seg_id, seg in enumerate(schedule.segments):
+    for seg_id, (seg, table) in enumerate(zip(schedule.segments, tables)):
         if terminated:
             break
-        if seg.steps == 0:
+        if table is None:
             continue
-        table = build_table(seg.variant, seg.params, initial.n_max)
         log_survival, magnitude = table.log_survival, table.magnitude
         first = len(rows)
         for _ in range(seg.steps):
@@ -334,7 +332,18 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
                 break
         steps_run[seg_id] = len(rows) - first
     return RunResult(_records(rows, schedule), PopulationDistribution(lw, norm_log=norm_log),
-                     terminated, tuple(steps_run))
+                     terminated, tuple(steps_run), tables)
+
+
+def _tables(schedule: ProtocolSchedule, n_max: int) -> tuple[CoefficientTable | None, ...]:
+    """The coefficient table of each segment up to ``n_max``, None for one of
+    zero steps; segments of the same variant and params share one table."""
+    built = {}
+    for s in schedule.segments:
+        if s.steps and (s.variant, s.params) not in built:
+            built[s.variant, s.params] = build_table(s.variant, s.params, n_max)
+    return tuple(built[s.variant, s.params] if s.steps else None
+                 for s in schedule.segments)
 
 
 def _records(rows, schedule: ProtocolSchedule) -> np.recarray:
@@ -367,9 +376,10 @@ def _terminal_record(initial: PopulationDistribution, schedule: ProtocolSchedule
         return run(initial, schedule).records[-1]
     lw = initial.log_weights.copy()
     last = 0
-    for seg_id, seg in enumerate(schedule.segments):
-        if seg.steps:
-            lw += seg.steps * build_table(seg.variant, seg.params, initial.n_max).log_survival
+    for seg_id, (seg, table) in enumerate(zip(schedule.segments,
+                                              _tables(schedule, initial.n_max))):
+        if table is not None:
+            lw += seg.steps * table.log_survival
             last = seg_id
     steps = schedule.total_steps
     n_bar, ground, survival, thermal, norm_log = _AmplitudeView(lw.size).observe(
@@ -377,19 +387,6 @@ def _terminal_record(initial: PopulationDistribution, schedule: ProtocolSchedule
     if norm_log < DEFAULT_NORM_LOG_FLOOR + 1.0:
         return run(initial, schedule).records[-1]
     return _records([(steps, n_bar, ground, survival, thermal, last)], schedule)[0]
-
-
-def _interpolate_log_weight(log_p: np.ndarray, index: float) -> float:
-    """Log-linear interpolation of a log-probability array at a real index."""
-    lo = int(math.floor(index))
-    hi = min(lo + 1, log_p.size - 1)
-    frac = index - lo
-    a, b = log_p[lo], log_p[hi]
-    if frac == 0.0 or lo == hi:
-        return float(a)
-    if not (np.isfinite(a) and np.isfinite(b)):
-        return -math.inf
-    return float((1.0 - frac) * a + frac * b)
 
 
 def asymptotic_limit(initial: PopulationDistribution, variant: str,
@@ -406,29 +403,16 @@ def asymptotic_limit(initial: PopulationDistribution, variant: str,
     p0 = float(np.exp(log_p[0]))
     report = cooling_free_report(variant, params, initial.n_max)
 
-    contributions = []
-    ideal_mass, ideal_moment = p0, 0.0
     strict_mass, strict_moment = p0, 0.0
     counted = {0}
     for entry in report.entries:
-        if entry.index <= 0.0:
-            continue
-        w = math.exp(_interpolate_log_weight(log_p, entry.index))
-        contributions.append((entry.index, w))
-        ideal_mass += w
-        ideal_moment += entry.index * w
         if entry.coef_magnitude >= 1.0 - 1e-12 and entry.nearest not in counted:
             counted.add(entry.nearest)
             w_int = float(np.exp(log_p[entry.nearest]))
             strict_mass += w_int
             strict_moment += entry.nearest * w_int
-    return AsymptoticReport(
-        survival_ideal=ideal_mass,
-        n_bar_ideal=ideal_moment / ideal_mass,
-        survival_strict=strict_mass,
-        n_bar_strict=strict_moment / strict_mass,
-        contributions=tuple(contributions),
-    )
+    return AsymptoticReport(survival_strict=strict_mass,
+                            n_bar_strict=strict_moment / strict_mass)
 
 
 def initial_state(thermal: ThermalSpec, schedule: ProtocolSchedule, *,

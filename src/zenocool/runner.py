@@ -11,7 +11,7 @@ import csv
 import json
 import time
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import repeat, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -120,19 +120,23 @@ def _artifacts(out_dir, config: ExperimentConfig, command: str):
     outputs["manifest"] = str(path)
 
 
-def _write_tables(config: ExperimentConfig, schedule: ProtocolSchedule, out_dir: Path,
-                  default_n_max: int | None, outputs: dict[str, str]):
+def _write_tables(config: ExperimentConfig, schedule: ProtocolSchedule, tables,
+                  out_dir: Path, default_n_max: int | None, outputs: dict[str, str]):
     """One table per variant, at the params of the variant's first segment
-    (the config's own params for a variant outside the schedule)."""
-    params = {}
-    for s in schedule.segments:
-        params.setdefault(s.variant, s.params)
+    (the config's own params for a variant outside the schedule). That
+    segment's table in the run's ``tables`` is written where it has the
+    export's n_max; any other table is built here."""
+    first = {}
+    for s, table in zip_longest(schedule.segments, tables):
+        first.setdefault(s.variant, (s.params, table))
     n_max = config.outputs.n_max if config.outputs.n_max is not None else default_n_max
     if n_max is None:
         raise ConfigError("coefficient export needs outputs.n_max when there "
                           "is no thermal state to size the truncation")
-    for variant in config.outputs.variants or tuple(params):
-        table = build_table(variant, params.get(variant, config.params), n_max)
+    for variant in config.outputs.variants or tuple(first):
+        params, table = first.get(variant, (config.params, None))
+        if table is None or table.n_max != n_max:
+            table = build_table(variant, params, n_max)
         name = f"coefficients_{variant}.csv"
         write_coefficients_csv(out_dir / name, table, config.outputs.powers)
         outputs[name] = str(out_dir / name)
@@ -158,12 +162,13 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict[str, str]:
             # Observation-only: one zero-step segment of the base model.
             schedule = ProtocolSchedule((Segment(variant_of(config.params),
                                                  config.params, 0),))
-        n_max = None
+        n_max, tables = None, ()
         if has_thermal:
             thermal = config.thermal_spec()
             initial = initial_state(thermal, schedule, hard_cap=config.hard_cap)
             n_max = initial.n_max
             result = run(initial, schedule)
+            tables = result.tables
             if config.outputs.run_csv:
                 path = out_dir / "run.csv"
                 write_run_csv(path, result)
@@ -186,7 +191,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict[str, str]:
                 "terminated_early": result.terminated_early,
             })
         if config.outputs.coefficients_csv:
-            _write_tables(config, schedule, out_dir, n_max, outputs)
+            _write_tables(config, schedule, tables, out_dir, n_max, outputs)
             if config.outputs.n_max is not None:
                 resolved["table_n_max"] = config.outputs.n_max
     return outputs

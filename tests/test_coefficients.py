@@ -324,3 +324,12 @@ def test_non_finite_coupling_is_a_value_error(params):
                  lambda: build_table(variant, params, 3)):
         with pytest.raises(ValueError, match="finite"):
             call()
+
+
+def test_non_finite_coefficient_names_the_product_that_overflowed():
+    # g_m tau = 0.7 is harmless; (g_f tau)^2 = (7e202)^2 overflows
+    params = PhysicalParams(g_m=1e-3, tau=700.0, g_f=1e200)
+    with pytest.raises(ValueError, match="not finite") as info:
+        coefficient("driven", params, 3)
+    assert "g_f tau = 7e+202" in str(info.value)
+    assert "delta tau = 0.0" in str(info.value)
