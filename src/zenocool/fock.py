@@ -6,12 +6,12 @@ hundred these factors underflow linear floats, while their logarithms stay
 comfortably finite. The log of the total unnormalized mass doubles as the
 cumulative survival probability of the measurement record.
 
-The log-weights are the state of record. ``protocol.run`` also keeps an
-amplitude view exp((log_weights - max) / 2) of them, rebuilt from them
-with one ``exp`` at the start and whenever its mass falls below a fixed
-floor, and reads its per-step observables from that view. Every sum of
-exponentials in the package skips terms more than ``LOG_TINY`` (708
-e-folds) below its largest term: they cannot move a double-precision sum.
+The log-weights are the state of record. ``protocol.run`` reads its
+per-step observables from an amplitude view u = exp((log_weights - max) / 2)
+of them and its multiple sqrt(n) u, rebuilt from them only at the start and
+when its mass falls below a fixed floor. Every sum of exponentials in the
+package skips terms more than ``LOG_TINY`` (708 e-folds) below its largest
+term: they cannot move a double-precision sum.
 """
 
 from __future__ import annotations

@@ -14,15 +14,16 @@ lw_0 + sum_i k_i log_survival_i, observed once.
 
 The log-weights lw are the state of record, updated exactly as the
 one-step reference :func:`step` updates them. The observables come from
-an amplitude view of the same state, u_n = exp((lw_n - top) / 2), which
-each measurement multiplies by |c_n|; mass, n_bar and ground fidelity are
-then sums of products of u, with no ``exp`` per step. The view is built
-from lw with one ``exp`` at the start of a run, and rebuilt whenever its
-mass u.u falls below ``_MIN_VIEW_MASS``, so it stays exact over any dynamic
-range. It is not rebuilt at a segment switch: lw carries more rounding
-than u (each step rounds a log-weight of tens of e-folds), and a rebuild
-would hand it to the records: at the switch of ``fig7`` it moved the
-final n_bar by 7e-15 relative, against 8e-16 without.
+an amplitude view of the same state, u_n = exp((lw_n - top) / 2) and
+v_n = sqrt(n) u_n, which each measurement multiplies by |c_n|: the mass
+u.u, n_bar = v.v / u.u and the ground fidelity u_0^2 / u.u take no ``exp``
+and write no product array per step. The view is built from lw with one
+``exp`` at the start of a run, and rebuilt whenever its mass falls below
+``_MIN_VIEW_MASS``, so it stays exact over any dynamic range. It is not
+rebuilt at a segment switch: lw carries more rounding than u (each step
+rounds a log-weight of tens of e-folds), and a rebuild would hand it to
+the records: at the switch of ``fig7`` it moved the final n_bar by 7e-15
+relative, against 8e-16 without.
 
 The thermal fidelity's reference is the untruncated thermal state
 rho^(2n) / Z, rho^2 = n_bar / (1 + n_bar), Z = 1 + n_bar, so it depends on
@@ -173,19 +174,6 @@ def effective_temperature(n_bar: float, omega_m: float) -> float:
     return HBAR * omega_m / (KB * math.log1p(1.0 / n_bar))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b, in pieces of at most ``_DOT_CHUNK`` elements.
-
-    OpenBLAS spreads a ddot of more than 10,000 elements over its thread
-    pool; on a 2-core machine that doubled the CPU time and made a run at
-    n_max 23,189 slower than one thread does.
-    """
-    if a.size <= _DOT_CHUNK:
-        return float(a.dot(b))
-    return float(sum(a[i:i + _DOT_CHUNK].dot(b[i:i + _DOT_CHUNK])
-                     for i in range(0, a.size, _DOT_CHUNK)))
-
-
 class _AmplitudeView:
     """u_n = exp((lw_n - top) / 2): square roots of the weights, scaled by the largest.
 
@@ -196,18 +184,28 @@ class _AmplitudeView:
     shrinks and the mass stays above ``_MIN_VIEW_MASS`` until then, so
     their share stays below exp(2 LOG_TINY) / _MIN_VIEW_MASS.
 
-    u is the head of a zero-padded grid of ``_BLOCK`` columns, level
-    n = _BLOCK a + b at row a, column b, so that the thermal-fidelity
-    overlap sum_a rho^(_BLOCK a) sum_b u_n rho^b is one matrix-vector
-    product and two short ``exp`` calls instead of one ``exp`` per level.
+    u and v = sqrt(n) u are the two rows of one buffer, zero past the
+    last level. Each sum adds its dots over ``_DOT_CHUNK``-level
+    chunks left to right, the whole chunks of both rows in one batched
+    ``matmul`` and the rest (unpadded: ddot orders a short tail otherwise)
+    in one dot per row, so the mass is bitwise one ddot per chunk. OpenBLAS
+    threads a longer ddot, which on 2 cores slowed a run at n_max 23,189.
+
+    u is the head of a grid of ``_BLOCK`` columns, level n = _BLOCK a + b
+    at row a, column b, so that the thermal-fidelity overlap
+    sum_a rho^(_BLOCK a) sum_b u_n rho^b is one matrix-vector product and
+    two short ``exp`` calls instead of one ``exp`` per level.
     """
 
     def __init__(self, size: int):
         rows = -(-size // _BLOCK)
-        self.grid = np.zeros((rows, _BLOCK))
-        self.u = self.grid.reshape(-1)[:size]
-        self.levels = np.arange(size, dtype=float)
-        self.t = np.empty(size)
+        self.uv = np.zeros((2, rows * _BLOCK))
+        self.grid = self.uv[0].reshape(rows, _BLOCK)
+        self.u, self.v = self.uv[:, :size]
+        whole = size - size % _DOT_CHUNK if size > _DOT_CHUNK else 0
+        self.chunks = (self.uv[:, :whole].reshape(2, -1, 1, _DOT_CHUNK),
+                       self.uv[:, :whole].reshape(2, -1, _DOT_CHUNK, 1))
+        self.rest = tuple(self.uv[:, whole:size])
         self.top = 0.0
         # n = _BLOCK a + b: exponents b along a row and _BLOCK a down the rows
         self.col = np.arange(_BLOCK, dtype=float)
@@ -222,16 +220,22 @@ class _AmplitudeView:
             raise ValueError("log_weights must be finite or -inf")
         if top == -math.inf:
             raise ValueError("distribution has no surviving population")
-        x = np.subtract(lw, top, out=self.t)
+        x = np.subtract(lw, top, out=self.v)
         x *= 0.5
         self.u.fill(0.0)
         np.exp(x, out=self.u, where=x > LOG_TINY)
+        np.multiply(np.sqrt(np.arange(self.v.size)), self.u, out=self.v)
         self.top = top
 
     def _mass_and_moment(self) -> tuple[float, float]:
-        """u.u and u.(n u)."""
-        u = self.u
-        return _dot(u, u), _dot(np.multiply(self.levels, u, out=self.t), u)
+        """u.u and v.v, each summed over its chunks left to right."""
+        mass = moment = 0.0
+        if self.chunks[0].size:
+            for m, n in zip(*np.matmul(*self.chunks).reshape(2, -1).tolist()):
+                mass += m
+                moment += n
+        u, v = self.rest
+        return mass + float(u.dot(u)), moment + float(v.dot(v))
 
     def _overlap(self, log_rho: float) -> float:
         """sum_n u_n rho^n, dropping each factor rho^b, rho^(_BLOCK a) under exp(LOG_TINY)."""
@@ -293,13 +297,10 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
 
     The log-weights are the state of record: each measurement adds the
     segment's log survival to them in place, exactly as :func:`step`
-    does, and the final state wraps them. The records come from an
-    amplitude view of the same state, which each measurement multiplies
-    by the segment's |c_n|; it is built from the log-weights at the start
-    and rebuilt whenever its mass falls below ``_MIN_VIEW_MASS``, so it
-    stays exact whatever the dynamic range of the state (module
-    docstring). A NaN weight propagates into the view's mass, and the
-    rebuild it forces fails as the distribution's own check would.
+    does, and the final state wraps them. The records come from the
+    amplitude view of the module docstring. A NaN weight propagates into
+    the view's mass, and the rebuild it forces fails as the
+    distribution's own check would.
 
     The records are gathered as rows and become one read-only array at
     the end (:func:`_records`). Every segment's table is built before the
@@ -323,6 +324,7 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
         for _ in range(seg.steps):
             lw += log_survival
             view.u *= magnitude
+            view.v *= magnitude
             n_bar, ground, survival, thermal, norm_log = view.observe(lw)
             rows.append((len(rows), n_bar, ground, survival, thermal, seg_id))
             if norm_log < DEFAULT_NORM_LOG_FLOOR:

@@ -1,0 +1,26 @@
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "alternate_runs.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("alternate_runs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_tree_against_itself(capsys):
+    tool = _load_tool()
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--cases", "fig3a", "--repeats", "3"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[:2] == ["case", "n_max"]
+    case, n_max, *_, ratio = row.split()
+    assert (case, n_max) == ("fig3a", "24") and float(ratio) > 0.0
+    (result,) = tool.alternate(src, src, ["fig3a"], 3)
+    assert len(result["old"]) == len(result["new"]) == 3
+    assert not [m for m in sys.modules if m.startswith(("zenocool_old", "zenocool_new"))]

@@ -437,7 +437,7 @@ def _long_double_records(initial, schedule):
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                     reason="long double is no wider than double here")
-@pytest.mark.parametrize("name", ["fig4", "fig7"])
+@pytest.mark.parametrize("name", ["fig4", "fig7", "fig6"])  # fig6: three chunks
 def test_run_matches_long_double_evolution(name):
     schedule, initial = _preset_start(name)
     assert all(seg.until_n_bar is None for seg in schedule.segments)
@@ -450,6 +450,49 @@ def test_run_matches_long_double_evolution(name):
     assert float(abs(got[0, 2] - want[0, 2])) <= 5e-15
     got[0, 2] = want[0, 2] = 1.0
     assert float((np.abs(got - want) / np.abs(want)).max()) <= 5e-15
+
+
+@pytest.mark.parametrize("size", [1, 24, 8192, 8193, 23190, 57345, 65536])
+def test_amplitude_view_sums(size, monkeypatch):
+    # The mass is bitwise the left-to-right sum of the 8,192-level chunk
+    # dots that a ddot per chunk gives, whatever the number of chunks
+    # (1 to 8 here), and the moment v.v is sum_n n u_n^2 to 1e-15.
+    chunk = protocol._DOT_CHUNK
+    handed = []  # the length of every dot that matmul hands to BLAS
+    real = np.matmul
+
+    def matmul(a, b, *args, **kwargs):
+        handed.append(a.shape[-1])
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(protocol.np, "matmul", matmul)
+    rng = np.random.default_rng(size)
+    lw = rng.uniform(-2.0, 0.0, size)  # chunks of comparable mass
+    lw[rng.random(size) < 0.1] = -math.inf
+    view = protocol._AmplitudeView(size)
+    view.refresh(lw)
+    assert not view.uv[:, size:].any()
+    levels = np.arange(size, dtype=np.longdouble)
+    subnormal = 0
+    for _ in range(3):
+        magnitude = rng.uniform(0.5, 1.0, size)
+        magnitude[rng.random(size) < 0.1] = 0.0
+        magnitude[rng.random(size) < 0.1] = 1e-310
+        view.u *= magnitude
+        view.v *= magnitude
+        u = view.u
+        subnormal += int(np.count_nonzero((u > 0.0) & (u < np.finfo(float).tiny)))
+        want_mass = 0.0
+        for i in range(0, size, chunk):
+            want_mass += float(u[i:i + chunk].dot(u[i:i + chunk]))
+        want_moment = float((levels * u.astype(np.longdouble) ** 2).sum())
+        mass, moment = view._mass_and_moment()
+        assert mass == want_mass
+        assert abs(moment - want_moment) <= 1e-15 * want_moment
+        assert not view.uv[:, size:].any()
+    assert size < 24 or subnormal and not view.u.all()
+    assert all(n <= chunk for n in handed) and all(r.size <= chunk for r in view.rest)
+    assert bool(handed) == (size > chunk)
 
 
 HOT = ThermalSpec(temperature=100.0, omega_m=OMEGA)

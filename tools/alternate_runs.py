@@ -1,0 +1,127 @@
+"""Time ``run`` of two source trees in one process, alternating between them.
+
+    python tools/alternate_runs.py OLD_SRC NEW_SRC [--cases fig4,fig6] [--repeats 21]
+
+OLD_SRC and NEW_SRC are directories holding a ``zenocool`` package (the
+``src`` of two checkouts). Each package is copied to a temporary directory
+as ``zenocool_old`` and ``zenocool_new``; the package imports itself only
+relatively, so both load side by side. Each case parses the same config
+on both sides and builds its schedule and thermal start there. After one
+untimed run per side, every repeat times one ``run`` per side, the old
+side first on even repeats and the new side first on odd ones, so that a
+drift in machine speed falls on both sides alike. The table gives each
+side's median and quartiles in ms and the ratio of the medians, new over
+old.
+
+Run as a script, it pins the BLAS and OpenMP pools to one thread before
+numpy loads, as ``bench/run.py`` does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import math
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+_G_M = 2.0 * math.pi * 1.0e6
+_OMEGA_M = 1.56e10
+
+CASES = {
+    "fig3a": {"preset": "fig3a"},
+    "fig4": {"preset": "fig4"},
+    "fig7": {"preset": "fig7"},
+    "fig6": {"preset": "fig6"},
+    # a driven 300-measurement run at 100 K, shaped like a hot-100k run
+    "hot-100k": {"omega_m_rad_s": _OMEGA_M, "g_m": _G_M, "g_f": 45.0 * _G_M,
+                 "delta_e": 0.0, "tau": 220.0 / _OMEGA_M, "T_kelvin": 100.0,
+                 "segments": [{"variant": "driven", "steps": 300}], "seed": 1},
+}
+SIDES = ("old", "new")
+
+
+def _load(src: Path, side: str, tmp: Path):
+    name = f"zenocool_{side}"
+    shutil.copytree(src / "zenocool", tmp / name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
+
+
+def _start(package, config: dict):
+    config = package.parse_config_data(config)
+    schedule = config.schedule()
+    return schedule, package.initial_state(config.thermal_spec(), schedule,
+                                           hard_cap=config.hard_cap)
+
+
+def alternate(old_src, new_src, cases, repeats: int) -> list[dict]:
+    """Each case's n_max and its ``run`` times in seconds per side."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        try:
+            packages = [_load(Path(src), side, Path(tmp))
+                        for src, side in zip((old_src, new_src), SIDES)]
+            results = []
+            for case in cases:
+                starts = [_start(p, CASES[case]) for p in packages]
+                n_max = {initial.n_max for _, initial in starts}
+                if len(n_max) != 1:
+                    raise SystemExit(f"{case}: the two sides start at n_max {sorted(n_max)}")
+                times = ([], [])
+                for p, (schedule, initial) in zip(packages, starts):
+                    p.run(initial, schedule)
+                for k in range(repeats):
+                    for i in (0, 1) if k % 2 == 0 else (1, 0):
+                        (schedule, initial), run = starts[i], packages[i].run
+                        t0 = time.perf_counter()
+                        run(initial, schedule)
+                        times[i].append(time.perf_counter() - t0)
+                results.append({"case": case, "n_max": n_max.pop(),
+                                "old": times[0], "new": times[1]})
+            return results
+        finally:
+            sys.path.remove(tmp)
+            for side in SIDES:
+                for name in [m for m in sys.modules if m.split(".")[0] == f"zenocool_{side}"]:
+                    del sys.modules[name]
+
+
+def _summary(times: list[float]) -> str:
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return f"{median * 1e3:8.3f} [{q1 * 1e3:.3f}, {q3 * 1e3:.3f}]"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", help="directory holding the old zenocool package")
+    parser.add_argument("new_src", help="directory holding the new zenocool package")
+    parser.add_argument("--cases", default=",".join(CASES),
+                        help=f"comma-separated subset of {', '.join(CASES)}")
+    parser.add_argument("--repeats", type=int, default=21)
+    args = parser.parse_args(argv)
+    cases = args.cases.split(",")
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        parser.error(f"unknown cases {unknown}; expected some of {list(CASES)}")
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2")
+    print(f"{'case':10} {'n_max':>6}  {'old ms: median [q1, q3]':>30}  "
+          f"{'new ms: median [q1, q3]':>30}  new/old")
+    for r in alternate(args.old_src, args.new_src, cases, args.repeats):
+        ratio = statistics.median(r["new"]) / statistics.median(r["old"])
+        print(f"{r['case']:10} {r['n_max']:6d}  {_summary(r['old']):>30}  "
+              f"{_summary(r['new']):>30}  {ratio:7.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    # numpy loads with the packages, after this
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    sys.exit(main())
