@@ -165,10 +165,13 @@ class _LevelTable:
     ``Generator.random(size)`` map to the levels that
     ``Generator.choice(p.size, size, p=p)`` draws from the same stream, bit
     for bit. The guide table (Chen's method) splits [0, 1) into ``m``
-    buckets; a u in [j/m, (j+1)/m) has its level in [guide[j], guide[j+1]],
-    so one comparison resolves a bucket that spans at most one level and
-    only the other draws are binary-searched. The checks on ``p`` are
-    choice's.
+    buckets, the smallest power of two at or above the requested count;
+    a u in [j/m, (j+1)/m) has its level in [guide[j], guide[j+1]], so one
+    comparison resolves a bucket that spans at most one level and only the
+    other draws are binary-searched. With m a power of two, u * m and
+    every edge j/m are exact, so the bucket is floor(u * m) for every
+    double u. The table keeps its own scratch arrays, sized on first use.
+    The checks on ``p`` are choice's.
     """
 
     def __init__(self, p: np.ndarray, m: int):
@@ -182,23 +185,25 @@ class _LevelTable:
             raise ValueError(f"level probabilities sum to {total!r}, not 1")
         self.cdf = p.cumsum()
         self.cdf /= self.cdf[-1]
-        self.m = m
-        edges = np.arange(m + 1) / m
-        guide = self.cdf.searchsorted(edges, side="right")
-        self.lower_edge = edges[:-1]
+        self.m = 1 << (m - 1).bit_length()
+        guide = self.cdf.searchsorted(np.arange(self.m + 1) / self.m, side="right")
         self.first = guide[:-1]
         self.wide = np.diff(guide) > 1
+        self._scratch = (np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=bool))
 
     def levels(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the level of each uniform in ``u`` (values in [0, 1)) to ``out``."""
-        # u * m rounds below m for every double u < 1, but it can round up
-        # to j for a u just below the edge j/m: such a u moves down a bucket
-        bucket = np.multiply(u, self.m).astype(np.intp)
-        bucket -= u < self.lower_edge[bucket]
+        if self._scratch[0].size < u.size:
+            self._scratch = (np.empty(u.size), np.empty(u.size, dtype=np.intp),
+                             np.empty(u.size, dtype=bool))
+        x, bucket, flag = (a[:u.size] for a in self._scratch)
+        np.multiply(u, self.m, out=x)
+        np.copyto(bucket, x, casting="unsafe")
         # every index is in range; mode "raise" would copy through a temporary
         np.take(self.first, bucket, out=out, mode="clip")
-        out += self.cdf[out] <= u
-        rest = np.flatnonzero(self.wide[bucket])
+        np.take(self.cdf, out, out=x, mode="clip")
+        out += np.less_equal(x, u, out=flag)
+        rest = np.flatnonzero(np.take(self.wide, bucket, out=flag, mode="clip"))
         out[rest] = self.cdf.searchsorted(u[rest], side="right")
         return out
 
@@ -219,10 +224,16 @@ def sample_trajectories(initial: PopulationDistribution,
     Chunks of ``_CHUNK_SIZE`` use independent spawned RNG streams, so
     results are reproducible from one seed and chunks could run in parallel.
 
-    Each chunk reads its levels through ``_LevelTable``, with min(levels,
-    n_trajectories) buckets, from one uniform per trajectory, so they and
-    every later draw are those of ``Generator.choice(p.size, size, p=p)`` on
-    the same stream.
+    Each chunk reads its levels through ``_LevelTable``, with the smallest
+    power of two at or above min(levels, n_trajectories) buckets, from one
+    uniform per trajectory, so they and every later draw are those of
+    ``Generator.choice(p.size, size, p=p)`` on the same stream.
+
+    Each segment writes the lengths of all its live trajectories in one
+    pass: offset + min(floor(log U / log s_n), k), densely while every
+    trajectory lives and by one scatter after that. A survivor reads
+    offset + k, which the next segment overwrites; only before a next
+    segment are the survivors picked out.
 
     The schedule is realized once with the deterministic engine, so
     conditional switches count; trajectories then follow the realized
@@ -264,7 +275,8 @@ def sample_trajectories(initial: PopulationDistribution,
         rng = np.random.default_rng(child)
         levels = table.levels(rng.random(out=uniform[:size]), chunk_levels[:size])
         chunk_lengths = lengths[start:start + size]
-        chunk_lengths.fill(n_steps)
+        if not runs:
+            chunk_lengths.fill(n_steps)
         live = None  # positions of the live trajectories; None while all live
         offset = 0
         for log_survival, k in runs:
@@ -281,14 +293,18 @@ def sample_trajectories(initial: PopulationDistribution,
             with np.errstate(over="ignore"):
                 np.divide(log_u, ls, out=sv, where=ls < 0.0)
             np.floor(sv, out=sv)
-            dies = sv < k
-            died = np.flatnonzero(dies)
-            chunk_lengths[died if live is None else live[died]] = (
-                offset + sv[died].astype(np.int64))
-            kept = np.flatnonzero(~dies)
-            live = kept if live is None else live[kept]
-            levels = levels[kept]
+            np.minimum(sv, k, out=sv)
+            sv += offset
+            # a survivor reads offset + k until a later segment overwrites it
+            if live is None:
+                np.copyto(chunk_lengths, sv, casting="unsafe")
+            else:
+                chunk_lengths[live] = sv
             offset += k
+            if offset < n_steps:  # another segment follows
+                kept = np.flatnonzero(sv == offset)
+                live = kept if live is None else live[kept]
+                levels = levels[kept]
         start += size
     stream_ids = tuple(str(c.spawn_key) for c in children)
     return TrajectoryBatch(seed, n_trajectories, n_steps, lengths, stream_ids,

@@ -24,3 +24,14 @@ def test_a_tree_against_itself(capsys):
     (result,) = tool.alternate(src, src, ["fig3a"], 3)
     assert len(result["old"]) == len(result["new"]) == 3
     assert not [m for m in sys.modules if m.startswith(("zenocool_old", "zenocool_new"))]
+
+
+def test_a_trajectory_case_against_itself(monkeypatch, capsys):
+    tool = _load_tool()
+    assert {tool.CASES[c]["trajectories"] for c in ("traj-fig4", "traj-fig7")} == {250_000}
+    monkeypatch.setitem(tool.CASES, "traj-fig3a", {"preset": "fig3a", "trajectories": 2_000})
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--cases", "traj-fig3a", "--repeats", "3"]) == 0
+    case, n_max, *_, ratio = capsys.readouterr().out.splitlines()[1].split()
+    assert (case, n_max) == ("traj-fig3a", "24") and float(ratio) > 0.0
+    assert tool.CASES["traj-fig3a"] == {"preset": "fig3a", "trajectories": 2_000}

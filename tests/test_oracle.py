@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import zenocool.oracle
 from zenocool import (
@@ -401,14 +401,18 @@ def _preset_case(name):
     return initial_state(config.thermal_spec(), schedule, hard_cap=config.hard_cap), schedule
 
 
+# g_m = g_f = 1 and g_m tau = pi / sqrt(2): driven, level 1 has s = 0, levels 0 and 7 s = 1
+CERTAIN_AND_IMPOSSIBLE = PhysicalParams(g_m=1.0, tau=math.pi / math.sqrt(2.0), g_f=1.0)
+CONVENTIONAL_TENTH_PI = PhysicalParams(g_m=math.pi / 10.0, tau=1.0)
+
+
 def _certain_and_impossible_case():
-    # g_m = g_f = 1 and g_m tau = pi / sqrt(2): level 1 has s = 0, levels 0 and 7 s = 1
-    params = PhysicalParams(g_m=1.0, tau=math.pi / math.sqrt(2.0), g_f=1.0)
+    params = CERTAIN_AND_IMPOSSIBLE
     log_s = build_table("driven", params, 12).log_survival
     assert log_s[1] == -np.inf and log_s[0] == 0.0 and log_s[7] == 0.0
     schedule = ProtocolSchedule((
         Segment("driven", params, 4),
-        Segment("conventional", PhysicalParams(g_m=math.pi / 10.0, tau=1.0), 5),
+        Segment("conventional", CONVENTIONAL_TENTH_PI, 5),
         Segment("driven", params, 3),
     ))
     return PopulationDistribution.from_probabilities(np.full(13, 1.0 / 13.0)), schedule
@@ -452,6 +456,43 @@ def test_sampler_leaves_a_chunk_once_every_trajectory_died():
     want = reference_sample_trajectories(initial, schedule, n_trajectories=3_000, seed=17)
     assert not got.survival_lengths.any()
     np.testing.assert_array_equal(got.survival_lengths, want.survival_lengths)
+
+
+SEGMENT_PARAMS = st.one_of(
+    st.sampled_from([CERTAIN_AND_IMPOSSIBLE, CONVENTIONAL_TENTH_PI]),
+    st.builds(lambda g, t, f, d: PhysicalParams(g_m=g, tau=t, g_f=g * f, delta_e=g * d),
+              st.floats(0.05, 1.5), st.floats(0.5, 5.0), st.floats(0.0, 3.0),
+              st.floats(-3.0, 3.0)),
+)
+SEGMENTS = st.builds(Segment, st.sampled_from(VARIANTS), SEGMENT_PARAMS,
+                     st.one_of(st.just(0), st.integers(1, 40)),
+                     st.one_of(st.none(), st.floats(0.05, 20.0)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ground=st.sampled_from([1e-6, 0.01, 1.0]),
+       weights=st.lists(st.sampled_from([0.0, 1e-6, 0.01, 0.3, 1.0]), max_size=39),
+       segments=st.lists(SEGMENTS, min_size=1, max_size=4),
+       n_trajectories=st.integers(1, 4 * 1024 + 100), seed=st.integers(0, 2**32))
+# every trajectory but a rare ground one dies on its first measurement, so
+# the chunks leave the loop before the last segment
+@example(ground=1e-6, weights=[1.0],
+         segments=[Segment("driven", CERTAIN_AND_IMPOSSIBLE, 4),
+                   Segment("conventional", CONVENTIONAL_TENTH_PI, 0),
+                   Segment("driven", CERTAIN_AND_IMPOSSIBLE, 3, until_n_bar=0.5)],
+         n_trajectories=1025, seed=3)
+def test_dense_lengths_match_the_choice_sampler(ground, weights, segments, n_trajectories,
+                                                seed):
+    initial = PopulationDistribution.from_probabilities(_normalized([ground, *weights]))
+    schedule = ProtocolSchedule(tuple(segments))
+    # a chunk of 1,024 dies out on a schedule where a chunk of 65,536 would not
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zenocool.oracle, "_CHUNK_SIZE", 1024)
+        got = sample_trajectories(initial, schedule, n_trajectories=n_trajectories, seed=seed)
+        want = reference_sample_trajectories(initial, schedule,
+                                             n_trajectories=n_trajectories, seed=seed)
+    np.testing.assert_array_equal(got.survival_lengths, want.survival_lengths)
+    assert (got.n_steps, got.stream_ids) == (want.n_steps, want.stream_ids)
 
 
 def _normalized(weights):
@@ -510,6 +551,27 @@ def test_level_draw_at_bucket_edges(p, buckets):
     cdf = p.cumsum()
     cdf /= cdf[-1]
     got = _LevelTable(p, buckets).levels(u, np.empty(u.size, dtype=np.intp))
+    np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
+
+
+@pytest.mark.parametrize("p", [
+    _geometric(23_190, 2318.8),
+    _normalized([0.0, 3.0, 0.0, 0.0, 1.0, 0.0, 1e-300, 2.0, 0.0]),
+    _point_mass(40, 39),
+    np.ones(1),
+    np.array([0.75, 0.25]),
+], ids=["geometric-23190", "zeros", "mass-last", "one-level", "level-on-edge"])
+@pytest.mark.parametrize("requested", [1, 2, 3, 6, 7, 40, 1000, 1024, 1025, 23_190])
+def test_level_table_searches_its_own_power_of_two_edges(p, requested):
+    table = _LevelTable(p, requested)
+    assert table.m == 2 ** math.ceil(math.log2(requested))
+    # "level-on-edge" puts a CDF step on the edge 3/4 of every table from 4 buckets up
+    edges = np.arange(table.m + 1) / table.m
+    u = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    got = table.levels(u, np.empty(u.size, dtype=np.intp))
     np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
 
 

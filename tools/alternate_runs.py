@@ -1,4 +1,4 @@
-"""Time ``run`` of two source trees in one process, alternating between them.
+"""Time ``run`` or the trajectory sampler of two source trees, alternating.
 
     python tools/alternate_runs.py OLD_SRC NEW_SRC [--cases fig4,fig6] [--repeats 21]
 
@@ -6,12 +6,14 @@ OLD_SRC and NEW_SRC are directories holding a ``zenocool`` package (the
 ``src`` of two checkouts). Each package is copied to a temporary directory
 as ``zenocool_old`` and ``zenocool_new``; the package imports itself only
 relatively, so both load side by side. Each case parses the same config
-on both sides and builds its schedule and thermal start there. After one
-untimed run per side, every repeat times one ``run`` per side, the old
-side first on even repeats and the new side first on odd ones, so that a
-drift in machine speed falls on both sides alike. The table gives each
-side's median and quartiles in ms and the ratio of the medians, new over
-old.
+on both sides and builds its schedule and thermal start there. A case
+with a ``trajectories`` count (the ``traj-*`` cases) times
+``sample_trajectories`` at a fixed seed, which includes the ``run`` that
+realizes the schedule; every other case times ``run``. After one untimed
+call per side, every repeat times one call per side, the old side first
+on even repeats and the new side first on odd ones, so that a drift in
+machine speed falls on both sides alike. The table gives each side's
+median and quartiles in ms and the ratio of the medians, new over old.
 
 Run as a script, it pins the BLAS and OpenMP pools to one thread before
 numpy loads, as ``bench/run.py`` does.
@@ -20,6 +22,7 @@ numpy loads, as ``bench/run.py`` does.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import math
 import os
@@ -42,7 +45,10 @@ CASES = {
     "hot-100k": {"omega_m_rad_s": _OMEGA_M, "g_m": _G_M, "g_f": 45.0 * _G_M,
                  "delta_e": 0.0, "tau": 220.0 / _OMEGA_M, "T_kelvin": 100.0,
                  "segments": [{"variant": "driven", "steps": 300}], "seed": 1},
+    "traj-fig4": {"preset": "fig4", "trajectories": 250_000},
+    "traj-fig7": {"preset": "fig7", "trajectories": 250_000},
 }
+TRAJECTORY_SEED = 1
 SIDES = ("old", "new")
 
 
@@ -53,15 +59,23 @@ def _load(src: Path, side: str, tmp: Path):
     return importlib.import_module(name)
 
 
-def _start(package, config: dict):
+def _call(package, case: dict):
+    """The case's start's n_max and the call to time on it."""
+    config = dict(case)
+    n_trajectories = config.pop("trajectories", None)
     config = package.parse_config_data(config)
     schedule = config.schedule()
-    return schedule, package.initial_state(config.thermal_spec(), schedule,
-                                           hard_cap=config.hard_cap)
+    initial = package.initial_state(config.thermal_spec(), schedule,
+                                    hard_cap=config.hard_cap)
+    if n_trajectories is None:
+        return initial.n_max, functools.partial(package.run, initial, schedule)
+    return initial.n_max, functools.partial(
+        package.sample_trajectories, initial, schedule,
+        n_trajectories=n_trajectories, seed=TRAJECTORY_SEED)
 
 
 def alternate(old_src, new_src, cases, repeats: int) -> list[dict]:
-    """Each case's n_max and its ``run`` times in seconds per side."""
+    """Each case's n_max and its call's times in seconds per side."""
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         try:
@@ -69,20 +83,18 @@ def alternate(old_src, new_src, cases, repeats: int) -> list[dict]:
                         for src, side in zip((old_src, new_src), SIDES)]
             results = []
             for case in cases:
-                starts = [_start(p, CASES[case]) for p in packages]
-                n_max = {initial.n_max for _, initial in starts}
-                if len(n_max) != 1:
+                n_max, calls = zip(*(_call(p, CASES[case]) for p in packages))
+                if len(set(n_max)) != 1:
                     raise SystemExit(f"{case}: the two sides start at n_max {sorted(n_max)}")
                 times = ([], [])
-                for p, (schedule, initial) in zip(packages, starts):
-                    p.run(initial, schedule)
+                for call in calls:
+                    call()
                 for k in range(repeats):
                     for i in (0, 1) if k % 2 == 0 else (1, 0):
-                        (schedule, initial), run = starts[i], packages[i].run
                         t0 = time.perf_counter()
-                        run(initial, schedule)
+                        calls[i]()
                         times[i].append(time.perf_counter() - t0)
-                results.append({"case": case, "n_max": n_max.pop(),
+                results.append({"case": case, "n_max": n_max[0],
                                 "old": times[0], "new": times[1]})
             return results
         finally:
