@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure (any
 ``ValueError`` that is not a ``ConfigError``, such as a non-finite
-coefficient), 3 I/O error.
+coefficient, or an array that cannot be allocated), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CapacityError, OracleNumericalError, ArithmeticError,
-            ValueError) as exc:
+            ValueError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -6,7 +6,8 @@ seconds and temperatures in kelvin, or ``"dimensionless": true`` and rates
 are ratios to omega_m, ``tau`` is the product omega_m*tau, and the thermal
 state must be given as ``n_bar_th``. Unknown keys and keys of the wrong
 kind are rejected by name; the spec dataclasses declare the keys inside
-``segments``, ``outputs`` and ``sweep``, and every default. Parsing
+``segments``, ``outputs`` and ``sweep``, their kinds (a tuple field is a
+nonempty list, checked element by element) and every default. Parsing
 checks the JSON's shape and types, then builds the library objects the
 config describes, whose own rules check the values; a value that breaks
 one is a ``ConfigError`` naming its key.
@@ -18,6 +19,7 @@ import json
 import logging
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from .params import PhysicalParams
@@ -30,6 +32,16 @@ logger = logging.getLogger(__name__)
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
+
+
+@contextmanager
+def _named(where: str):
+    """Re-raise a rule's ``ValueError`` as a ``ConfigError`` that starts with
+    ``where``, the key or place the checked value came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 # The kind of each top-level key; keys inside ``segments``, ``outputs`` and
@@ -91,11 +103,9 @@ class ExperimentConfig:
         if self.temperature is None and self.n_bar_th is None:
             raise ConfigError("config has no thermal state: set T_kelvin or n_bar_th")
         key = "T_kelvin" if self.temperature is not None else "n_bar_th"
-        try:
+        with _named(f"key {key!r}"):
             return ThermalSpec(temperature=self.temperature, n_bar_th=self.n_bar_th,
                                omega_m=self.params.omega_m, epsilon_tail=self.epsilon_tail)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from exc
 
     def segment_params(self, spec: SegmentSpec) -> PhysicalParams:
         """Effective parameters of one segment.
@@ -103,13 +113,9 @@ class ExperimentConfig:
         The variant's switch rule applies (conventional variants run with
         g_f = 0); a resonant variant must not carry a detuning.
         """
-        p = self.params
-        if spec.g_f is not None:
-            g_f = spec.g_f / p.omega_m if self.si_units else spec.g_f
-            p = replace(p, g_f=g_f)
-        if spec.delta_e is not None:
-            d = spec.delta_e / p.omega_m if self.si_units else spec.delta_e
-            p = replace(p, delta_e=d)
+        scale = self.params.omega_m if self.si_units else 1.0
+        p = replace(self.params, **{k: getattr(spec, k) / scale for k in ("g_f", "delta_e")
+                                    if getattr(spec, k) is not None})
         switched = variant_params(spec.variant, p)
         if switched.delta_e != p.delta_e:
             raise ConfigError(
@@ -125,11 +131,9 @@ class ExperimentConfig:
             raise ConfigError("config has no segments")
         segments = []
         for i, s in enumerate(self.segments):
-            try:
+            with _named(f"segments[{i}]"):
                 segments.append(Segment(s.variant, self.segment_params(s), s.steps,
                                         s.until_n_bar))
-            except ValueError as exc:
-                raise ConfigError(f"segments[{i}]: {exc}") from exc
         return ProtocolSchedule(tuple(segments))
 
     def to_dict(self) -> dict:
@@ -170,14 +174,20 @@ def _plain(spec) -> dict:
             for k, v in asdict(spec).items() if v is not None}
 
 
-# A field's JSON kind, by the first name in its annotation (a string, under
-# ``from __future__ import annotations``).
-_JSON_KINDS = {"str": str, "int": int, "float": float, "bool": bool, "tuple": list}
+# A field's JSON kind, by the names in its annotation (a string, under
+# ``from __future__ import annotations``): ``tuple[x, ...]`` is a nonempty
+# list of x, written ``(x,)``.
+_JSON_KINDS = {"str": str, "int": int, "float": float, "bool": bool}
 
 
-def _spec_keys(spec) -> tuple[dict[str, type], tuple[str, ...]]:
+def _kind(annotation: str):
+    outer, inner = re.match(r"(\w+)(?:\[(\w+))?", annotation).groups()
+    return (_JSON_KINDS[inner],) if outer == "tuple" else _JSON_KINDS[outer]
+
+
+def _spec_keys(spec) -> tuple[dict, tuple[str, ...]]:
     """The kind of each field of a spec dataclass, and the fields it requires."""
-    kinds = {f.name: _JSON_KINDS[re.match(r"\w+", f.type)[0]] for f in fields(spec)}
+    kinds = {f.name: _kind(f.type) for f in fields(spec)}
     return kinds, tuple(f.name for f in fields(spec) if f.default is MISSING)
 
 
@@ -196,6 +206,11 @@ def _typed(key: str, value, kind, where: str):
         return value
     if kind in (list, dict, str) and isinstance(value, kind):
         return value
+    if isinstance(kind, tuple):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"key {key!r} in {where} must be a nonempty list of "
+                              f"{kind[0].__name__}")
+        return tuple([_typed(key, v, kind[0], where) for v in value])
     raise ConfigError(f"key {key!r} in {where} must be {kind.__name__}, "
                       f"got {type(value).__name__}")
 
@@ -227,22 +242,11 @@ def _read_spec(spec, raw, where: str) -> dict:
 
 def _parse_outputs(raw) -> OutputOptions:
     keys = _read_spec(OutputOptions, raw, "outputs")
-    if "powers" in keys:
-        powers = keys["powers"]
-        if not powers or any(not isinstance(p, int) or isinstance(p, bool) or p < 1
-                             for p in powers):
-            raise ConfigError("key 'powers' in outputs must be a nonempty list of "
-                              "positive ints")
-        keys["powers"] = tuple(powers)
-    if "variants" in keys:
-        if not keys["variants"]:
-            raise ConfigError("key 'variants' in outputs must be a nonempty list")
-        for v in keys["variants"]:
-            try:
-                switches(v)
-            except ValueError as exc:
-                raise ConfigError(f"key 'variants' in outputs: {exc}") from exc
-        keys["variants"] = tuple(keys["variants"])
+    if min(keys.get("powers", (1,))) < 1:
+        raise ConfigError("key 'powers' in outputs must be a nonempty list of "
+                          "positive ints")
+    with _named("key 'variants' in outputs"):
+        list(map(switches, keys.get("variants", ())))
     if "n_max" in keys and keys["n_max"] < 0:
         raise ConfigError("key 'n_max' in outputs must be nonnegative")
     return OutputOptions(**keys)
@@ -250,16 +254,9 @@ def _parse_outputs(raw) -> OutputOptions:
 
 def _parse_sweep(raw, has_si: bool, n_segments: int) -> SweepOptions:
     keys = _read_spec(SweepOptions, raw, "sweep")
-    try:
+    with _named("key 'axis' in sweep"):
         _check_axis(keys["axis"], has_si, n_segments)
-    except ValueError as exc:
-        raise ConfigError(f"key 'axis' in sweep: {exc}") from exc
-    values = keys["values"]
-    if not values or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                         or not math.isfinite(v) for v in values):
-        raise ConfigError("key 'values' in sweep must be a nonempty list of "
-                          "finite numbers")
-    return SweepOptions(keys["axis"], tuple(float(v) for v in values))
+    return SweepOptions(**keys)
 
 
 def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig:
@@ -293,11 +290,9 @@ def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig
                           "(SI) or key 'dimensionless': true")
     _require(keys, ("g_m", "tau"), "config")
     rates = {k: keys.pop(k) for k in ("g_m", "tau", "g_f", "delta_e") if k in keys}
-    try:
+    with _named("config"):
         params = (PhysicalParams.from_si(keys.pop("omega_m_rad_s"), **rates) if has_si
                   else PhysicalParams(**rates))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     if "T_kelvin" in keys:
         keys["temperature"] = keys.pop("T_kelvin")
@@ -321,13 +316,12 @@ def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig
                           f"'hard_cap' {c.hard_cap}")
     schedule = c.schedule() if c.segments else None
     thermal = None if c.temperature is None and c.n_bar_th is None else c.thermal_spec()
-    # A g_f, T or tau grid value fails its own point of the sweep instead.
-    if schedule and c.sweep and c.sweep.axis in ("N", "switch"):
-        try:
+    # A g_f, T or tau grid value fails its own point of the sweep instead;
+    # with no thermal state, the runner names the missing keys.
+    if schedule and thermal and c.sweep and c.sweep.axis in ("N", "switch"):
+        with _named("key 'values' in sweep"):
             for value in c.sweep.values:
                 _apply_axis(c.sweep.axis, value, thermal, schedule)
-        except ValueError as exc:
-            raise ConfigError(f"key 'values' in sweep: {exc}") from exc
     return c
 
 

@@ -4,10 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zenocool.runner
 
@@ -30,6 +32,10 @@ SI_CONFIG = {
     "segments": [{"variant": "driven", "steps": 5}],
     "seed": 7,
 }
+
+# A schedule with no thermal state: only a coefficient export could run it.
+NO_THERMAL = {"dimensionless": True, "g_m": 0.0004, "tau": 700.0,
+              "segments": [{"variant": "conventional", "steps": 3}]}
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -561,6 +567,23 @@ def test_cli_import_loads_no_third_party_module_but_numpy():
     ("run", [], {"preset": "fig4", "outputs": 5}, "'outputs'"),
     ("run", [], {"preset": "fig4", "outputs": []}, "'outputs'"),
     ("run", [], {"preset": "fig4", "outputs": None}, "'outputs'"),
+    ("run", [], {**SI_CONFIG, "segments": [5]}, "segments[0]"),
+    ("run", [], {**SI_CONFIG, "segments": [{"variant": "driven"}]}, "'steps'"),
+    ("coeffs", [], {"preset": "fig2", "outputs": {"powers": [0]}}, "'powers'"),
+    ("coeffs", [], {"preset": "fig2", "outputs": {"powers": []}}, "'powers'"),
+    ("coeffs", [], {"preset": "fig2", "outputs": {"variants": []}}, "'variants'"),
+    ("coeffs", [], {"preset": "fig2", "outputs": {"variants": ["zeno"]}}, "'variants'"),
+    ("coeffs", [], {"preset": "fig2", "outputs": {"n_max": -1}}, "'n_max'"),
+    ("run", [], [SI_CONFIG], "config root"),
+    ("run", [], {**SI_CONFIG, "preset": 5}, "'preset'"),
+    ("run", [], {**SI_CONFIG, "g_m": -1.0}, "g_m"),
+    ("trajectories", ["--preset", "fig5a"], None, "segments"),
+    ("run", [], {**NO_THERMAL, "sweep": {"axis": "N", "values": [1]}}, "n_bar_th"),
+    ("sweep", [], {**NO_THERMAL, "sweep": {"axis": "N", "values": [1]}}, "n_bar_th"),
+    ("run", [], {**NO_THERMAL, "segments": NO_THERMAL["segments"] * 2,
+                 "sweep": {"axis": "switch", "values": [1]}}, "n_bar_th"),
+    ("sweep", [], {**NO_THERMAL, "segments": NO_THERMAL["segments"] * 2,
+                   "sweep": {"axis": "switch", "values": [1]}}, "n_bar_th"),
 ])
 def test_cli_rejects_invalid_numbers(tmp_path, capsys, command, extra, config, named):
     argv = ["--quiet", command, "--out-dir", str(tmp_path / "out")] + extra
@@ -603,6 +626,94 @@ def test_cli_trajectory_count_beyond_memory_is_a_capacity_error(tmp_path, capsys
     assert f"{8 * 2**62} bytes" in err
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+def test_cli_config_that_is_not_json_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"preset": "fig4",')
+    code = main(["--quiet", "run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:")
+    assert "not valid JSON" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, preset, step", [
+    ("run", "fig4", "initial_state"),
+    ("coeffs", "fig2", "build_table"),
+])
+def test_cli_array_beyond_memory_is_a_numeric_failure(tmp_path, capsys, monkeypatch,
+                                                      command, preset, step):
+    # what numpy raises for an n_max it cannot allocate; nothing is requested here
+    message = ("Unable to allocate 206. GiB for an array with shape (27631021885,) "
+               "and data type float64")
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(zenocool.runner, step, refuse)
+    out = tmp_path / "out"
+    code = main(["--quiet", command, "--preset", preset, "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"numeric failure: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+# Replacement values for the keys of a preset; DROP removes the key. Every
+# count, grid value and hard cap is small, so a config that runs runs fast.
+DROP = object()
+MUTATIONS = {
+    "T_kelvin": [DROP, -1.0, 0.0, 0.5, "10"],
+    "n_bar_th": [DROP, 2.0, -1.0, 0.0],
+    "dimensionless": [DROP, True, False, 1],
+    "omega_m_rad_s": [DROP, 1.56e10, -1.0, None],
+    "g_m": [DROP, 0.0004, -1.0, 0.0, "x"],
+    "g_f": [DROP, 0.02, -1.0, 1e300],
+    "delta_e": [DROP, 0.002, -0.002],
+    "tau": [DROP, 700.0, 0.0, True],
+    "epsilon_tail": [DROP, 1e-3, 0.0, 1e-8],
+    "seed": [DROP, -1, 2.5, 3],
+    "hard_cap": [DROP, 0, 10, 3000, -1, 2.5],
+    "segments": [DROP, [], [5], {}, [{"variant": "driven"}],
+                 [{"variant": "driven", "steps": 2}],
+                 [{"variant": "conventional", "steps": 2, "until_n_bar": 1.0}],
+                 [{"variant": "driven", "steps": 1}, {"variant": "conventional", "steps": 2}],
+                 [{"variant": "driven-detuned", "steps": 1, "delta_e": 0.001, "g_f": -1.0}],
+                 [{"variant": "zeno", "steps": 1}], [{"variant": "driven", "steps": -1}]],
+    "outputs": [DROP, [], {"coefficients_csv": True, "n_max": 20},
+                {"histogram_csv": True, "powers": [1, 2]}, {"powers": [0]},
+                {"variants": []}, {"variants": ["zeno"]}, {"n_max": -1},
+                {"coefficients_csv": True, "variants": ["conventional"]},
+                {"coefficients_csv": True, "n_max": 10**6}],
+    "sweep": [DROP, {"axis": "N", "values": [0, 2]}, {"axis": "switch", "values": [1]},
+              {"axis": "T", "values": [1.0]}, {"axis": "g_f", "values": [1.0]},
+              {"axis": "tau", "values": [-1.0]}, {"axis": "N", "values": []},
+              {"axis": "N", "values": [2.5]}, {"axis": "N"}, {"axis": "x", "values": [1]},
+              5],
+}
+MUTATED_PRESETS = ["fig2", "fig3a", "fig5a", "fig7", "fig7_switch", "fig8", "fig9"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(preset=st.sampled_from(MUTATED_PRESETS),
+       changes=st.dictionaries(st.sampled_from(sorted(MUTATIONS)),
+                               st.integers(0, 10), max_size=4))
+def test_cli_never_raises_on_any_config(preset, changes):
+    config = dict(PRESETS[preset])
+    for key, pick in changes.items():
+        value = MUTATIONS[key][pick % len(MUTATIONS[key])]
+        if value is DROP:
+            config.pop(key, None)
+        else:
+            config[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), config)
+        for command in ("run", "coeffs", "sweep"):
+            code = main(["--quiet", command, "--config", str(path),
+                         "--out-dir", os.path.join(tmp, command)])
+            assert code in (0, 1, 2), (command, config)
 
 
 def test_trajectories_evolve_the_schedule_once(tmp_path, monkeypatch):

@@ -87,6 +87,15 @@ def test_thermal_distribution_tail_and_mean_properties():
         assert abs(mean_occupation(d) - n_bar) <= eps * d.n_max + 1e-13
 
 
+def test_thermal_distribution_rounds_the_tail_bound_up():
+    # the first guess m = 39 leaves a tail r^40 = eps, which is not below eps
+    eps = 2.0 ** -40
+    d = thermal_distribution(ThermalSpec(n_bar_th=1.0, epsilon_tail=eps))
+    assert d.n_max == 41
+    assert 0.5 ** (d.n_max + 1) < eps
+    assert 0.5 ** (d.n_max - 1) == eps
+
+
 def test_thermal_distribution_cap():
     with pytest.raises(CapacityError):
         thermal_distribution(ThermalSpec(n_bar_th=5000.0), hard_cap=10000)
