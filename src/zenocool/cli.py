@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle-check",
                               help="compare closed forms against exact propagators")
     _add_common(p_oracle, reads_config=False)
-    p_oracle.add_argument("--draws", type=_integer(1), default=200)
-    p_oracle.add_argument("--tolerance", type=_tolerance, default=1e-10)
+    p_oracle.add_argument("--draws", type=_integer(1))
+    p_oracle.add_argument("--tolerance", type=_tolerance)
 
     p_traj = sub.add_parser("trajectories",
                             help="Monte Carlo survival statistics")
@@ -119,9 +119,9 @@ def _dispatch(args) -> int:
         config = _load_config(args)
         runner.run_sweep(config, args.out_dir)
     elif args.command == "oracle-check":
-        seed = args.seed if args.seed is not None else 7
-        runner.run_oracle_check(args.out_dir, draws=args.draws, seed=seed,
-                                tolerance=args.tolerance)
+        # a flag that is not given keeps run_oracle_check's default
+        flags = {k: getattr(args, k) for k in ("draws", "seed", "tolerance")}
+        runner.run_oracle_check(args.out_dir, **{k: v for k, v in flags.items() if v is not None})
     elif args.command == "trajectories":
         config = _load_config(args)
         runner.run_trajectories(config, args.out_dir,

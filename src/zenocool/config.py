@@ -99,8 +99,12 @@ class ExperimentConfig:
     def si_units(self) -> bool:
         return self.params.omega_m is not None
 
+    @property
+    def has_thermal(self) -> bool:  # T_kelvin or n_bar_th
+        return self.temperature is not None or self.n_bar_th is not None
+
     def thermal_spec(self) -> ThermalSpec:
-        if self.temperature is None and self.n_bar_th is None:
+        if not self.has_thermal:
             raise ConfigError("config has no thermal state: set T_kelvin or n_bar_th")
         key = "T_kelvin" if self.temperature is not None else "n_bar_th"
         with _named(f"key {key!r}"):
@@ -315,7 +319,7 @@ def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig
         raise ConfigError(f"key 'n_max' in outputs is {c.outputs.n_max}, above "
                           f"'hard_cap' {c.hard_cap}")
     schedule = c.schedule() if c.segments else None
-    thermal = None if c.temperature is None and c.n_bar_th is None else c.thermal_spec()
+    thermal = c.thermal_spec() if c.has_thermal else None
     # A g_f, T or tau grid value fails its own point of the sweep instead;
     # with no thermal state, the runner names the missing keys.
     if schedule and thermal and c.sweep and c.sweep.axis in ("N", "switch"):

@@ -94,11 +94,7 @@ class ThermalSpec:
         if self.temperature is not None:
             if self.omega_m is None:
                 raise ValueError("temperature requires omega_m")
-            if not 0.0 < self.omega_m < math.inf:
-                raise ValueError(f"omega_m must be positive and finite, got {self.omega_m}")
-            if not 0.0 < self.temperature < math.inf:
-                raise ValueError(
-                    f"temperature must be positive and finite, got {self.temperature}")
+            thermal_occupation(self.omega_m, self.temperature)
         if self.n_bar_th is not None and not 0.0 <= self.n_bar_th < math.inf:
             raise ValueError(
                 f"n_bar_th must be nonnegative and finite, got {self.n_bar_th}")

@@ -367,12 +367,11 @@ def _terminal_record(initial: PopulationDistribution, schedule: ProtocolSchedule
 
     Each segment applies one fixed diagonal operator, so k_i measurements
     of segment i leave the log-weights ``initial + sum_i k_i log_survival_i``:
-    one observation of that state is the terminal record. Two schedules
-    take :func:`run` instead, because where it stops depends on the path:
-    one with an ``until_n_bar`` segment, and one whose terminal log mass
-    lies within one e-fold of ``DEFAULT_NORM_LOG_FLOOR``. The log mass never
-    grows by more than rounding from step to step (|c_n| <= 1 + 1e-12),
-    so above that margin no earlier step can have crossed the floor.
+    one observation of that state is the terminal record. A schedule with
+    an ``until_n_bar`` segment takes :func:`run` instead, because where it
+    stops depends on the path. ``initial`` is a thermal start
+    (:func:`initial_state`), so :func:`run`'s norm floor is out of reach:
+    c_0 = 1 keeps the log mass above log p_0 = -log(1 + n_bar_th).
     """
     if any(s.until_n_bar is not None for s in schedule.segments):
         return run(initial, schedule).records[-1]
@@ -384,10 +383,8 @@ def _terminal_record(initial: PopulationDistribution, schedule: ProtocolSchedule
             lw += seg.steps * table.log_survival
             last = seg_id
     steps = schedule.total_steps
-    n_bar, ground, survival, thermal, norm_log = _AmplitudeView(lw.size).observe(
+    n_bar, ground, survival, thermal, _ = _AmplitudeView(lw.size).observe(
         lw, None if steps else initial.norm_log)
-    if norm_log < DEFAULT_NORM_LOG_FLOOR + 1.0:
-        return run(initial, schedule).records[-1]
     return _records([(steps, n_bar, ground, survival, thermal, last)], schedule)[0]
 
 

@@ -150,21 +150,19 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict[str, str]:
     if requested); a config with no thermal state at all can only export
     coefficient tables.
     """
-    has_thermal = config.temperature is not None or config.n_bar_th is not None
     with _artifacts(out_dir, config, "run") as (out_dir, outputs, resolved):
-        if not has_thermal and (config.segments or config.outputs.run_csv
-                                and not config.outputs.coefficients_csv):
-            raise ConfigError("running a schedule needs a thermal state: "
-                              "set T_kelvin or n_bar_th")
-        if config.segments:
-            schedule = config.schedule()
-        else:
-            # Observation-only: one zero-step segment of the base model.
-            schedule = ProtocolSchedule((Segment(variant_of(config.params),
-                                                 config.params, 0),))
+        outs = config.outputs
+        # every segment and histogram needs a start, and so does run.csv
+        # unless a coefficient export is all that is asked for
+        needs_start = (config.segments or outs.histogram_csv
+                       or outs.run_csv and not outs.coefficients_csv)
+        thermal = config.thermal_spec() if needs_start or config.has_thermal else None
+        # a zero-segment config observes its start through one zero-step
+        # segment of the base model, which the manifest does not list
+        schedule = (config.schedule() if config.segments else
+                    ProtocolSchedule((Segment(variant_of(config.params), config.params, 0),)))
         n_max, tables = None, ()
-        if has_thermal:
-            thermal = config.thermal_spec()
+        if thermal is not None:
             initial = initial_state(thermal, schedule, hard_cap=config.hard_cap)
             n_max = initial.n_max
             result = run(initial, schedule)
@@ -185,7 +183,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict[str, str]:
                     {"variant": s.variant, "steps": s.steps, "steps_run": k,
                      "until_n_bar": s.until_n_bar,
                      "params": _dimensionless_params(s.params)}
-                    for s, k in zip(schedule.segments, result.steps_run)
+                    for s, k in zip(schedule.segments if config.segments else (),
+                                    result.steps_run)
                 ],
                 "measurements_recorded": len(result.records) - 1,
                 "terminated_early": result.terminated_early,

@@ -13,12 +13,15 @@ def _load_tool():
     return module
 
 
-def test_a_tree_against_itself(capsys):
+def test_a_tree_against_itself(monkeypatch, capsys):
     tool = _load_tool()
+    # numpy has loaded already, so this only names a thread count in the header
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     src = str(ROOT / "src")
     assert tool.main([src, src, "--cases", "fig3a", "--repeats", "3"]) == 0
     header, row = capsys.readouterr().out.splitlines()
     assert header.split()[:2] == ["case", "n_max"]
+    assert header.split()[-1] == "OPENBLAS_NUM_THREADS=3"
     case, n_max, *_, ratio = row.split()
     assert (case, n_max) == ("fig3a", "24") and float(ratio) > 0.0
     (result,) = tool.alternate(src, src, ["fig3a"], 3)

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 import os
 import subprocess
@@ -309,6 +310,34 @@ def test_run_needs_thermal_state(tmp_path):
         run_experiment(parse_config_data(data), tmp_path / "out")
 
 
+NO_THERMAL_SWEEP = {**NO_THERMAL, "sweep": {"axis": "tau", "values": [700.0]}}
+NO_THERMAL_START = {k: v for k, v in NO_THERMAL.items() if k != "segments"}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("run", NO_THERMAL_SWEEP),
+    ("sweep", NO_THERMAL_SWEEP),
+    ("trajectories", NO_THERMAL_SWEEP),
+    ("run", {**NO_THERMAL_START, "outputs": {"run_csv": False, "histogram_csv": True}}),
+    ("run", {**NO_THERMAL_START, "outputs": {"coefficients_csv": True,
+                                             "histogram_csv": True, "n_max": 10}}),
+], ids=["run", "sweep", "trajectories", "histogram", "histogram-and-coefficients"])
+def test_a_missing_thermal_state_is_one_error_everywhere(tmp_path, capsys, command, config):
+    out = tmp_path / "out"
+    assert main(["--quiet", command, "--config", str(write_config(tmp_path, config)),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: config has no thermal state: set T_kelvin or n_bar_th\n"
+    assert list(out.iterdir()) == []
+
+
+def test_manifest_lists_no_segment_for_a_zero_segment_run(tmp_path):
+    assert main(["--quiet", "run", "--preset", "fig5a", "--out-dir", str(tmp_path)]) == 0
+    resolved = json.loads((tmp_path / "manifest.json").read_text())["resolved"]
+    assert resolved["segments"] == []
+    assert resolved["measurements_recorded"] == 0
+
+
 def test_sweep_runner(tmp_path):
     config = parse_config_data({
         **SI_CONFIG,
@@ -377,6 +406,37 @@ def test_a_nan_in_the_oracle_rows_fails_the_check(tmp_path, monkeypatch):
     assert math.isnan(report["max_unitarity_defect"])
     assert main(["--quiet", "oracle-check", "--out-dir", str(tmp_path / "o"),
                  "--draws", "20"]) == 2
+
+
+def test_an_oracle_propagator_that_is_not_unitary_fails_the_check(tmp_path, monkeypatch):
+    draws = zenocool.runner.compare_random_draws
+
+    def skewed(n_draws, seed):
+        rows = draws(n_draws, seed)
+        rows[0]["unitarity_defect"] = 1e-11
+        return rows
+    monkeypatch.setattr(zenocool.runner, "compare_random_draws", skewed)
+    with pytest.raises(FloatingPointError, match="unitarity defect 1e-11 exceeds 1e-12"):
+        run_oracle_check(tmp_path / "out", draws=4)
+
+
+def test_cli_oracle_check_keeps_the_runner_defaults(tmp_path):
+    assert main(["--quiet", "oracle-check", "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "oracle_report.json").read_text())
+    assert (report["seed"], report["draws"], report["tolerance"]) == (7, 200, 1e-10)
+
+
+def test_cli_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: zenocool" in capsys.readouterr().out
+
+
+def test_preset_expansion_is_logged(caplog):
+    with caplog.at_level(logging.INFO, logger="zenocool.config"):
+        parse_config_data({"preset": "fig4", "seed": 3})
+    (record,) = caplog.records
+    assert record.getMessage().startswith("expanded preset 'fig4' to {")
+    assert '"seed": 3' in record.getMessage()
 
 
 def test_cli_run_and_exit_codes(tmp_path):
@@ -584,6 +644,8 @@ def test_cli_import_loads_no_third_party_module_but_numpy():
                  "sweep": {"axis": "switch", "values": [1]}}, "n_bar_th"),
     ("sweep", [], {**NO_THERMAL, "segments": NO_THERMAL["segments"] * 2,
                    "sweep": {"axis": "switch", "values": [1]}}, "n_bar_th"),
+    ("oracle-check", ["--draws", "x"], None, "--draws"),
+    ("oracle-check", ["--tolerance", "abc"], None, "--tolerance"),
 ])
 def test_cli_rejects_invalid_numbers(tmp_path, capsys, command, extra, config, named):
     argv = ["--quiet", command, "--out-dir", str(tmp_path / "out")] + extra

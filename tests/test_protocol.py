@@ -672,7 +672,6 @@ TERMINAL_CASES = {
         ProtocolSchedule((Segment("driven", PARAMS_DRIVEN, 0),
                           Segment("conventional", PARAMS_CONV, 0))),
         thermal_distribution(THERMAL_10K)),
-    "norm-floor": _floor_case,
     "driven-conventional-driven": lambda: (
         ProtocolSchedule((Segment("driven", PARAMS_DRIVEN, 20),
                           Segment("conventional", PARAMS_CONV, 30),
@@ -687,7 +686,23 @@ def test_terminal_record_is_the_last_record_of_run(case):
     result = run(initial, schedule)
     got = protocol._terminal_record(initial, schedule)
     _assert_same_terminal(got, result.records[-1])
-    assert result.terminated_early == (case == "norm-floor")
+    assert not result.terminated_early
+
+
+def test_terminal_record_of_a_thermal_start_never_nears_the_norm_floor():
+    # the first cooling-free level, n = (pi / 0.3)^2 = 109.7, lies past n_max = 40,
+    # so every level but the ground one decays; c_0 = 1 keeps P_g at p_0 = 1/2
+    initial = thermal_distribution(ThermalSpec(n_bar_th=1.0))
+    params = PhysicalParams(g_m=0.3, tau=1.0)
+    schedule = ProtocolSchedule((Segment("conventional", params, 2_000),))
+    assert initial.n_max == 40
+    c = build_table("conventional", params, initial.n_max).values
+    assert np.abs(c[1:]).max() == pytest.approx(0.955, abs=5e-4)
+    result = run(initial, schedule)
+    got = protocol._terminal_record(initial, schedule)
+    _assert_same_terminal(got, result.records[-1])
+    assert not result.terminated_early
+    assert got.survival_probability == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
 
 def test_run_skips_the_segments_after_a_norm_floor_stop():
@@ -698,12 +713,11 @@ def test_run_skips_the_segments_after_a_norm_floor_stop():
     assert result.steps_run[1] == 0
     assert result.steps_run[0] == len(result.records) - 1
     assert not np.any(result.records.segment == 1)
-    _assert_same_terminal(protocol._terminal_record(initial, schedule), result.records[-1])
 
 
 @pytest.mark.parametrize("case", ["fig7_threshold", "norm-floor"])
 def test_run_counts_the_steps_each_segment_ran(case):
-    schedule, initial = TERMINAL_CASES[case]()
+    schedule, initial = _floor_case() if case == "norm-floor" else _preset_start(case)
     result = run(initial, schedule)
     segment = result.records.segment[1:]
     assert result.steps_run == tuple(int(np.sum(segment == i))

@@ -16,7 +16,12 @@ machine speed falls on both sides alike. The table gives each side's
 median and quartiles in ms and the ratio of the medians, new over old.
 
 Run as a script, it pins the BLAS and OpenMP pools to one thread before
-numpy loads, as ``bench/run.py`` does.
+numpy loads, as ``bench/run.py`` does. The pin is a ``setdefault``, so a
+value exported beforehand survives it:
+``OPENBLAS_NUM_THREADS=2 python tools/alternate_runs.py ...`` times two
+BLAS threads. The header line ends with the ``OPENBLAS_NUM_THREADS`` the
+run saw (``unset`` if none), since the chunked sums of the engine are
+faster or slower than one long dot depending on it.
 """
 
 from __future__ import annotations
@@ -124,7 +129,8 @@ def main(argv=None) -> int:
     if args.repeats < 2:
         parser.error("--repeats must be at least 2")
     print(f"{'case':10} {'n_max':>6}  {'old ms: median [q1, q3]':>30}  "
-          f"{'new ms: median [q1, q3]':>30}  new/old")
+          f"{'new ms: median [q1, q3]':>30}  new/old  "
+          f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     for r in alternate(args.old_src, args.new_src, cases, args.repeats):
         ratio = statistics.median(r["new"]) / statistics.median(r["old"])
         print(f"{r['case']:10} {r['n_max']:6d}  {_summary(r['old']):>30}  "

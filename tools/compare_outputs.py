@@ -53,14 +53,13 @@ def write_outputs(out_dir, presets=None):
     out_dir = Path(out_dir)
     for name in presets if presets is not None else sorted(PRESETS):
         config = replace(parse_config_data({"preset": name}), seed=SEED)
-        has_thermal = config.temperature is not None or config.n_bar_th is not None
-        if has_thermal:
+        if config.has_thermal:
             config = replace(config, outputs=replace(
                 config.outputs, run_csv=True, histogram_csv=True, coefficients_csv=True))
         run_experiment(config, out_dir / name / "run")
         if config.sweep is not None:
             run_sweep(config, out_dir / name / "sweep")
-        if has_thermal and config.segments:
+        if config.has_thermal and config.segments:
             run_trajectories(config, out_dir / name / "trajectories",
                              n_trajectories=TRAJECTORIES, seed=SEED)
         n_max = (config.outputs.n_max if config.outputs.n_max is not None else
