@@ -4,26 +4,28 @@ The post-measurement operator is diagonal in the Fock basis and the
 initial state is diagonal, so a run never materializes a density matrix:
 each measurement multiplies the population weights elementwise by the
 squared coefficient magnitudes, exactly and in O(n_max) per step. Within a
-segment that factor is one fixed operator, so the engine adds the
-segment's per-level log survival to one log-weight array in place. All
-observables (mean occupancy, ground fidelity, cumulative survival
-probability, effective temperature, thermality) are evaluated after every
-step. A sweep keeps only each grid point's last record, so it reads that
-off the closed form: k_i measurements of segment i leave the log-weights
+segment that factor is one fixed operator, so k measurements of a segment
+leave the log-weights lw_start + k log_survival. All observables (mean
+occupancy, ground fidelity, cumulative survival probability, effective
+temperature, thermality) are evaluated after every step. A sweep keeps
+only each grid point's last record, so it reads that off the closed form:
+k_i measurements of segment i leave the log-weights
 lw_0 + sum_i k_i log_survival_i, observed once.
 
-The log-weights lw are the state of record, updated exactly as the
-one-step reference :func:`step` updates them. The observables come from
-an amplitude view of the same state, u_n = exp((lw_n - top) / 2) and
-v_n = sqrt(n) u_n, which each measurement multiplies by |c_n|: the mass
-u.u, n_bar = v.v / u.u and the ground fidelity u_0^2 / u.u take no ``exp``
-and write no product array per step. The view is built from lw with one
-``exp`` at the start of a run, and rebuilt whenever its mass falls below
-``_MIN_VIEW_MASS``, so it stays exact over any dynamic range. It is not
-rebuilt at a segment switch: lw carries more rounding than u (each step
-rounds a log-weight of tens of e-folds), and a rebuild would hand it to
-the records: at the switch of ``fig7`` it moved the final n_bar by 7e-15
-relative, against 8e-16 without.
+The observables come from an amplitude view of the state,
+u_n = exp((lw_n - top) / 2) and v_n = sqrt(n) u_n, which each measurement
+multiplies by |c_n|: the mass u.u, n_bar = v.v / u.u and the ground
+fidelity u_0^2 / u.u take no ``exp`` and write no product array per step.
+The view is built from the log-weights with one ``exp`` at the start of a
+run, and rebuilt whenever its mass falls below ``_MIN_VIEW_MASS``, so it
+stays exact over any dynamic range. A step touches the view alone: the
+log-weights are formed as lw_start + j log_survival (:func:`_advance`)
+only when the view is rebuilt at step j of a segment, and once at the
+segment's end, so each carries two roundings per segment, not one per
+measurement. The view is not rebuilt at a segment switch, which would
+cost an ``exp`` pass and gain nothing: at the switch of ``fig7`` a
+rebuild leaves the final n_bar 6e-17 relative from a long-double
+evaluation, as no rebuild does.
 
 The thermal fidelity's reference is the untruncated thermal state
 rho^(2n) / Z, rho^2 = n_bar / (1 + n_bar), Z = 1 + n_bar, so it depends on
@@ -37,7 +39,9 @@ fidelity's square root by less than exp(-708).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cache, partial
 
 import numpy as np
 
@@ -71,6 +75,8 @@ _DOT_CHUNK = 8192
 _BLOCK = 128
 
 SWEEP_AXES = ("g_f", "T", "tau", "N", "switch")
+# what fails one grid point of a sweep; any other exception is a fault of the program
+_POINT_FAULTS = (ValueError, ArithmeticError, CapacityError)
 
 
 @dataclass(frozen=True)
@@ -148,8 +154,8 @@ def step(d: PopulationDistribution, table: CoefficientTable) -> PopulationDistri
 
     Each log-weight grows by 2 log|coef_n|; a zero coefficient kills the
     level outright (log-zero weight). The new total mass is the updated
-    cumulative survival probability. :func:`run` applies the same update
-    in place; this one-step form is its reference.
+    cumulative survival probability. :func:`run` applies k of these at
+    once as ``lw + k log_survival``; this one-step form is its reference.
     """
     if table.n_max < d.n_max:
         raise ValueError(
@@ -248,19 +254,20 @@ class _AmplitudeView:
         np.exp(x, out=x)
         return float((self.grid[:rows] @ self.col_pow).dot(self.row_pow[:rows]))
 
-    def observe(self, lw: np.ndarray, norm_log: float | None = None
+    def observe(self, log_weights: Callable[[], np.ndarray], norm_log: float | None = None
                 ) -> tuple[float, float, float, float, float]:
-        """(n_bar, ground fidelity, survival, thermal fidelity, log mass) of ``lw``.
+        """(n_bar, ground fidelity, survival, thermal fidelity, log mass) of the state.
 
-        ``norm_log`` overrides the log mass where it is known exactly (the
-        initial state). A term of the thermal overlap whose rho^n has a
-        factor under exp(``LOG_TINY``) is dropped; u_n^2 <= mass and
-        Z >= 1, so it would move the fidelity's square root by less than
-        exp(LOG_TINY).
+        ``log_weights()`` returns the state's log-weights; it is called
+        only when the view must be rebuilt. ``norm_log`` overrides the log
+        mass where it is known exactly (the initial state). A term of the
+        thermal overlap whose rho^n has a factor under exp(``LOG_TINY``) is
+        dropped; u_n^2 <= mass and Z >= 1, so it would move the fidelity's
+        square root by less than exp(LOG_TINY).
         """
         mass, moment = self._mass_and_moment()
         if not mass >= _MIN_VIEW_MASS:  # also NaN and an empty view
-            self.refresh(lw)
+            self.refresh(log_weights())
             mass, moment = self._mass_and_moment()
         if norm_log is None:
             norm_log = self.top + math.log(mass)
@@ -295,22 +302,28 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
     whose ``norm_log`` exceeds log(DBL_MAX) ~ 709.78 raises ``ValueError``,
     since its survival probability is not a double.
 
-    The log-weights are the state of record: each measurement adds the
-    segment's log survival to them in place, exactly as :func:`step`
-    does, and the final state wraps them. The records come from the
-    amplitude view of the module docstring. A NaN weight propagates into
-    the view's mass, and the rebuild it forces fails as the
-    distribution's own check would.
+    Each measurement scales the amplitude view of the module docstring,
+    and the records come from it. The log-weights after k measurements of
+    a segment are ``lw_start + k log_survival`` (:func:`_advance`), formed
+    only where the view is rebuilt and at the segment's end; the final
+    state wraps the last of them, as :func:`_terminal_record` forms it.
+    A NaN weight propagates into the view's mass, and the rebuild it
+    forces fails as the distribution's own check would.
 
     The records are gathered as rows and become one read-only array at
     the end (:func:`_records`). Every segment's table is built before the
     first step (:func:`_tables`) and returned in ``tables``, so a segment
     whose table cannot be built raises even if the run would stop first.
     """
-    tables = _tables(schedule, initial.n_max)
-    lw = initial.log_weights.copy()
+    return _run(initial, schedule, _tables(schedule, initial.n_max))
+
+
+def _run(initial: PopulationDistribution, schedule: ProtocolSchedule,
+         tables: tuple[CoefficientTable | None, ...]) -> RunResult:
+    """:func:`run` on the segment tables ``tables`` (:func:`_tables`)."""
+    lw = initial.log_weights
     view = _AmplitudeView(lw.size)
-    n_bar, ground, survival, thermal, norm_log = view.observe(lw, initial.norm_log)
+    n_bar, ground, survival, thermal, norm_log = view.observe(lambda: lw, initial.norm_log)
     rows = [(0, n_bar, ground, survival, thermal, 0)]
     steps_run = [0] * len(schedule.segments)
     terminated = False
@@ -319,31 +332,51 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
             break
         if table is None:
             continue
-        log_survival, magnitude = table.log_survival, table.magnitude
-        first = len(rows)
-        for _ in range(seg.steps):
-            lw += log_survival
+        magnitude = table.magnitude
+        for k in range(1, seg.steps + 1):
             view.u *= magnitude
             view.v *= magnitude
-            n_bar, ground, survival, thermal, norm_log = view.observe(lw)
+            n_bar, ground, survival, thermal, norm_log = view.observe(
+                partial(_advance, lw, table, k))
             rows.append((len(rows), n_bar, ground, survival, thermal, seg_id))
             if norm_log < DEFAULT_NORM_LOG_FLOOR:
                 terminated = True
                 break
             if seg.until_n_bar is not None and n_bar <= seg.until_n_bar:
                 break
-        steps_run[seg_id] = len(rows) - first
+        steps_run[seg_id] = k
+        lw = _advance(lw, table, k)
     return RunResult(_records(rows, schedule), PopulationDistribution(lw, norm_log=norm_log),
                      terminated, tuple(steps_run), tables)
 
 
-def _tables(schedule: ProtocolSchedule, n_max: int) -> tuple[CoefficientTable | None, ...]:
+def _advance(lw: np.ndarray, table: CoefficientTable, k: int) -> np.ndarray:
+    """The log-weights after k measurements of ``table`` from ``lw``.
+
+    ``lw + k * log_survival`` as a new array: one rounding of k S and one
+    of the sum per level, however large k is. ``lw`` itself for k = 0,
+    since a zero coefficient's log survival is -inf and 0 * -inf is NaN.
+    """
+    return lw + k * table.log_survival if k else lw
+
+
+def _tables(schedule: ProtocolSchedule, n_max: int, build=None
+            ) -> tuple[CoefficientTable | None, ...]:
     """The coefficient table of each segment up to ``n_max``, None for one of
-    zero steps; segments of the same variant and params share one table."""
+    zero steps; segments of the same variant and params share one table.
+
+    ``build(variant, params)``, where given, returns a table of at least
+    ``n_max`` levels, and its head is taken: every coefficient depends on
+    its own level alone, so the head is bitwise the table of ``n_max``.
+    """
     built = {}
     for s in schedule.segments:
-        if s.steps and (s.variant, s.params) not in built:
-            built[s.variant, s.params] = build_table(s.variant, s.params, n_max)
+        key = s.variant, s.params
+        if s.steps and key not in built:
+            table = build(*key) if build else build_table(*key, n_max)
+            if table.n_max != n_max:
+                table = replace(table, values=table.values[: n_max + 1])
+            built[key] = table
     return tuple(built[s.variant, s.params] if s.steps else None
                  for s in schedule.segments)
 
@@ -362,29 +395,33 @@ def _records(rows, schedule: ProtocolSchedule) -> np.recarray:
     return records
 
 
-def _terminal_record(initial: PopulationDistribution, schedule: ProtocolSchedule) -> np.record:
+def _terminal_record(initial: PopulationDistribution, schedule: ProtocolSchedule,
+                     tables: tuple[CoefficientTable | None, ...] | None = None) -> np.record:
     """The last record of ``run(initial, schedule)``, without stepping through it.
 
     Each segment applies one fixed diagonal operator, so k_i measurements
-    of segment i leave the log-weights ``initial + sum_i k_i log_survival_i``:
-    one observation of that state is the terminal record. A schedule with
-    an ``until_n_bar`` segment takes :func:`run` instead, because where it
-    stops depends on the path. ``initial`` is a thermal start
+    of segment i leave the log-weights ``initial + sum_i k_i log_survival_i``,
+    formed segment by segment by :func:`_advance` as :func:`run` forms its
+    final state: one observation of that state is the terminal record. A
+    schedule with an ``until_n_bar`` segment is run instead, because where
+    it stops depends on the path. ``initial`` is a thermal start
     (:func:`initial_state`), so :func:`run`'s norm floor is out of reach:
     c_0 = 1 keeps the log mass above log p_0 = -log(1 + n_bar_th).
+    ``tables`` defaults to :func:`_tables` of the schedule.
     """
+    if tables is None:
+        tables = _tables(schedule, initial.n_max)
     if any(s.until_n_bar is not None for s in schedule.segments):
-        return run(initial, schedule).records[-1]
-    lw = initial.log_weights.copy()
+        return _run(initial, schedule, tables).records[-1]
+    lw = initial.log_weights
     last = 0
-    for seg_id, (seg, table) in enumerate(zip(schedule.segments,
-                                              _tables(schedule, initial.n_max))):
+    for seg_id, (seg, table) in enumerate(zip(schedule.segments, tables)):
         if table is not None:
-            lw += seg.steps * table.log_survival
+            lw = _advance(lw, table, seg.steps)
             last = seg_id
     steps = schedule.total_steps
     n_bar, ground, survival, thermal, _ = _AmplitudeView(lw.size).observe(
-        lw, None if steps else initial.norm_log)
+        lambda: lw, None if steps else initial.norm_log)
     return _records([(steps, n_bar, ground, survival, thermal, last)], schedule)[0]
 
 
@@ -493,22 +530,41 @@ def sweep(axis: str, values, thermal: ThermalSpec, schedule: ProtocolSchedule, *
 
     Each grid point's terminal record is read off the closed form of its
     schedule (:func:`_terminal_record`), equal to the last record of a
-    stepped :func:`run`. A grid point that fails as an input or numeric
+    stepped :func:`run`. Each operator (variant and params) is built once,
+    at the largest n_max of the grid points that apply it, and every such
+    point reads its head. A grid point that fails as an input or numeric
     fault (``ValueError``, ``ArithmeticError``, ``CapacityError``) is
     recorded with its error message and the sweep moves on; any other
     exception is a fault of the program and propagates.
     """
     # n_segments keeps its default: a schedule too short for switch fails per grid point
     _check_axis(axis, thermal.omega_m is not None)
-    values = list(values)
+    values = [float(v) for v in values]
     if not values:
         raise ValueError("sweep grid must be nonempty")
-    points = []
+    starts = []  # each grid point's schedule and thermal start, or why it has none
+    sizes = {}  # the largest n_max at which each operator is applied
     for value in values:
         try:
-            th, sched = _apply_axis(axis, float(value), thermal, schedule)
+            th, sched = _apply_axis(axis, value, thermal, schedule)
             init = initial_state(th, sched, hard_cap=hard_cap)
-            points.append(SweepPoint(axis, float(value), _terminal_record(init, sched)))
-        except (ValueError, ArithmeticError, CapacityError) as exc:
-            points.append(SweepPoint(axis, float(value), None, f"{type(exc).__name__}: {exc}"))
+        except _POINT_FAULTS as exc:
+            starts.append(exc)
+            continue
+        starts.append((sched, init))
+        for seg in sched.segments:
+            key = seg.variant, seg.params
+            sizes[key] = max(sizes.get(key, 0), init.n_max)
+    # a failed build is not cached: each grid point that needs it fails on its own
+    build = cache(lambda variant, params: build_table(variant, params, sizes[variant, params]))
+    points = []
+    for value, start in zip(values, starts):
+        try:
+            if isinstance(start, Exception):
+                raise start
+            sched, init = start
+            record = _terminal_record(init, sched, _tables(sched, init.n_max, build))
+            points.append(SweepPoint(axis, value, record))
+        except _POINT_FAULTS as exc:
+            points.append(SweepPoint(axis, value, None, f"{type(exc).__name__}: {exc}"))
     return points

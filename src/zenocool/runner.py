@@ -189,6 +189,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict[str, str]:
                 "measurements_recorded": len(result.records) - 1,
                 "terminated_early": result.terminated_early,
             })
+        elif outs.run_csv:
+            resolved["skipped_outputs"] = {"run_csv": "config has no thermal state"}
         if config.outputs.coefficients_csv:
             _write_tables(config, schedule, tables, out_dir, n_max, outputs)
             if config.outputs.n_max is not None:

@@ -38,3 +38,16 @@ def test_a_trajectory_case_against_itself(monkeypatch, capsys):
     case, n_max, *_, ratio = capsys.readouterr().out.splitlines()[1].split()
     assert (case, n_max) == ("traj-fig3a", "24") and float(ratio) > 0.0
     assert tool.CASES["traj-fig3a"] == {"preset": "fig3a", "trajectories": 2_000}
+
+
+def test_a_sweep_case_against_itself(capsys):
+    tool = _load_tool()
+    assert [tool.CASES[c]["preset"] for c in ("sweep-fig6", "sweep-fig7")] == [
+        "fig6_sweep", "fig7_switch"]
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--cases", "sweep-fig6,sweep-fig7", "--repeats", "2"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    # the largest n_max of the grid: fig6_sweep's 120 K point, fig7_switch's 10 K start
+    assert [(row[0], row[1]) for row in rows] == [("sweep-fig6", "27827"),
+                                                  ("sweep-fig7", "2319")]
+    assert all(float(row[-1]) > 0.0 for row in rows)

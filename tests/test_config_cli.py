@@ -331,6 +331,22 @@ def test_a_missing_thermal_state_is_one_error_everywhere(tmp_path, capsys, comma
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("run_csv", [True, False])
+def test_manifest_names_a_run_csv_skipped_for_want_of_a_thermal_state(tmp_path, run_csv):
+    config = {**NO_THERMAL_START, "outputs": {"coefficients_csv": True, "n_max": 10}}
+    if not run_csv:
+        config["outputs"]["run_csv"] = False
+    out = tmp_path / "out"
+    assert main(["--quiet", "run", "--config", str(write_config(tmp_path, config)),
+                 "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["coefficients_conventional.csv",
+                                                     "manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["outputs"]["run_csv"] is run_csv
+    skipped = manifest["resolved"].get("skipped_outputs")
+    assert skipped == ({"run_csv": "config has no thermal state"} if run_csv else None)
+
+
 def test_manifest_lists_no_segment_for_a_zero_segment_run(tmp_path):
     assert main(["--quiet", "run", "--preset", "fig5a", "--out-dir", str(tmp_path)]) == 0
     resolved = json.loads((tmp_path / "manifest.json").read_text())["resolved"]

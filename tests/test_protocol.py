@@ -334,6 +334,23 @@ def _preset_start(name):
                                    hard_cap=config.hard_cap)
 
 
+def _summed_log_weights(initial, schedule, steps_run):
+    """lw_0 + sum_i k_i S_i, each segment added in order as lw + k_i * S_i."""
+    lw = initial.log_weights
+    for seg, k in zip(schedule.segments, steps_run):
+        if k:
+            lw = lw + k * build_table(seg.variant, seg.params, initial.n_max).log_survival
+    return lw
+
+
+def _assert_final_log_weights(result, initial, schedule, final):
+    """Bitwise the per-segment sum; the ``step`` loop's state within 1e-13,
+    since that loop rounds once per measurement."""
+    np.testing.assert_array_equal(
+        result.final.log_weights, _summed_log_weights(initial, schedule, result.steps_run))
+    np.testing.assert_allclose(result.final.log_weights, final.log_weights, rtol=1e-13)
+
+
 @pytest.mark.parametrize("name", RUN_PRESETS)
 def test_run_matches_step_loop_on_presets(name):
     schedule, initial = _preset_start(name)
@@ -345,7 +362,7 @@ def test_run_matches_step_loop_on_presets(name):
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
     assert [r.segment for r in result.records] == segments
     assert [r.step for r in result.records] == list(range(len(segments)))
-    np.testing.assert_array_equal(result.final.log_weights, final.log_weights)
+    _assert_final_log_weights(result, initial, schedule, final)
     assert result.final.norm_log == pytest.approx(final.norm_log, rel=1e-12, abs=1e-15)
 
 
@@ -404,7 +421,7 @@ def test_run_keeps_full_precision_over_a_wide_dynamic_range():
     got = np.array([[r.n_bar, r.ground_fidelity, r.survival_probability,
                      r.thermal_fidelity] for r in result.records])
     np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-280)
-    np.testing.assert_array_equal(result.final.log_weights, final.log_weights)
+    _assert_final_log_weights(result, initial=d, schedule=schedule, final=final)
 
 
 def _long_double_records(initial, schedule):
@@ -450,6 +467,85 @@ def test_run_matches_long_double_evolution(name):
     assert float(abs(got[0, 2] - want[0, 2])) <= 5e-15
     got[0, 2] = want[0, 2] = 1.0
     assert float((np.abs(got - want) / np.abs(want)).max()) <= 5e-15
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("name", RUN_PRESETS)
+def test_run_final_log_weights_match_a_long_double_sum(name):
+    # one rounding of k S and one of the sum per segment, not one per measurement
+    schedule, initial = _preset_start(name)
+    result = run(initial, schedule)
+    want = initial.log_weights.astype(np.longdouble)
+    for seg, k in zip(schedule.segments, result.steps_run):
+        if k:
+            table = build_table(seg.variant, seg.params, initial.n_max)
+            want = want + k * table.log_survival.astype(np.longdouble)
+    got = result.final.log_weights
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(got[~finite], want[~finite].astype(float))
+    err = np.abs(got[finite] - want[finite]) / np.abs(want[finite])
+    assert float(err.max()) <= 5e-16
+
+
+def _zero_coefficient_table(variant, params, n_max):
+    """Level 2 killed outright (c_2 = 0); levels 1 and 3 lose 3/4 of their weight."""
+    values = np.full(n_max + 1, 0.5, dtype=complex)
+    values[0] = 1.0
+    values[2] = 0.0
+    return CoefficientTable(variant, values, params)
+
+
+@pytest.mark.parametrize("probabilities, segment", [
+    # stops on until_n_bar at step 3 of 10: n_bar 1.5, 0.67, 0.22, 0.06
+    ([0.25, 0.25, 0.25, 0.25], Segment("conventional", PARAMS_CONV, 10, until_n_bar=0.1)),
+    # no ground weight: the mass falls by 4 per step, so the view is rebuilt
+    # from the log-weights every 27 steps
+    ([0.0, 1 / 3, 1 / 3, 1 / 3], Segment("conventional", PARAMS_CONV, 100)),
+], ids=["until_n_bar", "rebuilds"])
+def test_a_zero_coefficient_leaves_minus_inf_and_never_nan(monkeypatch, probabilities, segment):
+    monkeypatch.setattr(protocol, "build_table", _zero_coefficient_table)
+    initial = PopulationDistribution.from_probabilities(probabilities)
+    schedule = ProtocolSchedule((segment, Segment("driven", PARAMS_DRIVEN, 2)))
+    rebuilds = []
+    refresh = protocol._AmplitudeView.refresh
+
+    def counted(view, lw):
+        rebuilds.append(lw.copy())
+        refresh(view, lw)
+    monkeypatch.setattr(protocol._AmplitudeView, "refresh", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run(initial, schedule)
+    k = result.steps_run[0]
+    assert k == (3 if segment.until_n_bar else 100)
+    assert result.steps_run[1] == 2
+    lw = result.final.log_weights
+    assert lw[2] == -math.inf and np.isfinite(lw[1])
+    assert not any(np.isnan(x).any() for x in [lw, *rebuilds])
+    assert all(x[2] == -math.inf for x in rebuilds[1:])
+    assert (len(rebuilds) > 3) == (segment.until_n_bar is None)
+    assert np.isfinite(result.records.n_bar).all()
+    assert lw[1] == pytest.approx(math.log(probabilities[1]) + (k + 2) * math.log(0.25),
+                                  rel=1e-15)
+
+
+@pytest.mark.parametrize("case", ["driven-conventional-driven", "zero-step",
+                                  "fig4", "fig6", "fig7"])
+def test_run_final_log_weights_are_those_of_the_terminal_record(monkeypatch, case):
+    schedule, initial = TERMINAL_CASES[case]()
+    observed = []
+    refresh = protocol._AmplitudeView.refresh
+
+    def kept(view, lw):
+        observed.append(lw)
+        refresh(view, lw)
+    monkeypatch.setattr(protocol._AmplitudeView, "refresh", kept)
+    final = run(initial, schedule).final.log_weights
+    del observed[:]
+    protocol._terminal_record(initial, schedule)
+    (terminal,) = observed
+    np.testing.assert_array_equal(final, terminal)
 
 
 @pytest.mark.parametrize("size", [1, 24, 8192, 8193, 23190, 57345, 65536])
@@ -613,11 +709,11 @@ def test_sweep_propagates_a_fault_of_the_program(monkeypatch):
     real = protocol._terminal_record
     calls = []
 
-    def faulty(initial, schedule):
+    def faulty(initial, schedule, *tables):
         calls.append(schedule)
         if len(calls) == 2:
             raise TypeError("fault at one grid point")
-        return real(initial, schedule)
+        return real(initial, schedule, *tables)
 
     monkeypatch.setattr(protocol, "_terminal_record", faulty)
     schedule = ProtocolSchedule((Segment("driven", PARAMS_DRIVEN, 5),))
@@ -822,6 +918,41 @@ def test_run_builds_each_operator_once(monkeypatch):
     assert [t.variant for t in result.tables] == ["driven", "conventional", "driven"]
     assert run(initial, ProtocolSchedule((Segment("driven", PARAMS_DRIVEN, 0),))
                ).tables == (None,)
+
+
+@pytest.mark.parametrize("name, builds", [("fig6_sweep", 1), ("fig7_switch", 2), ("fig8", 5)])
+def test_sweep_builds_each_operator_once(monkeypatch, name, builds):
+    """Each (variant, params) pair is built once, at the largest n_max of the
+    grid; a grid point reads its head, bitwise the table of its own n_max."""
+    config = parse_config_data({"preset": name})
+    thermal, schedule = config.thermal_spec(), config.schedule()
+    fresh = []
+    for value in config.sweep.values:
+        th, sched = protocol._apply_axis(config.sweep.axis, value, thermal, schedule)
+        fresh.append(protocol._terminal_record(initial_state(th, sched), sched))
+    calls = _counted_builds(monkeypatch)
+    points = sweep(config.sweep.axis, config.sweep.values, thermal, schedule)
+    assert len(calls) == builds
+    assert [p.record.item() for p in points] == [r.item() for r in fresh]
+
+
+def test_a_sweep_point_whose_start_fails_keeps_its_own_error(monkeypatch):
+    # 120 K needs n_max 27,827; the cap fails that point alone, and the
+    # others share one table built at the largest n_max they need (110 K)
+    config = parse_config_data({"preset": "fig6_sweep"})
+    sizes = []
+
+    def counted(variant, params, n_max):
+        sizes.append(n_max)
+        return build_table(variant, params, n_max)
+    monkeypatch.setattr(protocol, "build_table", counted)
+    points = sweep("T", config.sweep.values, config.thermal_spec(), config.schedule(),
+                   hard_cap=26_000)
+    assert [p.error is None for p in points] == [True, True, True, False]
+    assert points[3].error.startswith("CapacityError: ")
+    n_max_110 = initial_state(replace(config.thermal_spec(), temperature=110.0),
+                              config.schedule()).n_max
+    assert sizes == [n_max_110]
 
 
 def test_sampler_reads_the_tables_of_its_run(monkeypatch):

@@ -1,4 +1,4 @@
-"""Time ``run`` or the trajectory sampler of two source trees, alternating.
+"""Time ``run``, ``sweep`` or the trajectory sampler of two source trees, alternating.
 
     python tools/alternate_runs.py OLD_SRC NEW_SRC [--cases fig4,fig6] [--repeats 21]
 
@@ -9,10 +9,12 @@ relatively, so both load side by side. Each case parses the same config
 on both sides and builds its schedule and thermal start there. A case
 with a ``trajectories`` count (the ``traj-*`` cases) times
 ``sample_trajectories`` at a fixed seed, which includes the ``run`` that
-realizes the schedule; every other case times ``run``. After one untimed
-call per side, every repeat times one call per side, the old side first
-on even repeats and the new side first on odd ones, so that a drift in
-machine speed falls on both sides alike. The table gives each side's
+realizes the schedule; a case whose config has a ``sweep`` block (the
+``sweep-*`` cases) times ``sweep`` over its whole grid, and its n_max is
+the largest of the grid's starts; every other case times ``run``. After
+one untimed call per side, every repeat times one call per side, the old
+side first on even repeats and the new side first on odd ones, so that a
+drift in machine speed falls on both sides alike. The table gives each side's
 median and quartiles in ms and the ratio of the medians, new over old.
 
 Run as a script, it pins the BLAS and OpenMP pools to one thread before
@@ -52,6 +54,8 @@ CASES = {
                  "segments": [{"variant": "driven", "steps": 300}], "seed": 1},
     "traj-fig4": {"preset": "fig4", "trajectories": 250_000},
     "traj-fig7": {"preset": "fig7", "trajectories": 250_000},
+    "sweep-fig6": {"preset": "fig6_sweep"},
+    "sweep-fig7": {"preset": "fig7_switch"},
 }
 TRAJECTORY_SEED = 1
 SIDES = ("old", "new")
@@ -69,9 +73,15 @@ def _call(package, case: dict):
     config = dict(case)
     n_trajectories = config.pop("trajectories", None)
     config = package.parse_config_data(config)
-    schedule = config.schedule()
-    initial = package.initial_state(config.thermal_spec(), schedule,
-                                    hard_cap=config.hard_cap)
+    schedule, thermal = config.schedule(), config.thermal_spec()
+    if config.sweep is not None:
+        axis, values = config.sweep.axis, config.sweep.values
+        starts = (package.protocol._apply_axis(axis, v, thermal, schedule) for v in values)
+        n_max = max(package.initial_state(th, sched, hard_cap=config.hard_cap).n_max
+                    for th, sched in starts)
+        return n_max, functools.partial(package.sweep, axis, values, thermal, schedule,
+                                        hard_cap=config.hard_cap)
+    initial = package.initial_state(thermal, schedule, hard_cap=config.hard_cap)
     if n_trajectories is None:
         return initial.n_max, functools.partial(package.run, initial, schedule)
     return initial.n_max, functools.partial(
