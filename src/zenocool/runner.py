@@ -1,8 +1,11 @@
 """Experiment orchestration and persistent CSV/JSON artifacts.
 
-Numbers are written with 17 significant digits so regression tolerances on
-the files are meaningful; identical config and seed produce byte-identical
-CSV output.
+Every CSV number is written exactly as ``"%.17g" % x`` writes it (an
+integer column as ``"%d"``), so regression tolerances on the files are
+meaningful and identical config and seed produce byte-identical CSV
+output. One streaming writer, ``_write_csv``, writes every table a chunk
+of rows at a time, with its cells from ``_cells.lines``; ``sweep.csv``
+takes its numeric cells from the same formatter.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._cells import lines
 from .fock import PopulationDistribution
 from .coefficients import CoefficientTable, build_table, variant_of
 from .protocol import (
     ProtocolSchedule,
     RunResult,
     Segment,
+    StepRecord,
     initial_state,
     run,
     sweep,
@@ -32,18 +37,22 @@ from .config import ConfigError, ExperimentConfig
 
 RUN_COLUMNS = ("N", "n_bar", "F_ground", "P_g", "T_eff_K", "F_th", "segment")
 
-
-_RECORD_FMT = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d"
-
 # Largest unitarity defect of an oracle propagator that run_oracle_check accepts.
 UNITARITY_TOLERANCE = 1e-12
 
+# Cells formatted per chunk: bounds the formatter's temporaries to about 1 MiB.
+_CHUNK_CELLS = 4096
 
-def _write_csv(path: Path, header, row_fmt: str, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        line = row_fmt + "\n"
-        fh.writelines(line % row for row in rows)
+
+def _write_csv(path: Path, header, columns):
+    """Write the equal-length int or float arrays ``columns`` under ``header``,
+    ``_CHUNK_CELLS`` cells at a time."""
+    rows = max(1, _CHUNK_CELLS // len(columns))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(columns[0]), rows):
+            chunk = {id(c): c[start:start + rows] for c in columns}  # one slice per array
+            fh.write(lines([chunk[id(c)] for c in columns]))
 
 
 def _probe_writable(out_dir: Path):
@@ -54,31 +63,33 @@ def _probe_writable(out_dir: Path):
     probe.unlink()
 
 
+def _record_columns(records: np.ndarray) -> list[np.ndarray]:
+    records = records.view(np.ndarray)  # a recarray's field lookup is slower
+    return [records[name] for name in StepRecord.names]
+
+
 def write_run_csv(path: Path, result: RunResult):
-    _write_csv(path, RUN_COLUMNS, _RECORD_FMT, result.records.tolist())
+    _write_csv(path, RUN_COLUMNS, _record_columns(result.records))
 
 
 def write_histogram_csv(path: Path, d: PopulationDistribution):
     p = d.probabilities()
-    _write_csv(path, ("n", "p_n"), "%d,%.17g", enumerate(p.tolist()))
+    _write_csv(path, ("n", "p_n"), (np.arange(p.size), p))
 
 
 def write_coefficients_csv(path: Path, table: CoefficientTable, powers):
-    """One row per level, written column by column: each column's cells are
-    formatted once, and the power-1 column reuses the ``abs2`` cells."""
+    """One row per level: n, Re c_n, Im c_n, |c_n|² and |c_n|^(2N) for each
+    N in ``powers``. Each power is Python's scalar ``pow`` of the |c_n|²
+    value (numpy's array ``**`` can differ in the last ulp); power 1 is
+    the ``abs2`` column itself."""
     header = ["n", "re", "im", "abs2"] + [f"abs2_pow_{2 * N}" for N in powers]
     values = table.values
-    abs2 = (np.abs(values) ** 2).tolist()
-    cell = "%.17g".__mod__
-    abs2_cells = list(map(cell, abs2))
-    columns = [map(str, range(len(abs2))), map(cell, values.real.tolist()),
-               map(cell, values.imag.tolist()), abs2_cells]
-    # A scalar power per element: numpy's array ** differs in the last ulp.
-    columns += [abs2_cells if N == 1 else map(cell, map(pow, abs2, repeat(N)))
+    abs2 = np.abs(values) ** 2
+    columns = [np.arange(abs2.size), values.real, values.imag, abs2]
+    columns += [abs2 if N == 1 else
+                np.fromiter(map(pow, abs2.tolist(), repeat(N)), np.float64, abs2.size)
                 for N in powers]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+    _write_csv(path, header, columns)
 
 
 def _dimensionless_params(params) -> dict:
@@ -206,15 +217,17 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict[str, str]:
         points = sweep(config.sweep.axis, config.sweep.values, config.thermal_spec(),
                        config.schedule(), hard_cap=config.hard_cap)
         path = out_dir / "sweep.csv"
+        # the numeric cells from the CSV formatter, the error text quoted by csv
+        values = lines([np.array([pt.value for pt in points], dtype=np.float64)])
+        records = np.array([pt.record for pt in points if pt.record is not None],
+                           dtype=StepRecord)
+        rows = iter(lines(_record_columns(records)).decode().splitlines())
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("axis", "value") + RUN_COLUMNS + ("error",))
-            for pt in points:
-                if pt.record is None:
-                    cells = [""] * len(RUN_COLUMNS)
-                else:
-                    cells = (_RECORD_FMT % pt.record.item()).split(",")
-                writer.writerow([pt.axis, format(pt.value, ".17g"), *cells, pt.error or ""])
+            for pt, value in zip(points, values.decode().splitlines()):
+                cells = [""] * len(RUN_COLUMNS) if pt.record is None else next(rows).split(",")
+                writer.writerow([pt.axis, value, *cells, pt.error or ""])
         outputs["sweep_csv"] = str(path)
         resolved.update({
             "axis": config.sweep.axis,
@@ -271,12 +284,10 @@ def run_trajectories(config: ExperimentConfig, out_dir, *,
         initial = initial_state(thermal, schedule, hard_cap=config.hard_cap)
         batch = sample_trajectories(initial, schedule,
                                     n_trajectories=n_trajectories, seed=seed)
-        estimates = batch.estimates()
-        errors = batch.standard_errors()
         path = out_dir / "trajectories.csv"
-        rows = ((N, estimates[N], errors[N], batch.exact_survival[N])
-                for N in range(batch.n_steps + 1))
-        _write_csv(path, ("N", "p_hat", "stderr", "p_exact"), "%d,%.17g,%.17g,%.17g", rows)
+        _write_csv(path, ("N", "p_hat", "stderr", "p_exact"),
+                   (np.arange(batch.n_steps + 1), batch.estimates(), batch.standard_errors(),
+                    batch.exact_survival))
         outputs["trajectories_csv"] = str(path)
         resolved.update({
             "n_bar_th": thermal.n_bar,

@@ -2,6 +2,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import zenocool
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "alternate_runs.py"
 
@@ -51,3 +53,24 @@ def test_a_sweep_case_against_itself(capsys):
     assert [(row[0], row[1]) for row in rows] == [("sweep-fig6", "27827"),
                                                   ("sweep-fig7", "2319")]
     assert all(float(row[-1]) > 0.0 for row in rows)
+
+
+def test_an_export_case_against_itself(monkeypatch, capsys):
+    tool = _load_tool()
+    export = tool.CASES["export-hot-100k"]
+    assert export["export"] and export["segments"] == tool.CASES["hot-100k"]["segments"]
+    assert export["outputs"] == {"histogram_csv": True, "coefficients_csv": True}
+    monkeypatch.setitem(tool.CASES, "export-fig3a", {"preset": "fig3a", "export": True})
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--cases", "export-fig3a", "--repeats", "2"]) == 0
+    case, n_max, *_, ratio = capsys.readouterr().out.splitlines()[1].split()
+    assert (case, n_max) == ("export-fig3a", "24") and float(ratio) > 0.0
+
+
+def test_an_export_call_writes_the_three_files(tmp_path):
+    tool = _load_tool()
+    n_max, call = tool._call(zenocool, {"preset": "fig3a", "export": True}, tmp_path / "out")
+    call()
+    names = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert (n_max, names) == (24, ["coefficients.csv", "histogram.csv", "run.csv"])
+    assert (tmp_path / "out" / "histogram.csv").read_text().count("\n") == n_max + 2

@@ -1,0 +1,163 @@
+"""The CSV writer's vectorized cells against Python's own ``%`` formatting."""
+
+import math
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import zenocool._cells as cells
+import zenocool.runner as runner
+from zenocool import PopulationDistribution, initial_state, parse_config_data, run
+from zenocool.runner import RUN_COLUMNS, write_histogram_csv, write_run_csv
+
+
+def _text(words: np.ndarray) -> list[bytes]:
+    """One bytes cell per column of a word matrix, NULs dropped."""
+    return [bytes(cell).replace(b"\0", b"") for cell in words.T.copy().view(np.uint8)]
+
+
+def _floats(values) -> list[bytes]:
+    return _text(cells.float_words(np.array(values, dtype=np.float64)))
+
+
+def _want(values) -> list[bytes]:
+    return [("%.17g" % v).encode() for v in values]
+
+
+def _powers_and_neighbours() -> list[float]:
+    powers = [float(f"1e{k}") for k in range(-300, 301)]
+    return [v for p in powers for v in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))]
+
+
+def _ties() -> list[float]:
+    """Doubles whose exact decimal expansion has 18 significant digits
+    ending in 5: the 17th digit is a rounding tie, broken to even."""
+    twelve_digits = [123456789012.0 + k / 64 for k in range(1, 64, 2)]
+    sixteen_digits = [1125899906842624.0 + k / 4 for k in (1, 3, 5, 7)]
+    return [s * v for v in twelve_digits + sixteen_digits for s in (1.0, -1.0)]
+
+
+EDGES = (
+    _powers_and_neighbours()
+    + [k / 64 for k in range(-640, 641)]
+    + _ties()
+    # the decade edges of the 17-digit product and the fixed/exponent switch
+    + [1e16, 1e16 - 2.0, 1e16 + 2.0, 1e17, 1e17 - 16.0, 1e17 + 16.0,
+       9999999999999998.0, 99999999999999984.0]
+    + [m * 10.0 ** k for k in (-5, -4, 16, 17) for m in (1.0, 1.5, 9.999999999999999, 1.2345678901234567)]
+    + [sys.float_info.max, -sys.float_info.max, 5e-324, -5e-324, sys.float_info.min,
+       2.2250738585072009e-308, 0.0, -0.0, math.inf, -math.inf, math.nan]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_float_cells_are_python_percent_17g(values):
+    assert _floats(values) == _want(values)
+
+
+def test_float_cells_on_the_edge_list():
+    assert _floats(EDGES) == _want(EDGES)
+
+
+def test_random_bit_patterns():
+    bits = np.random.default_rng(3).integers(0, 2**64, 50_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert _floats(values) == _want(values.tolist())
+
+
+def test_every_cell_through_the_fallback(monkeypatch):
+    """With an infinite tie window no digit is certain, so Python's own
+    "%.17g" writes every cell; a garbage spelling table proves that no
+    cell is spelled from the table."""
+    values = EDGES + np.random.default_rng(4).standard_normal(2_000).tolist()
+    monkeypatch.setattr(cells, "_TIE_TOLERANCE", math.inf)
+    garbage = np.full(4 * cells._GROUP, int.from_bytes(b"XXXX", "little"), np.uint32)
+    monkeypatch.setattr(cells, "_spellings", lambda: garbage)
+    assert _floats(values) == _want(values)
+
+
+def test_int_cells_are_python_percent_d():
+    rng = np.random.default_rng(5)
+    info = np.iinfo(np.int64)
+    values = np.concatenate([
+        rng.integers(info.min, info.max, 5_000, endpoint=True),
+        np.arange(-20_001, 20_001),
+        [info.min, info.max, info.min + 1, 0, -1, 10**16, -(10**16)],
+    ])
+    assert _text(cells.int_words(values)) == [b"%d" % v for v in values.tolist()]
+
+
+def test_power_table_is_correctly_rounded():
+    """Each entry lies within half an ulp of 10^q, the bound the tie
+    window rests on, and the entries flagged exact are exact."""
+    powers, inexact = cells._powers_of_ten()
+    for q, p, flag in zip(range(cells._Q_MIN, cells._Q_MAX + 1), powers, inexact):
+        exact = Fraction(10) ** q
+        value = Fraction(*p.as_integer_ratio())
+        half_ulp = Fraction(*np.spacing(p).as_integer_ratio()) / 2
+        assert abs(value - exact) <= half_ulp, q
+        assert flag == (value != exact), q
+
+
+def _rows(columns) -> bytes:
+    fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in columns) + "\n"
+    return "".join(fmt % row for row in zip(*(c.tolist() for c in columns))).encode()
+
+
+@pytest.mark.parametrize("vector_min", [0, 10**9])
+def test_both_row_paths_write_the_same_bytes(monkeypatch, vector_min):
+    rng = np.random.default_rng(6)
+    x = np.array(EDGES)
+    columns = [np.arange(x.size) - 50, x, rng.standard_normal(x.size), x]
+    monkeypatch.setattr(cells, "_VECTOR_MIN", vector_min)
+    assert cells.lines(columns) == _rows(columns)
+
+
+def test_chunks_cover_every_row_once(tmp_path, monkeypatch):
+    """Rows straddle chunk boundaries, and the short last chunk takes the
+    Python path."""
+    monkeypatch.setattr(runner, "_CHUNK_CELLS", 60)
+    monkeypatch.setattr(cells, "_VECTOR_MIN", 40)
+    rng = np.random.default_rng(7)
+    n = 47  # 20 rows a chunk: 20, 20, then 7 rows (21 cells, Python's)
+    columns = [np.arange(n), rng.standard_normal(n) * 1e-6, rng.random(n)]
+    runner._write_csv(tmp_path / "x.csv", ("n", "a", "b"), columns)
+    assert (tmp_path / "x.csv").read_bytes() == b"n,a,b\n" + _rows(columns)
+
+
+def test_an_empty_table_writes_its_header(tmp_path):
+    runner._write_csv(tmp_path / "x.csv", ("n", "p"), [np.arange(0), np.zeros(0)])
+    assert (tmp_path / "x.csv").read_bytes() == b"n,p\n"
+
+
+def test_run_and_histogram_files_match_the_row_wise_layout(tmp_path):
+    """fig4 writes 2,320 histogram rows: two full vector chunks and a short
+    Python one."""
+    config = parse_config_data({"preset": "fig4"})
+    result = run(initial_state(config.thermal_spec(), config.schedule(),
+                               hard_cap=config.hard_cap), config.schedule())
+    write_run_csv(tmp_path / "run.csv", result)
+    write_histogram_csv(tmp_path / "histogram.csv", result.final)
+    assert (tmp_path / "run.csv").read_bytes() == (
+        ",".join(RUN_COLUMNS) + "\n" + "".join(
+            "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n" % row
+            for row in result.records.tolist())).encode()
+    p = result.final.probabilities()
+    assert p.size == 2320
+    assert (tmp_path / "histogram.csv").read_bytes() == (
+        "n,p_n\n" + "".join("%d,%.17g\n" % row for row in enumerate(p.tolist()))).encode()
+
+
+def test_a_histogram_with_underflowed_levels(tmp_path):
+    lw = np.concatenate([np.linspace(0.0, -700.0, 1_500), np.full(500, -np.inf),
+                         np.linspace(-740.0, -745.0, 100)])
+    d = PopulationDistribution(lw)
+    write_histogram_csv(tmp_path / "h.csv", d)
+    p = d.probabilities()
+    assert (p == 0.0).any() and (p[p > 0] < sys.float_info.min).any()
+    assert (tmp_path / "h.csv").read_bytes() == (
+        "n,p_n\n" + "".join("%d,%.17g\n" % row for row in enumerate(p.tolist()))).encode()

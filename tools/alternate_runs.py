@@ -1,4 +1,4 @@
-"""Time ``run``, ``sweep`` or the trajectory sampler of two source trees, alternating.
+"""Time ``run``, ``sweep``, the trajectory sampler or the CSV writers of two source trees, alternating.
 
     python tools/alternate_runs.py OLD_SRC NEW_SRC [--cases fig4,fig6] [--repeats 21]
 
@@ -11,7 +11,10 @@ with a ``trajectories`` count (the ``traj-*`` cases) times
 ``sample_trajectories`` at a fixed seed, which includes the ``run`` that
 realizes the schedule; a case whose config has a ``sweep`` block (the
 ``sweep-*`` cases) times ``sweep`` over its whole grid, and its n_max is
-the largest of the grid's starts; every other case times ``run``. After
+the largest of the grid's starts; an ``export`` case (``export-hot-100k``)
+runs its schedule once, untimed, and times the run, histogram and
+coefficient writers on the result, as a run with every export on calls
+them; every other case times ``run``. After
 one untimed call per side, every repeat times one call per side, the old
 side first on even repeats and the new side first on odd ones, so that a
 drift in machine speed falls on both sides alike. The table gives each side's
@@ -43,19 +46,23 @@ from pathlib import Path
 _G_M = 2.0 * math.pi * 1.0e6
 _OMEGA_M = 1.56e10
 
+# a driven 300-measurement run at 100 K, shaped like a hot-100k run
+_HOT_100K = {"omega_m_rad_s": _OMEGA_M, "g_m": _G_M, "g_f": 45.0 * _G_M,
+             "delta_e": 0.0, "tau": 220.0 / _OMEGA_M, "T_kelvin": 100.0,
+             "segments": [{"variant": "driven", "steps": 300}], "seed": 1}
+
 CASES = {
     "fig3a": {"preset": "fig3a"},
     "fig4": {"preset": "fig4"},
     "fig7": {"preset": "fig7"},
     "fig6": {"preset": "fig6"},
-    # a driven 300-measurement run at 100 K, shaped like a hot-100k run
-    "hot-100k": {"omega_m_rad_s": _OMEGA_M, "g_m": _G_M, "g_f": 45.0 * _G_M,
-                 "delta_e": 0.0, "tau": 220.0 / _OMEGA_M, "T_kelvin": 100.0,
-                 "segments": [{"variant": "driven", "steps": 300}], "seed": 1},
+    "hot-100k": _HOT_100K,
     "traj-fig4": {"preset": "fig4", "trajectories": 250_000},
     "traj-fig7": {"preset": "fig7", "trajectories": 250_000},
     "sweep-fig6": {"preset": "fig6_sweep"},
     "sweep-fig7": {"preset": "fig7_switch"},
+    "export-hot-100k": {**_HOT_100K, "export": True,
+                        "outputs": {"histogram_csv": True, "coefficients_csv": True}},
 }
 TRAJECTORY_SEED = 1
 SIDES = ("old", "new")
@@ -68,10 +75,20 @@ def _load(src: Path, side: str, tmp: Path):
     return importlib.import_module(name)
 
 
-def _call(package, case: dict):
-    """The case's start's n_max and the call to time on it."""
+def _export(package, result, powers, out_dir: Path):
+    """The three CSV writers on ``result``, as ``run_experiment`` calls them."""
+    runner = package.runner
+    runner.write_run_csv(out_dir / "run.csv", result)
+    runner.write_histogram_csv(out_dir / "histogram.csv", result.final)
+    runner.write_coefficients_csv(out_dir / "coefficients.csv", result.tables[0], powers)
+
+
+def _call(package, case: dict, out_dir: Path):
+    """The case's start's n_max and the call to time on it; an export case
+    writes into ``out_dir``."""
     config = dict(case)
     n_trajectories = config.pop("trajectories", None)
+    export = config.pop("export", False)
     config = package.parse_config_data(config)
     schedule, thermal = config.schedule(), config.thermal_spec()
     if config.sweep is not None:
@@ -82,6 +99,10 @@ def _call(package, case: dict):
         return n_max, functools.partial(package.sweep, axis, values, thermal, schedule,
                                         hard_cap=config.hard_cap)
     initial = package.initial_state(thermal, schedule, hard_cap=config.hard_cap)
+    if export:
+        out_dir.mkdir(parents=True)
+        return initial.n_max, functools.partial(
+            _export, package, package.run(initial, schedule), config.outputs.powers, out_dir)
     if n_trajectories is None:
         return initial.n_max, functools.partial(package.run, initial, schedule)
     return initial.n_max, functools.partial(
@@ -98,7 +119,8 @@ def alternate(old_src, new_src, cases, repeats: int) -> list[dict]:
                         for src, side in zip((old_src, new_src), SIDES)]
             results = []
             for case in cases:
-                n_max, calls = zip(*(_call(p, CASES[case]) for p in packages))
+                n_max, calls = zip(*(_call(p, CASES[case], Path(tmp, case, side))
+                                     for p, side in zip(packages, SIDES)))
                 if len(set(n_max)) != 1:
                     raise SystemExit(f"{case}: the two sides start at n_max {sorted(n_max)}")
                 times = ([], [])
