@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -200,7 +200,8 @@ class _AmplitudeView:
     u is the head of a grid of ``_BLOCK`` columns, level n = _BLOCK a + b
     at row a, column b, so that the thermal-fidelity overlap
     sum_a rho^(_BLOCK a) sum_b u_n rho^b is one matrix-vector product and
-    two short ``exp`` calls instead of one ``exp`` per level.
+    one short ``exp`` over the joint exponents (b, then _BLOCK a) instead
+    of one ``exp`` per level.
     """
 
     def __init__(self, size: int):
@@ -213,12 +214,14 @@ class _AmplitudeView:
                        self.uv[:, :whole].reshape(2, -1, _DOT_CHUNK, 1))
         self.rest = tuple(self.uv[:, whole:size])
         self.top = 0.0
-        # n = _BLOCK a + b: exponents b along a row and _BLOCK a down the rows
-        self.col = np.arange(_BLOCK, dtype=float)
-        self.row = np.arange(rows, dtype=float) * _BLOCK
-        # rho^b and rho^(_BLOCK a); index 0 stays 1
-        self.col_pow = np.ones(_BLOCK)
-        self.row_pow = np.ones(rows)
+        # n = _BLOCK a + b: exponents b along a row, then _BLOCK a down the rows
+        self.exponents = np.concatenate((np.arange(_BLOCK, dtype=float),
+                                         np.arange(rows, dtype=float) * _BLOCK))
+        # rho^b and rho^(_BLOCK a), two views of one buffer
+        self.powers = np.empty_like(self.exponents)
+        self.col_pow, self.row_pow = self.powers[:_BLOCK], self.powers[_BLOCK:]
+        # the rows the last overlap kept, and the heads of grid and row_pow over them
+        self.rows, self.grid_head, self.row_pow_head = rows, self.grid, self.row_pow
 
     def refresh(self, lw: np.ndarray) -> None:
         top = float(lw.max())  # NaN or +inf anywhere in lw shows up here
@@ -246,13 +249,17 @@ class _AmplitudeView:
     def _overlap(self, log_rho: float) -> float:
         """sum_n u_n rho^n, dropping each factor rho^b, rho^(_BLOCK a) under exp(LOG_TINY)."""
         cols = min(_BLOCK, int(LOG_TINY / log_rho) + 1)
-        rows = min(self.row.size, int(LOG_TINY / (_BLOCK * log_rho)) + 1)
-        x = np.multiply(self.col[1:cols], log_rho, out=self.col_pow[1:cols])
-        np.exp(x, out=x)
-        self.col_pow[cols:] = 0.0
-        x = np.multiply(self.row[1:rows], log_rho, out=self.row_pow[1:rows])
-        np.exp(x, out=x)
-        return float((self.grid[:rows] @ self.col_pow).dot(self.row_pow[:rows]))
+        if cols == 1:  # so rows == 1; also log_rho = -inf, where 0 * log_rho is NaN
+            return float(self.u[0])
+        rows = min(self.row_pow.size, int(LOG_TINY / (_BLOCK * log_rho)) + 1)
+        # exp(0) = 1 keeps rho^0 exact in both views
+        np.exp(np.multiply(self.exponents, log_rho, out=self.powers), out=self.powers)
+        if cols < _BLOCK:
+            self.col_pow[cols:] = 0.0
+        if rows != self.rows:
+            self.rows = rows
+            self.grid_head, self.row_pow_head = self.grid[:rows], self.row_pow[:rows]
+        return float((self.grid_head @ self.col_pow).dot(self.row_pow_head))
 
     def observe(self, log_weights: Callable[[], np.ndarray], norm_log: float | None = None
                 ) -> tuple[float, float, float, float, float]:
@@ -323,6 +330,7 @@ def _run(initial: PopulationDistribution, schedule: ProtocolSchedule,
     """:func:`run` on the segment tables ``tables`` (:func:`_tables`)."""
     lw = initial.log_weights
     view = _AmplitudeView(lw.size)
+    u, v = view.u, view.v  # a rebuild writes into these
     n_bar, ground, survival, thermal, norm_log = view.observe(lambda: lw, initial.norm_log)
     rows = [(0, n_bar, ground, survival, thermal, 0)]
     steps_run = [0] * len(schedule.segments)
@@ -333,11 +341,13 @@ def _run(initial: PopulationDistribution, schedule: ProtocolSchedule,
         if table is None:
             continue
         magnitude = table.magnitude
+
+        def log_weights():  # called within the step loop: lw at the segment's start
+            return _advance(lw, table, k)
         for k in range(1, seg.steps + 1):
-            view.u *= magnitude
-            view.v *= magnitude
-            n_bar, ground, survival, thermal, norm_log = view.observe(
-                partial(_advance, lw, table, k))
+            u *= magnitude
+            v *= magnitude
+            n_bar, ground, survival, thermal, norm_log = view.observe(log_weights)
             rows.append((len(rows), n_bar, ground, survival, thermal, seg_id))
             if norm_log < DEFAULT_NORM_LOG_FLOOR:
                 terminated = True

@@ -31,6 +31,18 @@ def test_a_tree_against_itself(monkeypatch, capsys):
     assert not [m for m in sys.modules if m.startswith(("zenocool_old", "zenocool_new"))]
 
 
+def test_a_conventional_and_a_threshold_case_against_itself(capsys):
+    tool = _load_tool()
+    assert [tool.CASES[c]["preset"] for c in ("fig3c_conventional", "fig7_threshold")] == [
+        "fig3c_conventional", "fig7_threshold"]
+    # fig7_threshold's first segment stops on until_n_bar
+    assert zenocool.PRESETS["fig7_threshold"]["segments"][0]["until_n_bar"] == 10.0
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--cases", "fig3c_conventional", "--repeats", "2"]) == 0
+    case, n_max, *_, ratio = capsys.readouterr().out.splitlines()[1].split()
+    assert (case, n_max) == ("fig3c_conventional", "511") and float(ratio) > 0.0
+
+
 def test_a_trajectory_case_against_itself(monkeypatch, capsys):
     tool = _load_tool()
     assert {tool.CASES[c]["trajectories"] for c in ("traj-fig4", "traj-fig7")} == {250_000}

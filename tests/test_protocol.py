@@ -591,6 +591,103 @@ def test_amplitude_view_sums(size, monkeypatch):
     assert bool(handed) == (size > chunk)
 
 
+def _overlap_reference(view, log_rho):
+    """The thermal overlap with separate column and row ``exp`` calls over
+    fresh power arrays, ``col_pow[cols:] = 0`` always, and fresh slices."""
+    block, n_rows = protocol._BLOCK, view.grid.shape[0]
+    col_pow, row_pow = np.ones(block), np.ones(n_rows)
+    cols = min(block, int(protocol.LOG_TINY / log_rho) + 1)
+    rows = min(n_rows, int(protocol.LOG_TINY / (block * log_rho)) + 1)
+    x = np.multiply(np.arange(block, dtype=float)[1:cols], log_rho, out=col_pow[1:cols])
+    np.exp(x, out=x)
+    col_pow[cols:] = 0.0
+    x = np.multiply((np.arange(n_rows, dtype=float) * block)[1:rows], log_rho,
+                    out=row_pow[1:rows])
+    np.exp(x, out=x)
+    return float((view.grid[:rows] @ col_pow).dot(row_pow[:rows]))
+
+
+def _log_rho_cases(n_rows):
+    """log rho of each truncation case on a grid of ``n_rows`` rows, with the
+    (cols, rows) that :meth:`_AmplitudeView._overlap` keeps there."""
+    tiny, block = protocol.LOG_TINY, protocol._BLOCK
+    cases = {
+        "no truncation": (tiny / (block * n_rows), block, n_rows),
+        "cols < 128": (tiny / 64, 65, 1),
+        "cols == 2": (tiny, 2, 1),
+        "cols == 1": (tiny - 1.0, 1, 1),
+        "cols == 1, far": (-1e300, 1, 1),
+        "-inf": (-math.inf, 1, 1),
+    }
+    if n_rows > 1:
+        half = n_rows // 2
+        cases["rows < R"] = (tiny / (block * half), block, half + 1)
+    return cases
+
+
+@pytest.mark.parametrize("hollow", [False, True])
+@pytest.mark.parametrize("size", [1, 100, 128, 2320, 8193, 23190])
+def test_thermal_overlap_is_bitwise_the_separate_exp_evaluation(size, hollow):
+    # one grid row (1, 100, 128), 19 rows, and 65 and 182 rows past one dot
+    # chunk. A hollow state has no level below 65, so the "cols < 128"
+    # overlap is 0 and the subnormal rho^65..rho^67 past its cut would show.
+    rng = np.random.default_rng(size)
+    lw = rng.uniform(-40.0, 0.0, size)
+    lw[rng.random(size) < 0.1] = -math.inf
+    if hollow:
+        lw[:min(65, size - 1)] = -math.inf
+    view = protocol._AmplitudeView(size)
+    view.refresh(lw)
+    view.u *= rng.uniform(0.0, 1.0, size)
+    n_rows = view.grid.shape[0]
+    cases = _log_rho_cases(n_rows)
+    block = protocol._BLOCK
+    for log_rho, cols, rows in cases.values():
+        assert min(block, int(protocol.LOG_TINY / log_rho) + 1) == cols
+        assert min(n_rows, int(protocol.LOG_TINY / (block * log_rho)) + 1) == rows
+    # each case from each other, so every change of the truncation is crossed
+    order = [name for first in cases for name in (first, *cases)]
+    for name in order:
+        log_rho = cases[name][0]
+        assert view._overlap(log_rho) == _overlap_reference(view, log_rho), name
+    assert view._overlap(-math.inf) == view.u[0]
+
+
+def test_a_run_that_crosses_a_rows_boundary_keeps_its_records(monkeypatch):
+    # fig4 (n_max 2,319, 19 grid rows) cools from n_bar 83 to 0.6 in one
+    # segment; its overlap keeps fewer rows from n_bar ~1.2 on, step 180
+    schedule, initial = _preset_start("fig4")
+    assert len(schedule.segments) == 1 and initial.n_max == 2319
+    kept_rows = []
+    overlap = protocol._AmplitudeView._overlap
+
+    def traced(view, log_rho):
+        value = overlap(view, log_rho)
+        kept_rows.append(view.rows)
+        return value
+    monkeypatch.setattr(protocol._AmplitudeView, "_overlap", traced)
+    records = run(initial, schedule).records
+    assert kept_rows[0] == 19 and kept_rows[-1] == 12
+    assert len(set(kept_rows)) == 8
+    monkeypatch.setattr(protocol._AmplitudeView, "_overlap", _overlap_reference)
+    want = run(initial, schedule).records
+    assert records.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "must be finite or -inf"),
+    (math.inf, "must be finite or -inf"),
+    (None, "no surviving population"),
+], ids=["nan", "+inf", "all -inf"])
+def test_amplitude_view_refresh_rejects_a_state_it_cannot_scale(bad, message):
+    lw = np.full(5, -math.inf)
+    if bad is not None:
+        lw[:3] = [0.0, bad, -1.0]
+    view = protocol._AmplitudeView(lw.size)
+    with pytest.raises(ValueError, match=message):
+        view.refresh(lw)
+
+
 HOT = ThermalSpec(temperature=100.0, omega_m=OMEGA)
 
 

@@ -53,8 +53,10 @@ _HOT_100K = {"omega_m_rad_s": _OMEGA_M, "g_m": _G_M, "g_f": 45.0 * _G_M,
 
 CASES = {
     "fig3a": {"preset": "fig3a"},
+    "fig3c_conventional": {"preset": "fig3c_conventional"},
     "fig4": {"preset": "fig4"},
     "fig7": {"preset": "fig7"},
+    "fig7_threshold": {"preset": "fig7_threshold"},
     "fig6": {"preset": "fig6"},
     "hot-100k": _HOT_100K,
     "traj-fig4": {"preset": "fig4", "trajectories": 250_000},
@@ -160,12 +162,13 @@ def main(argv=None) -> int:
         parser.error(f"unknown cases {unknown}; expected some of {list(CASES)}")
     if args.repeats < 2:
         parser.error("--repeats must be at least 2")
-    print(f"{'case':10} {'n_max':>6}  {'old ms: median [q1, q3]':>30}  "
+    width = max(map(len, cases))
+    print(f"{'case':{width}} {'n_max':>6}  {'old ms: median [q1, q3]':>30}  "
           f"{'new ms: median [q1, q3]':>30}  new/old  "
           f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     for r in alternate(args.old_src, args.new_src, cases, args.repeats):
         ratio = statistics.median(r["new"]) / statistics.median(r["old"])
-        print(f"{r['case']:10} {r['n_max']:6d}  {_summary(r['old']):>30}  "
+        print(f"{r['case']:{width}} {r['n_max']:6d}  {_summary(r['old']):>30}  "
               f"{_summary(r['new']):>30}  {ratio:7.3f}")
     return 0
 
