@@ -45,13 +45,9 @@ from .protocol import (
     sweep,
 )
 from .oracle import (
-    ExcitationBlock,
     OracleNumericalError,
     TrajectoryBatch,
-    block_hamiltonian,
-    block_propagator,
     compare_random_draws,
-    extract_vg_element,
     sample_trajectories,
     unitarity_defect,
 )
@@ -83,9 +79,8 @@ __all__ = [
     "AsymptoticReport", "ProtocolSchedule", "RunResult", "Segment",
     "StepRecord", "SweepPoint", "asymptotic_limit", "effective_temperature",
     "initial_state", "run", "step", "sweep",
-    "ExcitationBlock", "OracleNumericalError", "TrajectoryBatch",
-    "block_hamiltonian", "block_propagator", "compare_random_draws",
-    "extract_vg_element", "sample_trajectories", "unitarity_defect",
+    "OracleNumericalError", "TrajectoryBatch", "compare_random_draws",
+    "sample_trajectories", "unitarity_defect",
     "PRESETS", "ConfigError", "ExperimentConfig", "OutputOptions",
     "SegmentSpec", "SweepOptions", "parse_config", "parse_config_data",
     "run_experiment", "run_oracle_check", "run_sweep", "run_trajectories",

@@ -2,9 +2,10 @@
 
 The rotating-frame Hamiltonian conserves the joint excitation number, so
 it splits into independent blocks of dimension at most 3. Exact
-propagators from eigendecomposition of those blocks give the
+propagators from one batched eigendecomposition of those blocks give the
 ground-projected matrix element without any closed-form input, which makes
-them an independent oracle for the coefficient formulas. A trajectory
+them an independent oracle for the coefficient formulas;
+``compare_random_draws`` checks the closed form against it. A trajectory
 sampler turns the same per-level survival probabilities into
 finite-statistics estimates of the cumulative success probability.
 """
@@ -17,7 +18,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import PhysicalParams
 from .fock import CapacityError, PopulationDistribution
 # build_table stays bound here, though unused: bench/ patches it by name
 from .coefficients import _values, build_table, switches  # noqa: F401
@@ -32,25 +32,6 @@ class OracleNumericalError(RuntimeError):
     """Eigen-solve or unitarity failure, with the offending block attached."""
 
 
-@dataclass(frozen=True, eq=False)
-class ExcitationBlock:
-    """Hamiltonian restricted to one excitation-number subspace.
-
-    ``n = 0`` is the one-dimensional span of |g,0>; ``n >= 1`` is spanned
-    by {|g,n>, |e,n-1>, |f,n-1>}. Entries are in units of omega_m.
-    """
-
-    n: int
-    labels: tuple[str, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        if not np.array_equal(m, m.T):
-            raise ValueError("block must be symmetric")
-
-
 def _block_matrices(n: np.ndarray, g_m, g_f, delta_e) -> np.ndarray:
     """(k, 3, 3) stack of the n-excitation blocks, n >= 1, from arrays of length k."""
     c = g_m * np.sqrt(n)
@@ -59,23 +40,6 @@ def _block_matrices(n: np.ndarray, g_m, g_f, delta_e) -> np.ndarray:
     m[:, 1, 1] = delta_e
     m[:, 1, 2] = m[:, 2, 1] = g_f
     return m
-
-
-def block_hamiltonian(n: int, params: PhysicalParams) -> ExcitationBlock:
-    """Assemble the n-excitation block.
-
-    For ``n >= 1`` the matrix is
-    ``[[0, g_m sqrt(n), 0], [g_m sqrt(n), delta_e, g_f], [0, g_f, 0]]``;
-    ``g_f = 0`` leaves the familiar two-level (Jaynes-Cummings) block
-    embedded in the top-left corner.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return ExcitationBlock(0, ("|g,0>",), np.zeros((1, 1)))
-    matrix = _block_matrices(np.array([n]), params.g_m, params.g_f, params.delta_e)[0]
-    labels = (f"|g,{n}>", f"|e,{n - 1}>", f"|f,{n - 1}>")
-    return ExcitationBlock(n, labels, matrix)
 
 
 def _propagators(matrices: np.ndarray, tau: np.ndarray, n) -> np.ndarray:
@@ -99,32 +63,30 @@ def _propagators(matrices: np.ndarray, tau: np.ndarray, n) -> np.ndarray:
     return (vecs * phase[:, None, :]) @ vecs.swapaxes(-1, -2)
 
 
-def block_propagator(block: ExcitationBlock, tau: float) -> np.ndarray:
-    """exp(-i H tau) for one block, via eigendecomposition.
+def unitarity_defect(u: np.ndarray) -> np.ndarray:
+    """Frobenius norm of u^H u - 1 for each matrix of a (..., d, d) stack."""
+    return np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]),
+                          axis=(-2, -1))
 
-    The blocks are real symmetric, so the eigenvectors are orthonormal and
-    the result is unitary to rounding; no series truncation is involved.
+
+def _oracle_elements(n: np.ndarray, g_m, tau, g_f, delta_e):
+    """<g,n| exp(-i H tau) |g,n> and the propagator's unitarity defect per element.
+
+    The arguments are arrays of one shape, one draw per element. Each block
+    size is solved once (1 for n = 0, 3 otherwise), without any closed form.
     """
-    return _propagators(block.matrix[None], np.array([tau]), [block.n])[0]
-
-
-def unitarity_defect(u: np.ndarray):
-    """Frobenius norm of u^H u - 1: a float for one matrix, an array for a stack."""
-    d = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]),
-                       axis=(-2, -1))
-    return float(d) if d.ndim == 0 else d
-
-
-def extract_vg_element(n: int, params: PhysicalParams,
-                       tau: float | None = None) -> complex:
-    """Ground-projected propagator element <g,n| exp(-i H tau) |g,n>.
-
-    This is the per-level factor applied by one successful measurement,
-    obtained without the closed forms. ``tau`` defaults to ``params.tau``.
-    """
-    u = block_propagator(block_hamiltonian(n, params),
-                         params.tau if tau is None else tau)
-    return complex(u[0, 0])
+    elements = np.empty(n.shape, dtype=complex)
+    defects = np.empty(n.shape)
+    ground = n == 0
+    for rows, matrices in (
+            (ground, np.zeros((np.count_nonzero(ground), 1, 1))),
+            (~ground, _block_matrices(n[~ground], g_m[~ground], g_f[~ground],
+                                      delta_e[~ground]))):
+        if matrices.size:
+            u = _propagators(matrices, tau[rows], n[rows])
+            elements[rows] = u[:, 0, 0]
+            defects[rows] = unitarity_defect(u)
+    return elements, defects
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,17 +301,7 @@ def compare_random_draws(n_draws: int, seed: int) -> list[dict]:
     n, g_m, tau, g_f, delta = np.array([d[1:] for d in draws]).reshape(-1, 5).T
     # the draws switch off what their variant does, so no switching is needed
     closed = _values(g_m * tau, g_f * tau, delta * tau, n)
-    oracle = np.empty(n_draws, dtype=complex)
-    defect = np.empty(n_draws)
-    ground = n == 0
-    for rows, matrices in (
-            (ground, np.zeros((np.count_nonzero(ground), 1, 1))),
-            (~ground, _block_matrices(n[~ground], g_m[~ground], g_f[~ground],
-                                      delta[~ground]))):
-        if matrices.size:
-            u = _propagators(matrices, tau[rows], n[rows])
-            oracle[rows] = u[:, 0, 0]
-            defect[rows] = unitarity_defect(u)
+    oracle, defect = _oracle_elements(n, g_m, tau, g_f, delta)
     return [{
         "variant": kind,
         "n": n_i,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import zenocool as zc
-from zenocool.oracle import extract_vg_element
+from zenocool.oracle import _oracle_elements
 from zenocool.params import HBAR, KB
 
 OMEGA = 1.56e10
@@ -159,11 +159,18 @@ def _thermal_efolds(index, temperature):
     return index * HBAR * OMEGA / (KB * temperature)
 
 
+def oracle_elements(params, n):
+    """<g,n| exp(-i H tau) |g,n> and unitarity defects of ``params``' blocks at levels ``n``."""
+    n, g_m, tau, g_f, delta_e = np.broadcast_arrays(
+        np.asarray(n, dtype=float), params.g_m, params.tau, params.g_f, params.delta_e)
+    return _oracle_elements(n, g_m, tau, g_f, delta_e)
+
+
 def _oracle_n_bar(initial, params, steps):
     """Conditional n_bar after each of ``steps`` measurements, rebuilt from
     the eigen-oracle's per-level factors instead of the closed forms."""
     levels = np.arange(initial.n_max + 1)
-    mag = np.array([abs(extract_vg_element(int(n), params)) for n in levels])
+    mag = np.abs(oracle_elements(params, levels)[0])
     with np.errstate(divide="ignore"):
         log_mag = np.log(mag)
     out = {}

@@ -575,6 +575,10 @@ def test_package_exports_each_name_once_and_no_test_only_code():
     assert not hasattr(zenocool, "joint_from_blocks")
     assert not hasattr(zenocool.oracle, "joint_hamiltonian")
     assert not hasattr(zenocool.oracle, "joint_from_blocks")
+    for name in ("ExcitationBlock", "block_hamiltonian", "block_propagator",
+                 "extract_vg_element"):
+        assert not hasattr(zenocool, name), name
+        assert not hasattr(zenocool.oracle, name), name
     assert not hasattr(zenocool.PopulationDistribution, "renormalized")
 
 

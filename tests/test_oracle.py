@@ -13,12 +13,9 @@ from zenocool import (
     PopulationDistribution,
     ProtocolSchedule,
     Segment,
-    block_hamiltonian,
-    block_propagator,
     build_table,
     coefficient,
     compare_random_draws,
-    extract_vg_element,
     initial_state,
     parse_config_data,
     run,
@@ -27,7 +24,8 @@ from zenocool import (
 )
 from zenocool.cli import main
 from zenocool.coefficients import _values, variant_params
-from zenocool.oracle import TrajectoryBatch, _LevelTable
+from zenocool.oracle import (TrajectoryBatch, _block_matrices, _LevelTable,
+                             _oracle_elements, _propagators)
 
 
 def random_params(rng, **overrides):
@@ -42,38 +40,53 @@ def random_params(rng, **overrides):
     return PhysicalParams(**values)
 
 
-def test_block_zero_excitation():
-    block = block_hamiltonian(0, random_params(np.random.default_rng(0)))
-    assert block.matrix.shape == (1, 1)
-    assert block.matrix[0, 0] == 0.0
-    u = block_propagator(block, 123.4)
-    assert u[0, 0] == pytest.approx(1.0)
+def oracle_elements(params, n):
+    """<g,n| exp(-i H tau) |g,n> and unitarity defects of ``params``' blocks at levels ``n``."""
+    n, g_m, tau, g_f, delta_e = np.broadcast_arrays(
+        np.asarray(n, dtype=float), params.g_m, params.tau, params.g_f, params.delta_e)
+    return _oracle_elements(n, g_m, tau, g_f, delta_e)
+
+
+def test_block_zero_excitation(monkeypatch):
+    solved = []
+    propagators = zenocool.oracle._propagators
+
+    def recorded(matrices, tau, n):
+        solved.append(matrices)
+        return propagators(matrices, tau, n)
+    monkeypatch.setattr(zenocool.oracle, "_propagators", recorded)
+    element, _ = oracle_elements(random_params(np.random.default_rng(0), tau=123.4), 0)
+    (block,) = solved
+    assert block.shape == (1, 1, 1)
+    assert block[0, 0, 0] == 0.0
+    assert element == pytest.approx(1.0)
 
 
 def test_block_jc_reduction():
     params = PhysicalParams(g_m=2e-4, tau=50.0, g_f=0.0, delta_e=0.0)
-    block = block_hamiltonian(1, params)
-    np.testing.assert_allclose(block.matrix[:2, :2],
-                               [[0.0, 2e-4], [2e-4, 0.0]], atol=0)
-    assert np.all(block.matrix[2, :] == 0.0)
-    assert np.all(block.matrix[:, 2] == 0.0)
+    (block,) = _block_matrices(np.array([1.0]), params.g_m, params.g_f, params.delta_e)
+    np.testing.assert_allclose(block[:2, :2], [[0.0, 2e-4], [2e-4, 0.0]], atol=0)
+    assert np.all(block[2, :] == 0.0)
+    assert np.all(block[:, 2] == 0.0)
 
 
 def test_block_sqrt_n_factor():
     params = PhysicalParams(g_m=3e-4, tau=50.0, g_f=1e-3, delta_e=-2e-4)
-    block = block_hamiltonian(4, params)
-    assert block.matrix[0, 1] == pytest.approx(2 * 3e-4, rel=1e-15)
-    assert block.matrix[1, 1] == -2e-4
-    assert block.matrix[1, 2] == 1e-3
-    assert block.labels == ("|g,4>", "|e,3>", "|f,3>")
+    (block,) = _block_matrices(np.array([4.0]), params.g_m, params.g_f, params.delta_e)
+    assert block[0, 1] == pytest.approx(2 * 3e-4, rel=1e-15)
+    assert block[1, 1] == -2e-4
+    assert block[1, 2] == 1e-3
 
 
 def test_propagator_identity_cases():
     rng = np.random.default_rng(1)
-    block = block_hamiltonian(7, random_params(rng))
-    np.testing.assert_allclose(block_propagator(block, 0.0), np.eye(3), atol=1e-15)
-    zero = block_hamiltonian(0, random_params(rng))
-    np.testing.assert_allclose(block_propagator(zero, 77.7), np.eye(1), atol=1e-15)
+    params = random_params(rng)
+    block = _block_matrices(np.array([7.0]), params.g_m, params.g_f, params.delta_e)
+    np.testing.assert_allclose(_propagators(block, np.array([0.0]), [7])[0], np.eye(3),
+                               atol=1e-15)
+    zero = np.zeros((1, 1, 1))
+    np.testing.assert_allclose(_propagators(zero, np.array([77.7]), [0])[0], np.eye(1),
+                               atol=1e-15)
 
 
 def test_propagator_unitarity():
@@ -81,8 +94,15 @@ def test_propagator_unitarity():
     for _ in range(100):
         params = random_params(rng)
         n = int(rng.integers(0, 2000))
-        u = block_propagator(block_hamiltonian(n, params), params.tau)
-        assert unitarity_defect(u) < 1e-12
+        _, defect = oracle_elements(params, n)
+        assert defect < 1e-12
+
+
+def test_unitarity_defect_is_one_norm_per_matrix():
+    stack = np.stack([np.eye(2), np.diag([2.0, 1.0]), np.eye(2)[::-1]])
+    np.testing.assert_array_equal(unitarity_defect(stack), [0.0, 3.0, 0.0])
+    one = unitarity_defect(stack[1])
+    assert np.shape(one) == () and one == 3.0
 
 
 def test_vg_element_matches_driven_closed_form():
@@ -90,7 +110,7 @@ def test_vg_element_matches_driven_closed_form():
     for _ in range(50):
         params = random_params(rng, delta_e=0.0)
         n = int(rng.integers(0, 200))
-        assert extract_vg_element(n, params) == pytest.approx(
+        assert oracle_elements(params, n)[0] == pytest.approx(
             coefficient("driven", params, n), abs=1e-10)
 
 
@@ -99,7 +119,7 @@ def test_vg_element_matches_detuned_conventional_closed_form():
     for _ in range(50):
         params = random_params(rng, g_f=0.0)
         n = int(rng.integers(0, 200))
-        oracle_value = extract_vg_element(n, params)
+        oracle_value = oracle_elements(params, n)[0]
         closed = coefficient("conventional-detuned", params, n)
         assert oracle_value == pytest.approx(closed, abs=1e-10)
         assert abs(oracle_value) == pytest.approx(abs(closed), abs=1e-10)
@@ -139,8 +159,9 @@ def joint_from_blocks(params: PhysicalParams, n_max: int) -> np.ndarray:
     def idx(level: int, photons: int) -> int:
         return level * dim + photons
 
-    for n in range(1, n_max + 1):
-        block = block_hamiltonian(n, params).matrix
+    blocks = _block_matrices(np.arange(1.0, n_max + 1), params.g_m, params.g_f,
+                             params.delta_e)
+    for n, block in enumerate(blocks, start=1):
         ids = [idx(0, n), idx(1, n - 1), idx(2, n - 1)]
         for a in range(3):
             for c in range(3):
@@ -205,10 +226,8 @@ def test_batched_draws_match_the_one_block_path(seed):
         n = row["n"]
         closed = coefficient(row["variant"], params, n)
         assert same_bits(row["closed_form"], [closed.real, closed.imag])
-        oracle_value = extract_vg_element(n, params)
+        (oracle_value,), (one_block,) = oracle_elements(params, [n])
         assert same_bits(row["oracle"], [oracle_value.real, oracle_value.imag])
-        one_block = unitarity_defect(block_propagator(block_hamiltonian(n, params),
-                                                      params.tau))
         assert abs(row["unitarity_defect"] - one_block) <= 1e-15
 
 
@@ -247,6 +266,21 @@ def test_a_failing_eigen_solve_names_its_block(monkeypatch, tmp_path):
         return eigh(a)
     monkeypatch.setattr(zenocool.oracle.np.linalg, "eigh", failing)
     with pytest.raises(OracleNumericalError, match=f"block n={target['n']}:"):
+        compare_random_draws(20, seed=9)
+    assert main(["--quiet", "oracle-check", "--out-dir", str(tmp_path / "o"),
+                 "--draws", "20", "--seed", "9"]) == 2
+
+
+def test_a_batch_that_fails_where_each_block_alone_solves_names_the_batch(monkeypatch,
+                                                                          tmp_path):
+    eigh = np.linalg.eigh
+
+    def failing(a):
+        if a.ndim == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+    monkeypatch.setattr(zenocool.oracle.np.linalg, "eigh", failing)
+    with pytest.raises(OracleNumericalError, match=r"blocks n=\["):
         compare_random_draws(20, seed=9)
     assert main(["--quiet", "oracle-check", "--out-dir", str(tmp_path / "o"),
                  "--draws", "20", "--seed", "9"]) == 2

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from zenocool import CoefficientTable, PhysicalParams, PopulationDistribution
-from zenocool.oracle import ExcitationBlock, block_hamiltonian
 from zenocool.protocol import effective_temperature
 
 PARAMS = PhysicalParams(g_m=1e-3, tau=10.0)
@@ -17,13 +16,10 @@ PARAMS = PhysicalParams(g_m=1e-3, tau=10.0)
     (lambda: PopulationDistribution(np.array([])), "nonempty 1-d"),
     (lambda: PopulationDistribution(np.zeros((2, 2))), "nonempty 1-d"),
     (lambda: PopulationDistribution.from_probabilities([0.5, -0.1]), "nonnegative"),
-    (lambda: ExcitationBlock(1, ("a", "b"), [[0.0, 1.0], [2.0, 0.0]]), "symmetric"),
-    (lambda: block_hamiltonian(-1, PARAMS), "nonnegative"),
     (lambda: PARAMS.to_si(), "omega_m"),
     (lambda: effective_temperature(1.0, 0.0), "omega_m must be positive"),
 ], ids=["table-2d", "table-empty", "table-c0", "weights-empty", "weights-2d",
-        "negative-probability", "asymmetric-block", "negative-excitation",
-        "si-without-omega_m", "temperature-without-omega_m"])
+        "negative-probability", "si-without-omega_m", "temperature-without-omega_m"])
 def test_a_value_that_breaks_a_rule_is_a_value_error(build, message):
     with pytest.raises(ValueError, match=message):
         build()
