@@ -291,11 +291,13 @@ def compare_random_draws(n_draws: int, seed: int) -> list[dict]:
     draws = []
     for i in range(n_draws):
         kind = _DRAW_KINDS[i % len(_DRAW_KINDS)]
-        g_m = 10.0 ** rng.uniform(-5.0, -3.0)
-        tau = rng.uniform(10.0, 1000.0)
+        # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), bit for bit;
+        # one draw at a time, since array draws would reorder the stream
+        g_m = 10.0 ** (-5.0 + 2.0 * rng.random())
+        tau = 10.0 + 990.0 * rng.random()
         driving, detuned = switches(kind)
-        g_f = rng.uniform(0.0, 100.0) * g_m if driving else 0.0
-        delta = rng.uniform(-50.0, 50.0) * g_m if detuned else 0.0
+        g_f = 100.0 * rng.random() * g_m if driving else 0.0
+        delta = (-50.0 + 100.0 * rng.random()) * g_m if detuned else 0.0
         n = int(rng.integers(0, 201))
         draws.append((kind, n, g_m, tau, g_f, delta))
     n, g_m, tau, g_f, delta = np.array([d[1:] for d in draws]).reshape(-1, 5).T

@@ -6,6 +6,10 @@ meaningful and identical config and seed produce byte-identical CSV
 output. One streaming writer, ``_write_csv``, writes every table a chunk
 of rows at a time, with its cells from ``_cells.lines``; ``sweep.csv``
 takes its numeric cells from the same formatter.
+
+Every JSON file (each ``manifest.json`` and ``oracle_report.json``) is
+written by ``_write_json`` as one line of key-sorted JSON;
+``python -m json.tool FILE`` pretty-prints it.
 """
 
 from __future__ import annotations
@@ -98,9 +102,9 @@ def _dimensionless_params(params) -> dict:
 
 
 def _write_json(path: Path, data: dict):
+    """A one-shot ``dumps`` without ``indent`` runs json's C encoder."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(data, sort_keys=True) + "\n")
 
 
 @contextmanager

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -86,3 +87,19 @@ def test_an_export_call_writes_the_three_files(tmp_path):
     names = sorted(p.name for p in (tmp_path / "out").iterdir())
     assert (n_max, names) == (24, ["coefficients.csv", "histogram.csv", "run.csv"])
     assert (tmp_path / "out" / "histogram.csv").read_text().count("\n") == n_max + 2
+
+
+def test_an_oracle_check_case_against_itself(capsys):
+    tool = _load_tool()
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--cases", "oracle-check", "--repeats", "2"]) == 0
+    case, n_max, *_, ratio = capsys.readouterr().out.splitlines()[1].split()
+    assert (case, n_max) == ("oracle-check", "0") and float(ratio) > 0.0
+
+
+def test_an_oracle_check_call_writes_its_report(tmp_path):
+    tool = _load_tool()
+    n_max, call = tool._call(zenocool, tool.CASES["oracle-check"], tmp_path / "old")
+    call()
+    report = json.loads((tmp_path / "old" / "oracle_report.json").read_text())
+    assert (n_max, report["draws"], report["seed"]) == (0, 200, 7)

@@ -231,6 +231,34 @@ def test_manifest_names_its_entry_point_and_every_output(tmp_path, command):
     assert all(Path(path).exists() for path in outputs.values())
 
 
+def _indented_json(path, data):
+    """The JSON writer as it was before files went to one line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def test_every_json_file_is_one_sorted_line_that_reads_as_the_indented_one(
+        tmp_path, monkeypatch):
+    write_json = zenocool.runner._write_json
+    written = []
+
+    def both(path, data):  # the indented copy goes out with the same data
+        write_json(path, data)
+        _indented_json(tmp_path / f"indented_{len(written)}.json", data)
+        written.append(path)
+    monkeypatch.setattr(zenocool.runner, "_write_json", both)
+    assert main(["--quiet", "run", "--preset", "fig4",
+                 "--out-dir", str(tmp_path / "fig4")]) == 0
+    run_oracle_check(tmp_path / "oracle")
+    assert [p.name for p in written] == ["manifest.json", "oracle_report.json"]
+    for k, path in enumerate(written):
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert json.loads(text) == json.loads((tmp_path / f"indented_{k}.json").read_text())
+
+
 @pytest.mark.parametrize("command, config, error", [
     ("run", {**SI_CONFIG, "hard_cap": 10}, CapacityError),
     ("trajectories", {**SI_CONFIG, "hard_cap": 10}, CapacityError),
@@ -420,6 +448,7 @@ def test_a_nan_in_the_oracle_rows_fails_the_check(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "out" / "oracle_report.json").read_text())
     assert math.isnan(report["max_abs_error"])
     assert math.isnan(report["max_unitarity_defect"])
+    assert "NaN" in (tmp_path / "out" / "oracle_report.json").read_text()
     assert main(["--quiet", "oracle-check", "--out-dir", str(tmp_path / "o"),
                  "--draws", "20"]) == 2
 

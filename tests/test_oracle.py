@@ -23,9 +23,9 @@ from zenocool import (
     unitarity_defect,
 )
 from zenocool.cli import main
-from zenocool.coefficients import _values, variant_params
-from zenocool.oracle import (TrajectoryBatch, _block_matrices, _LevelTable,
-                             _oracle_elements, _propagators)
+from zenocool.coefficients import _values, switches, variant_params
+from zenocool.oracle import (_DRAW_KINDS, TrajectoryBatch, _block_matrices,
+                             _LevelTable, _oracle_elements, _propagators)
 
 
 def random_params(rng, **overrides):
@@ -253,6 +253,33 @@ def test_random_draws_keep_their_order():
     rows = compare_random_draws(8, seed=7)
     assert [tuple(r[k] for k in ("variant", "n", "g_m", "tau", "g_f", "delta_e"))
             for r in rows] == expected
+
+
+def _uniform_draws(n_draws, seed):
+    """compare_random_draws's parameter loop as it was written with rng.uniform."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(n_draws):
+        kind = _DRAW_KINDS[i % len(_DRAW_KINDS)]
+        g_m = 10.0 ** rng.uniform(-5.0, -3.0)
+        tau = rng.uniform(10.0, 1000.0)
+        driving, detuned = switches(kind)
+        g_f = rng.uniform(0.0, 100.0) * g_m if driving else 0.0
+        delta = rng.uniform(-50.0, 50.0) * g_m if detuned else 0.0
+        n = int(rng.integers(0, 201))
+        draws.append((kind, n, g_m, tau, g_f, delta))
+    return draws
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_draws_are_bitwise_those_of_rng_uniform(seed):
+    rows = compare_random_draws(200, seed)
+    drawn = [tuple(r[k] for k in ("variant", "n", "g_m", "tau", "g_f", "delta_e"))
+             for r in rows]
+    expected = _uniform_draws(200, seed)
+    assert [d[:2] for d in drawn] == [e[:2] for e in expected]
+    assert [[x.hex() for x in d[2:]] for d in drawn] == [
+        [x.hex() for x in e[2:]] for e in expected]
 
 
 def test_a_failing_eigen_solve_names_its_block(monkeypatch, tmp_path):

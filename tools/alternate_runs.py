@@ -1,4 +1,5 @@
-"""Time ``run``, ``sweep``, the trajectory sampler or the CSV writers of two source trees, alternating.
+"""Time ``run``, ``sweep``, the trajectory sampler, the CSV writers or the oracle check of two
+source trees, alternating.
 
     python tools/alternate_runs.py OLD_SRC NEW_SRC [--cases fig4,fig6] [--repeats 21]
 
@@ -14,7 +15,9 @@ realizes the schedule; a case whose config has a ``sweep`` block (the
 the largest of the grid's starts; an ``export`` case (``export-hot-100k``)
 runs its schedule once, untimed, and times the run, histogram and
 coefficient writers on the result, as a run with every export on calls
-them; every other case times ``run``. After
+them; the ``oracle-check`` case times ``runner.run_oracle_check`` at 200
+draws and seed 7, each side writing into a directory of its own, and its
+n_max reads 0; every other case times ``run``. After
 one untimed call per side, every repeat times one call per side, the old
 side first on even repeats and the new side first on odd ones, so that a
 drift in machine speed falls on both sides alike. The table gives each side's
@@ -65,6 +68,7 @@ CASES = {
     "sweep-fig7": {"preset": "fig7_switch"},
     "export-hot-100k": {**_HOT_100K, "export": True,
                         "outputs": {"histogram_csv": True, "coefficients_csv": True}},
+    "oracle-check": {"oracle_check": {"draws": 200, "seed": 7}},
 }
 TRAJECTORY_SEED = 1
 SIDES = ("old", "new")
@@ -86,9 +90,12 @@ def _export(package, result, powers, out_dir: Path):
 
 
 def _call(package, case: dict, out_dir: Path):
-    """The case's start's n_max and the call to time on it; an export case
-    writes into ``out_dir``."""
+    """The case's start's n_max and the call to time on it; an export or
+    oracle-check case writes into ``out_dir``."""
     config = dict(case)
+    oracle_check = config.pop("oracle_check", None)
+    if oracle_check is not None:
+        return 0, functools.partial(package.runner.run_oracle_check, out_dir, **oracle_check)
     n_trajectories = config.pop("trajectories", None)
     export = config.pop("export", False)
     config = package.parse_config_data(config)
