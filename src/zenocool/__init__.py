@@ -16,7 +16,6 @@ from .fock import (
     CapacityError,
     PopulationDistribution,
     ThermalSpec,
-    mean_occupation,
     thermal_distribution,
     thermal_occupation,
 )
@@ -31,17 +30,14 @@ from .coefficients import (
     first_protected_index,
 )
 from .protocol import (
-    AsymptoticReport,
     ProtocolSchedule,
     RunResult,
     Segment,
     StepRecord,
     SweepPoint,
-    asymptotic_limit,
     effective_temperature,
     initial_state,
     run,
-    step,
     sweep,
 )
 from .oracle import (
@@ -71,14 +67,13 @@ from .runner import (
 __all__ = [
     "HBAR", "KB", "PhysicalParams",
     "DEFAULT_EPSILON_TAIL", "DEFAULT_HARD_CAP", "CapacityError",
-    "PopulationDistribution", "ThermalSpec", "mean_occupation",
-    "thermal_distribution", "thermal_occupation",
+    "PopulationDistribution", "ThermalSpec", "thermal_distribution",
+    "thermal_occupation",
     "VARIANTS", "CoefficientTable", "CoolingFreeReport", "ProtectedIndex",
     "build_table", "coefficient", "cooling_free_report",
     "first_protected_index",
-    "AsymptoticReport", "ProtocolSchedule", "RunResult", "Segment",
-    "StepRecord", "SweepPoint", "asymptotic_limit", "effective_temperature",
-    "initial_state", "run", "step", "sweep",
+    "ProtocolSchedule", "RunResult", "Segment", "StepRecord", "SweepPoint",
+    "effective_temperature", "initial_state", "run", "sweep",
     "OracleNumericalError", "TrajectoryBatch", "compare_random_draws",
     "sample_trajectories", "unitarity_defect",
     "PRESETS", "ConfigError", "ExperimentConfig", "OutputOptions",

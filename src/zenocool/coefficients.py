@@ -184,8 +184,8 @@ class CoefficientTable:
         """Per-level log survival 2 log|c_n| of one measurement (read-only).
 
         A segment applies this same diagonal factor at every measurement,
-        so the engine, the reference ``step`` and the trajectory sampler all
-        read it from here; a zero coefficient gives ``-inf``.
+        so the engine and the trajectory sampler both read it from here; a
+        zero coefficient gives ``-inf``.
         """
         with np.errstate(divide="ignore"):
             out = 2.0 * np.log(self.magnitude)

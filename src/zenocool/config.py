@@ -330,16 +330,18 @@ def parse_config_data(data: dict, preset: str | None = None) -> ExperimentConfig
 
 
 def parse_config(path, preset: str | None = None) -> ExperimentConfig:
-    """Read and validate a JSON config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text.strip():
-        data = {}
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    """Read and validate a JSON config file.
+
+    A file that is not UTF-8, not JSON, nested past the recursion limit or
+    holding an integer past Python's digit limit raises ``ConfigError``; one
+    that cannot be read raises ``OSError``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        data = json.loads(text) if text.strip() else {}
+    except (ValueError, RecursionError) as exc:  # ValueError covers both decode errors
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     try:
         return parse_config_data(data, preset=preset)
     except ConfigError as exc:

@@ -158,20 +158,17 @@ class PopulationDistribution:
         return np.exp(self.log_weights - self.norm_log)
 
 
-def mean_occupation(d: PopulationDistribution) -> float:
-    """Mean Fock number of the normalized view, sum_n n p_n."""
-    p = d.probabilities()
-    return float(np.dot(np.arange(p.size, dtype=float), p))
-
-
-def _tail_n_max(n_bar: float, epsilon_tail: float) -> int:
+def _tail_n_max(n_bar: float, epsilon_tail: float) -> int | float:
     """Smallest truncation whose geometric tail mass is below epsilon_tail.
 
     One extra level is kept beyond the bare bound so the truncated mean
-    stays within epsilon_tail * n_max of the untruncated one.
+    stays within epsilon_tail * n_max of the untruncated one. From
+    n_bar ~ 2**53 on, r rounds to 1 and no truncation is enough: ``inf``.
     """
     r = n_bar / (1.0 + n_bar)
     log_r = math.log(r)
+    if log_r == 0.0:
+        return math.inf
     m = max(0, math.ceil(math.log(epsilon_tail) / log_r - 1.0))
     while (m + 1) * log_r >= math.log(epsilon_tail):
         m += 1

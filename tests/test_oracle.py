@@ -26,6 +26,7 @@ from zenocool.cli import main
 from zenocool.coefficients import _values, switches, variant_params
 from zenocool.oracle import (_DRAW_KINDS, TrajectoryBatch, _block_matrices,
                              _LevelTable, _oracle_elements, _propagators)
+from engine_reference import joint_hamiltonian
 
 
 def random_params(rng, **overrides):
@@ -123,28 +124,6 @@ def test_vg_element_matches_detuned_conventional_closed_form():
         closed = coefficient("conventional-detuned", params, n)
         assert oracle_value == pytest.approx(closed, abs=1e-10)
         assert abs(oracle_value) == pytest.approx(abs(closed), abs=1e-10)
-
-
-def joint_hamiltonian(params: PhysicalParams, n_max: int) -> np.ndarray:
-    """Full truncated Hamiltonian from ladder and transition operators.
-
-    Basis ordering is level-major: index = level * (n_max + 1) + photon
-    with levels (g, e, f). Used to cross-check the block bookkeeping at
-    small truncations.
-    """
-    dim = n_max + 1
-    b = np.diag(np.sqrt(np.arange(1, dim)), 1)
-    eye = np.eye(dim)
-    sig_ge = np.zeros((3, 3))
-    sig_ge[1, 0] = 1.0  # |e><g|
-    sig_ef = np.zeros((3, 3))
-    sig_ef[2, 1] = 1.0  # |f><e|
-    proj_e = np.zeros((3, 3))
-    proj_e[1, 1] = 1.0
-    h = (params.delta_e * np.kron(proj_e, eye)
-         + params.g_m * (np.kron(sig_ge, b) + np.kron(sig_ge.T, b.T))
-         + params.g_f * np.kron(sig_ef + sig_ef.T, eye))
-    return h
 
 
 def joint_from_blocks(params: PhysicalParams, n_max: int) -> np.ndarray:

