@@ -13,6 +13,7 @@ finite-statistics estimates of the cumulative success probability.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +27,16 @@ from .protocol import ProtocolSchedule, run
 
 # Trajectories per independent RNG stream; bounds the sampler's scratch memory.
 _CHUNK_SIZE = 65536
+
+
+def _workers(n_chunks: int) -> int:
+    """Threads for ``n_chunks`` sampler chunks: the CPUs this process may
+    use, and at most one per chunk."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_chunks)
 
 
 class OracleNumericalError(RuntimeError):
@@ -132,8 +143,8 @@ class _LevelTable:
     comparison resolves a bucket that spans at most one level and only the
     other draws are binary-searched. With m a power of two, u * m and
     every edge j/m are exact, so the bucket is floor(u * m) for every
-    double u. The table keeps its own scratch arrays, sized on first use.
-    The checks on ``p`` are choice's.
+    double u. The caller passes the scratch arrays, so threads can share
+    one table. The checks on ``p`` are choice's.
     """
 
     def __init__(self, p: np.ndarray, m: int):
@@ -151,14 +162,14 @@ class _LevelTable:
         guide = self.cdf.searchsorted(np.arange(self.m + 1) / self.m, side="right")
         self.first = guide[:-1]
         self.wide = np.diff(guide) > 1
-        self._scratch = (np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=bool))
 
-    def levels(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the level of each uniform in ``u`` (values in [0, 1)) to ``out``."""
-        if self._scratch[0].size < u.size:
-            self._scratch = (np.empty(u.size), np.empty(u.size, dtype=np.intp),
-                             np.empty(u.size, dtype=bool))
-        x, bucket, flag = (a[:u.size] for a in self._scratch)
+    def levels(self, u: np.ndarray, out: np.ndarray, x: np.ndarray, bucket: np.ndarray,
+               flag: np.ndarray) -> np.ndarray:
+        """Write the level of each uniform in ``u`` (values in [0, 1)) to ``out``.
+
+        ``x`` (float), ``bucket`` (integer) and ``flag`` (bool) are scratch
+        of u's size.
+        """
         np.multiply(u, self.m, out=x)
         np.copyto(bucket, x, casting="unsafe")
         # every index is in range; mode "raise" would copy through a temporary
@@ -168,6 +179,60 @@ class _LevelTable:
         rest = np.flatnonzero(np.take(self.wide, bucket, out=flag, mode="clip"))
         out[rest] = self.cdf.searchsorted(u[rest], side="right")
         return out
+
+
+def _mortal_log_survival(log_survival: np.ndarray) -> np.ndarray:
+    """A copy of ``log_survival`` with -0.0 wherever s_n >= 1."""
+    return np.where(log_survival < 0.0, log_survival, -0.0)
+
+
+def _run_lengths(log_u: np.ndarray, log_s: np.ndarray, k: int) -> np.ndarray:
+    """min(floor(log U / log s_n), k), written over ``log_u``.
+
+    ``log_s`` is -0.0 where s_n >= 1, so log U < 0 there reads +inf and
+    log U = 0 reads NaN, both of which ``fmin`` takes to k.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(log_u, log_s, out=log_u)
+    np.floor(log_u, out=log_u)
+    return np.fmin(log_u, k, out=log_u)
+
+
+def _sample_chunk(rng, table: _LevelTable, runs, n_steps: int,
+                  chunk_lengths: np.ndarray, scratch) -> None:
+    """Survival lengths of one chunk's trajectories, drawn from ``rng``.
+
+    ``runs`` holds each stepped segment's log survival (-0.0 where
+    s_n >= 1) and step count. The level table's bucket scratch is
+    ``chunk_lengths`` itself, which the segments overwrite later.
+    """
+    uniform, chunk_levels, log_s, flag = (a[:chunk_lengths.size] for a in scratch)
+    levels = table.levels(rng.random(out=uniform), chunk_levels, log_s, chunk_lengths, flag)
+    if not runs:
+        chunk_lengths.fill(n_steps)
+    live = None  # positions of the live trajectories; None while all live
+    offset = 0
+    for log_survival, k in runs:
+        n = levels.size
+        if n == 0:
+            break
+        # every index is in range; mode "raise" would copy through a temporary
+        ls = np.take(log_survival, levels, out=log_s[:n], mode="clip")
+        log_u = rng.random(out=uniform[:n])
+        np.negative(log_u, out=log_u)
+        np.log1p(log_u, out=log_u)  # log U, U in (0, 1]
+        sv = _run_lengths(log_u, ls, k)
+        sv += offset
+        # a survivor reads offset + k until a later segment overwrites it
+        if live is None:
+            np.copyto(chunk_lengths, sv, casting="unsafe")
+        else:
+            chunk_lengths[live] = sv
+        offset += k
+        if offset < n_steps:  # another segment follows
+            kept = np.flatnonzero(sv == offset)
+            live = kept if live is None else live[kept]
+            levels = levels[kept]
 
 
 def sample_trajectories(initial: PopulationDistribution,
@@ -183,8 +248,12 @@ def sample_trajectories(initial: PopulationDistribution,
     per live trajectory gives it as ``floor(log U / log s_n)``: s_n = 1
     survives the run, s_n = 0 fails its first measurement. The cost is
     O(trajectories x segments), not O(trajectories x measurements).
-    Chunks of ``_CHUNK_SIZE`` use independent spawned RNG streams, so
-    results are reproducible from one seed and chunks could run in parallel.
+    Chunks of ``_CHUNK_SIZE`` use independent spawned RNG streams and write
+    their own slices of the lengths, so results are reproducible from one
+    seed, and the chunks run in parallel on a thread pool, one thread per
+    usable CPU, with the same results for any number of threads. A call
+    of one chunk, or on one usable CPU, runs inline. Each thread holds one
+    scratch set of three arrays of a chunk's size and one bool mask.
 
     Each chunk reads its levels through ``_LevelTable``, with the smallest
     power of two at or above min(levels, n_trajectories) buckets, from one
@@ -218,56 +287,37 @@ def sample_trajectories(initial: PopulationDistribution,
         ) from exc
     realized = run(initial, schedule)
     n_steps = len(realized.records) - 1
-    runs = [(realized.tables[seg_id].log_survival, k)
+    runs = [(_mortal_log_survival(realized.tables[seg_id].log_survival), k)
             for seg_id, k in enumerate(realized.steps_run) if k]
 
     p = initial.probabilities()
     p = p / p.sum()
     table = _LevelTable(p, min(p.size, n_trajectories))
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(math.ceil(n_trajectories / _CHUNK_SIZE))
+    children = np.random.SeedSequence(seed).spawn(math.ceil(n_trajectories / _CHUNK_SIZE))
+    workers = _workers(len(children))
     width = min(_CHUNK_SIZE, n_trajectories)
-    uniform = np.empty(width)
-    chunk_levels = np.empty(width, dtype=np.intp)
-    log_s = np.empty(width)
-    survived = np.empty(width)
-    start = 0
-    for child in children:
-        size = min(_CHUNK_SIZE, n_trajectories - start)
-        rng = np.random.default_rng(child)
-        levels = table.levels(rng.random(out=uniform[:size]), chunk_levels[:size])
-        chunk_lengths = lengths[start:start + size]
-        if not runs:
-            chunk_lengths.fill(n_steps)
-        live = None  # positions of the live trajectories; None while all live
-        offset = 0
-        for log_survival, k in runs:
-            n = levels.size
-            if n == 0:
-                break
-            # every index is in range; mode "raise" would copy through a temporary
-            ls = np.take(log_survival, levels, out=log_s[:n], mode="clip")
-            log_u = rng.random(out=uniform[:n])
-            np.negative(log_u, out=log_u)
-            np.log1p(log_u, out=log_u)  # log U, U in (0, 1]
-            sv = survived[:n]
-            sv.fill(np.inf)
-            with np.errstate(over="ignore"):
-                np.divide(log_u, ls, out=sv, where=ls < 0.0)
-            np.floor(sv, out=sv)
-            np.minimum(sv, k, out=sv)
-            sv += offset
-            # a survivor reads offset + k until a later segment overwrites it
-            if live is None:
-                np.copyto(chunk_lengths, sv, casting="unsafe")
-            else:
-                chunk_lengths[live] = sv
-            offset += k
-            if offset < n_steps:  # another segment follows
-                kept = np.flatnonzero(sv == offset)
-                live = kept if live is None else live[kept]
-                levels = levels[kept]
-        start += size
+    # one scratch set per thread, taken by a chunk while it runs (list pop
+    # and append are atomic): uniforms, levels, log s_n, flags
+    free = [(np.empty(width), np.empty(width, dtype=np.intp), np.empty(width),
+             np.empty(width, dtype=bool)) for _ in range(workers)]
+
+    def sample_chunk(child, start):
+        scratch = free.pop()
+        try:
+            _sample_chunk(np.random.default_rng(child), table, runs, n_steps,
+                          lengths[start:start + _CHUNK_SIZE], scratch)
+        finally:
+            free.append(scratch)
+
+    starts = range(0, n_trajectories, _CHUNK_SIZE)
+    if workers == 1:
+        for child, start in zip(children, starts):
+            sample_chunk(child, start)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            # reading every result raises a chunk's exception, if any
+            list(pool.map(sample_chunk, children, starts))
     stream_ids = tuple(str(c.spawn_key) for c in children)
     return TrajectoryBatch(seed, n_trajectories, n_steps, lengths, stream_ids,
                            realized.records.survival_probability)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -20,11 +21,12 @@ def test_a_tree_against_itself(monkeypatch, capsys):
     tool = _load_tool()
     # numpy has loaded already, so this only names a thread count in the header
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 4, 6}, raising=False)
     src = str(ROOT / "src")
     assert tool.main([src, src, "--cases", "fig3a", "--repeats", "3"]) == 0
     header, row = capsys.readouterr().out.splitlines()
     assert header.split()[:2] == ["case", "n_max"]
-    assert header.split()[-1] == "OPENBLAS_NUM_THREADS=3"
+    assert header.split()[-2:] == ["usable_cpus=4", "OPENBLAS_NUM_THREADS=3"]
     case, n_max, *_, ratio = row.split()
     assert (case, n_max) == ("fig3a", "24") and float(ratio) > 0.0
     (result,) = tool.alternate(src, src, ["fig3a"], 3)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from functools import partial
 
 import numpy as np
@@ -25,7 +27,8 @@ from zenocool import (
 from zenocool.cli import main
 from zenocool.coefficients import _values, switches, variant_params
 from zenocool.oracle import (_DRAW_KINDS, TrajectoryBatch, _block_matrices,
-                             _LevelTable, _oracle_elements, _propagators)
+                             _LevelTable, _mortal_log_survival, _oracle_elements,
+                             _propagators, _run_lengths)
 from engine_reference import joint_hamiltonian
 
 
@@ -498,6 +501,117 @@ def test_sampler_leaves_a_chunk_once_every_trajectory_died():
     np.testing.assert_array_equal(got.survival_lengths, want.survival_lengths)
 
 
+def _zero_step_case():
+    initial, _ = _certain_and_impossible_case()
+    return initial, ProtocolSchedule((
+        Segment("driven", CERTAIN_AND_IMPOSSIBLE, 4),
+        Segment("conventional", CONVENTIONAL_TENTH_PI, 0),
+        Segment("driven", CERTAIN_AND_IMPOSSIBLE, 3),
+    ))
+
+
+POOL_CASES = {
+    **{name: partial(_preset_case, name) for name in ("fig4", "fig7", "fig7_threshold")},
+    "zero-step-segment": _zero_step_case,
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(POOL_CASES))
+def test_any_worker_count_gives_the_choice_sampler(monkeypatch, case, workers):
+    monkeypatch.setattr(zenocool.oracle, "_CHUNK_SIZE", 1024)
+    monkeypatch.setattr(zenocool.oracle, "_workers", lambda n_chunks: workers)
+    initial, schedule = POOL_CASES[case]()
+    n_trajectories = 5 * 1024 - 120  # five streams, the last one partial
+    threads = set()
+    default_rng = np.random.default_rng
+
+    def recording_rng(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return default_rng(*args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording_rng)
+        got = sample_trajectories(initial, schedule, n_trajectories=n_trajectories, seed=23)
+    # one worker runs inline; more run every chunk on the pool's threads
+    caller = threading.get_ident()
+    assert threads == {caller} if workers == 1 else caller not in threads
+    want = reference_sample_trajectories(initial, schedule,
+                                         n_trajectories=n_trajectories, seed=23)
+    np.testing.assert_array_equal(got.survival_lengths, want.survival_lengths)
+    np.testing.assert_array_equal(got.exact_survival, want.exact_survival)
+    assert (got.n_steps, got.stream_ids) == (want.n_steps, want.stream_ids)
+
+
+def test_more_workers_than_cores_share_no_scratch(monkeypatch):
+    # many short chunks and a short switch interval make the threads take
+    # and return scratch sets often; a set taken twice at once would mix
+    # two chunks' draws and break the bit-for-bit match
+    monkeypatch.setattr(zenocool.oracle, "_CHUNK_SIZE", 64)
+    monkeypatch.setattr(zenocool.oracle, "_workers", lambda n_chunks: min(8, n_chunks))
+    initial, schedule = _zero_step_case()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sample_trajectories(initial, schedule, n_trajectories=64 * 150 - 7, seed=29)
+    finally:
+        sys.setswitchinterval(interval)
+    want = reference_sample_trajectories(initial, schedule,
+                                         n_trajectories=64 * 150 - 7, seed=29)
+    np.testing.assert_array_equal(got.survival_lengths, want.survival_lengths)
+
+
+class _StreamFailure(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_chunk_fails_the_call_and_leaves_no_thread(monkeypatch, workers):
+    monkeypatch.setattr(zenocool.oracle, "_CHUNK_SIZE", 1024)
+    monkeypatch.setattr(zenocool.oracle, "_workers", lambda n_chunks: workers)
+    initial, schedule = _preset_case("fig7")
+    default_rng = np.random.default_rng
+
+    def failing_rng(seed):
+        if seed.spawn_key == (2,):
+            raise _StreamFailure("the third stream fails")
+        return default_rng(seed)
+    monkeypatch.setattr(np.random, "default_rng", failing_rng)
+    before = threading.active_count()
+    with pytest.raises(_StreamFailure):
+        sample_trajectories(initial, schedule, n_trajectories=5_000, seed=23)
+    assert threading.active_count() == before
+
+
+def test_workers_are_the_usable_cpus_at_most_one_per_chunk(monkeypatch):
+    monkeypatch.setattr(zenocool.oracle.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    assert [zenocool.oracle._workers(n) for n in (1, 2, 3, 40)] == [1, 2, 3, 3]
+    monkeypatch.delattr(zenocool.oracle.os, "sched_getaffinity")
+    monkeypatch.setattr(zenocool.oracle.os, "cpu_count", lambda: 2)
+    assert [zenocool.oracle._workers(n) for n in (1, 2, 3)] == [1, 2, 2]
+    monkeypatch.setattr(zenocool.oracle.os, "cpu_count", lambda: None)
+    assert zenocool.oracle._workers(3) == 1
+
+
+def test_run_lengths_match_the_masked_inf_form():
+    # log U in {0, < 0} against s_n = 1 and s_n < 1, plus s_n = 0, an s_n
+    # rounded above 1 and a log s_n whose quotient overflows
+    log_u = np.array([0.0, -0.7, 0.0, -0.7, 0.0, -0.7, 0.0, -0.7, -0.7])
+    log_survival = np.array([0.0, 0.0, -0.2, -0.2, -np.inf, -np.inf, 1e-16, 1e-16, -1e-310])
+    k = 5
+    masked = np.full(log_u.size, np.inf)
+    with np.errstate(over="ignore"):
+        np.divide(log_u, log_survival, out=masked, where=log_survival < 0.0)
+    want = np.minimum(np.floor(masked), k)
+    mortal = _mortal_log_survival(log_survival)
+    assert np.signbit(mortal[[0, 6]]).all() and not mortal[[0, 6]].any()
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(log_u[0] / mortal[0])  # 0 / -0.0, which fmin takes to k
+    got = _run_lengths(log_u.copy(), mortal, k)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, [5, 5, 0, 3, 0, 0, 5, 5, 5])
+
+
 SEGMENT_PARAMS = st.one_of(
     st.sampled_from([CERTAIN_AND_IMPOSSIBLE, CONVENTIONAL_TENTH_PI]),
     st.builds(lambda g, t, f, d: PhysicalParams(g_m=g, tau=t, g_f=g * f, delta_e=g * d),
@@ -550,6 +664,14 @@ def _geometric(n_levels, n_bar):
     return _normalized((n_bar / (1.0 + n_bar)) ** np.arange(n_levels))
 
 
+def _levels(table, u):
+    """``table.levels(u, ...)`` with scratch as the sampler passes it: the
+    bucket in a chunk's int64 lengths, every array holding stale values."""
+    lengths = np.full(u.size + 3, -7, dtype=np.int64)
+    return table.levels(u, np.full(u.size, -1, dtype=np.intp), np.full(u.size, np.nan),
+                        lengths[2:-1], np.ones(u.size, dtype=bool))
+
+
 LEVEL_DISTRIBUTIONS = st.one_of(
     st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1e-9, 0.25, 1.0, 3.0]),
              min_size=1, max_size=300).filter(lambda w: sum(w) > 0.0).map(_normalized),
@@ -566,7 +688,7 @@ LEVEL_DISTRIBUTIONS = st.one_of(
 def test_level_draw_is_choice_on_the_same_stream(p, buckets, size, seed):
     table = _LevelTable(p, buckets)
     u = np.random.default_rng(seed).random(size)
-    got = table.levels(u, np.empty(size, dtype=np.intp))
+    got = _levels(table, u)
     np.testing.assert_array_equal(got, np.random.default_rng(seed).choice(p.size, size, p=p))
 
 
@@ -590,7 +712,7 @@ def test_level_draw_at_bucket_edges(p, buckets):
     u = u[(u >= 0.0) & (u < 1.0)]
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    got = _LevelTable(p, buckets).levels(u, np.empty(u.size, dtype=np.intp))
+    got = _levels(_LevelTable(p, buckets), u)
     np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
 
 
@@ -611,7 +733,7 @@ def test_level_table_searches_its_own_power_of_two_edges(p, requested):
     u = u[(u >= 0.0) & (u < 1.0)]
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    got = table.levels(u, np.empty(u.size, dtype=np.intp))
+    got = _levels(table, u)
     np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
 
 
@@ -629,6 +751,5 @@ def test_level_table_rejects_what_choice_rejects(p, message):
 
 def test_level_table_accepts_a_sum_within_choice_tolerance():
     p = np.array([0.5, 0.5 + 1e-9])
-    got = _LevelTable(p, 2).levels(np.random.default_rng(3).random(1000),
-                                   np.empty(1000, dtype=np.intp))
+    got = _levels(_LevelTable(p, 2), np.random.default_rng(3).random(1000))
     np.testing.assert_array_equal(got, np.random.default_rng(3).choice(2, 1000, p=p))

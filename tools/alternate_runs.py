@@ -27,9 +27,11 @@ Run as a script, it pins the BLAS and OpenMP pools to one thread before
 numpy loads, as ``bench/run.py`` does. The pin is a ``setdefault``, so a
 value exported beforehand survives it:
 ``OPENBLAS_NUM_THREADS=2 python tools/alternate_runs.py ...`` times two
-BLAS threads. The header line ends with the ``OPENBLAS_NUM_THREADS`` the
-run saw (``unset`` if none), since the chunked sums of the engine are
-faster or slower than one long dot depending on it.
+BLAS threads. The header line ends with the number of CPUs the process
+may use and the ``OPENBLAS_NUM_THREADS`` the run saw (``unset`` if none):
+the trajectory sampler runs its chunks on one thread per usable CPU, and
+the chunked sums of the engine are faster or slower than one long dot
+depending on the BLAS threads.
 """
 
 from __future__ import annotations
@@ -155,6 +157,13 @@ def _summary(times: list[float]) -> str:
     return f"{median * 1e3:8.3f} [{q1 * 1e3:.3f}, {q3 * 1e3:.3f}]"
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", help="directory holding the old zenocool package")
@@ -171,7 +180,7 @@ def main(argv=None) -> int:
         parser.error("--repeats must be at least 2")
     width = max(map(len, cases))
     print(f"{'case':{width}} {'n_max':>6}  {'old ms: median [q1, q3]':>30}  "
-          f"{'new ms: median [q1, q3]':>30}  new/old  "
+          f"{'new ms: median [q1, q3]':>30}  new/old  usable_cpus={_usable_cpus()}  "
           f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     for r in alternate(args.old_src, args.new_src, cases, args.repeats):
         ratio = statistics.median(r["new"]) / statistics.median(r["old"])
