@@ -22,7 +22,7 @@ import numpy as np
 from .fock import CapacityError, PopulationDistribution
 # build_table stays bound here, though unused: bench/ patches it by name
 from .coefficients import _values, build_table, switches  # noqa: F401
-from .protocol import ProtocolSchedule, run
+from .protocol import ProtocolSchedule, _survival_curve, _tables
 
 
 # Trajectories per independent RNG stream; bounds the sampler's scratch memory.
@@ -266,10 +266,12 @@ def sample_trajectories(initial: PopulationDistribution,
     offset + k, which the next segment overwrites; only before a next
     segment are the survivors picked out.
 
-    The schedule is realized once with the deterministic engine, so
-    conditional switches count; trajectories then follow the realized
-    sequence of segments, and that run's survival curve is returned as
-    ``exact_survival``.
+    The schedule is realized once by the engine's survival-only step
+    loop (``protocol._survival_curve``), bitwise the survival column and
+    segment steps of ``run``; a schedule with an ``until_n_bar`` segment
+    is run in full there, so conditional switches count. Trajectories
+    then follow the realized sequence of segments, and that survival
+    curve is returned as ``exact_survival``.
 
     Raises
     ------
@@ -285,10 +287,11 @@ def sample_trajectories(initial: PopulationDistribution,
             f"n_trajectories={n_trajectories} needs {8 * n_trajectories} bytes "
             f"of survival lengths, which cannot be allocated"
         ) from exc
-    realized = run(initial, schedule)
-    n_steps = len(realized.records) - 1
-    runs = [(_mortal_log_survival(realized.tables[seg_id].log_survival), k)
-            for seg_id, k in enumerate(realized.steps_run) if k]
+    tables = _tables(schedule, initial.n_max)
+    exact_survival, steps_run = _survival_curve(initial, schedule, tables)
+    n_steps = exact_survival.size - 1
+    runs = [(_mortal_log_survival(tables[seg_id].log_survival), k)
+            for seg_id, k in enumerate(steps_run) if k]
 
     p = initial.probabilities()
     p = p / p.sum()
@@ -320,7 +323,7 @@ def sample_trajectories(initial: PopulationDistribution,
             list(pool.map(sample_chunk, children, starts))
     stream_ids = tuple(str(c.spawn_key) for c in children)
     return TrajectoryBatch(seed, n_trajectories, n_steps, lengths, stream_ids,
-                           realized.records.survival_probability)
+                           exact_survival)
 
 
 _DRAW_KINDS = ("driven-detuned", "driven", "conventional-detuned", "conventional")

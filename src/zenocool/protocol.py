@@ -10,7 +10,11 @@ occupancy, ground fidelity, cumulative survival probability, effective
 temperature, thermality) are evaluated after every step. A sweep keeps
 only each grid point's last record, so it reads that off the closed form:
 k_i measurements of segment i leave the log-weights
-lw_0 + sum_i k_i log_survival_i, observed once.
+lw_0 + sum_i k_i log_survival_i, observed once. The trajectory sampler
+needs only the survival curve, so it goes through the same step loop
+(:func:`_evolve`) scaling u alone and reading its mass, with no
+observable past the survival (:func:`_survival_curve`); a schedule with
+an ``until_n_bar`` segment is run in full, since it stops on n_bar.
 
 The observables come from an amplitude view of the state,
 u_n = exp((lw_n - top) / 2) and v_n = sqrt(n) u_n, which each measurement
@@ -213,6 +217,15 @@ class _AmplitudeView:
         u, v = self.rest
         return mass + float(u.dot(u)), moment + float(v.dot(v))
 
+    def _mass(self) -> tuple[float]:
+        """(u.u,), bitwise the mass of :meth:`_mass_and_moment`, from u alone."""
+        mass = 0.0
+        if self.chunks[0].size:
+            for m in np.matmul(self.chunks[0][0], self.chunks[1][0]).ravel().tolist():
+                mass += m
+        u = self.rest[0]
+        return (mass + float(u.dot(u)),)
+
     def _overlap(self, log_rho: float) -> float:
         """sum_n u_n rho^n, dropping each factor rho^b, rho^(_BLOCK a) under exp(LOG_TINY)."""
         cols = min(_BLOCK, int(LOG_TINY / log_rho) + 1)
@@ -228,8 +241,8 @@ class _AmplitudeView:
             self.grid_head, self.row_pow_head = self.grid[:rows], self.row_pow[:rows]
         return float((self.grid_head @ self.col_pow).dot(self.row_pow_head))
 
-    def observe(self, log_weights: Callable[[], np.ndarray], norm_log: float | None = None
-                ) -> tuple[float, float, float, float, float]:
+    def observe(self, log_weights: Callable[[], np.ndarray], norm_log: float | None = None,
+                moments: bool = True) -> tuple[float, float, float, float, float]:
         """(n_bar, ground fidelity, survival, thermal fidelity, log mass) of the state.
 
         ``log_weights()`` returns the state's log-weights; it is called
@@ -237,12 +250,15 @@ class _AmplitudeView:
         mass where it is known exactly (the initial state). A term of the
         thermal overlap whose rho^n has a factor under exp(``LOG_TINY``) is
         dropped; u_n^2 <= mass and Z >= 1, so it would move the fidelity's
-        square root by less than exp(LOG_TINY).
+        square root by less than exp(LOG_TINY). Without ``moments`` only
+        the survival and log mass are read, off u alone (:meth:`_mass`; v
+        need only be current after a rebuild), and the rest are NaN.
         """
-        mass, moment = self._mass_and_moment()
-        if not mass >= _MIN_VIEW_MASS:  # also NaN and an empty view
+        found = self._mass_and_moment() if moments else self._mass()
+        if not found[0] >= _MIN_VIEW_MASS:  # also NaN and an empty view
             self.refresh(log_weights())
-            mass, moment = self._mass_and_moment()
+            found = self._mass_and_moment() if moments else self._mass()
+        mass = found[0]
         if norm_log is None:
             norm_log = self.top + math.log(mass)
         try:
@@ -250,7 +266,9 @@ class _AmplitudeView:
         except OverflowError:
             raise ValueError(f"norm_log {norm_log!r} exceeds log(DBL_MAX): the "
                              "survival probability overflows a double") from None
-        n_bar = moment / mass
+        if not moments:
+            return math.nan, math.nan, survival, math.nan, norm_log
+        n_bar = found[1] / mass
         u0 = float(self.u[0])
         ground = u0 / mass * u0
         if n_bar > 0.0:
@@ -295,10 +313,50 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
 def _run(initial: PopulationDistribution, schedule: ProtocolSchedule,
          tables: tuple[CoefficientTable | None, ...]) -> RunResult:
     """:func:`run` on the segment tables ``tables`` (:func:`_tables`)."""
+    rows, lw, norm_log, terminated, steps_run = _evolve(initial, schedule, tables, True)
+    return RunResult(_records(rows, schedule), PopulationDistribution(lw, norm_log=norm_log),
+                     terminated, steps_run, tables)
+
+
+def _survival_curve(initial: PopulationDistribution, schedule: ProtocolSchedule,
+                    tables: tuple[CoefficientTable | None, ...]
+                    ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``run(initial, schedule)``'s survival column (read-only) and
+    ``steps_run``, bit for bit, from the view's mass alone.
+
+    Each measurement scales u alone and sums its mass, with no moment,
+    overlap or effective temperature. A schedule with an ``until_n_bar``
+    segment is run instead (:func:`_run`), because where it stops depends
+    on n_bar. ``tables`` are :func:`_tables` of the schedule. Raises what
+    :func:`run` raises on the same start.
+    """
+    if any(s.until_n_bar is not None for s in schedule.segments):
+        result = _run(initial, schedule, tables)
+        return result.records.survival_probability, result.steps_run
+    rows, *_, steps_run = _evolve(initial, schedule, tables, False)
+    survival = np.array([row[3] for row in rows])
+    survival.flags.writeable = False
+    return survival, steps_run
+
+
+def _evolve(initial: PopulationDistribution, schedule: ProtocolSchedule,
+            tables: tuple[CoefficientTable | None, ...], moments: bool):
+    """The step loop of :func:`_run` and :func:`_survival_curve`.
+
+    Each measurement multiplies the amplitude view's u row by |c_n|, and
+    its v row too if ``moments``, and :meth:`_AmplitudeView.observe` then
+    reads the state, with or without ``moments``; the initial state is
+    read first, at its ``norm_log``. A segment ends at its step budget or
+    its ``until_n_bar`` (which NaN n_bar never reaches), and the run below
+    the norm floor. Returns the rows (step, n_bar, ground, survival,
+    thermal, segment), the final log-weights and log mass, whether the
+    run stopped at the floor, and the measurements each segment ran.
+    """
     lw = initial.log_weights
     view = _AmplitudeView(lw.size)
     u, v = view.u, view.v  # a rebuild writes into these
-    n_bar, ground, survival, thermal, norm_log = view.observe(lambda: lw, initial.norm_log)
+    observe = view.observe
+    n_bar, ground, survival, thermal, norm_log = observe(lambda: lw, initial.norm_log, moments)
     rows = [(0, n_bar, ground, survival, thermal, 0)]
     steps_run = [0] * len(schedule.segments)
     terminated = False
@@ -313,8 +371,9 @@ def _run(initial: PopulationDistribution, schedule: ProtocolSchedule,
             return _advance(lw, table, k)
         for k in range(1, seg.steps + 1):
             u *= magnitude
-            v *= magnitude
-            n_bar, ground, survival, thermal, norm_log = view.observe(log_weights)
+            if moments:
+                v *= magnitude
+            n_bar, ground, survival, thermal, norm_log = observe(log_weights, None, moments)
             rows.append((len(rows), n_bar, ground, survival, thermal, seg_id))
             if norm_log < DEFAULT_NORM_LOG_FLOOR:
                 terminated = True
@@ -323,8 +382,7 @@ def _run(initial: PopulationDistribution, schedule: ProtocolSchedule,
                 break
         steps_run[seg_id] = k
         lw = _advance(lw, table, k)
-    return RunResult(_records(rows, schedule), PopulationDistribution(lw, norm_log=norm_log),
-                     terminated, tuple(steps_run), tables)
+    return rows, lw, norm_log, terminated, tuple(steps_run)
 
 
 def _advance(lw: np.ndarray, table: CoefficientTable, k: int) -> np.ndarray:

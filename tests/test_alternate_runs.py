@@ -48,7 +48,10 @@ def test_a_conventional_and_a_threshold_case_against_itself(capsys):
 
 def test_a_trajectory_case_against_itself(monkeypatch, capsys):
     tool = _load_tool()
-    assert {tool.CASES[c]["trajectories"] for c in ("traj-fig4", "traj-fig7")} == {250_000}
+    assert {tool.CASES[c]["trajectories"]
+            for c in ("traj-fig4", "traj-fig7", "traj-fig7_threshold")} == {250_000}
+    assert tool.CASES["traj-fig6"] == {"preset": "fig6", "trajectories": 10_000}
+    assert tool.CASES["traj-fig7_threshold"]["preset"] == "fig7_threshold"
     monkeypatch.setitem(tool.CASES, "traj-fig3a", {"preset": "fig3a", "trajectories": 2_000})
     src = str(ROOT / "src")
     assert tool.main([src, src, "--cases", "traj-fig3a", "--repeats", "3"]) == 0
@@ -105,3 +108,16 @@ def test_an_oracle_check_call_writes_its_report(tmp_path):
     call()
     report = json.loads((tmp_path / "old" / "oracle_report.json").read_text())
     assert (n_max, report["draws"], report["seed"]) == (0, 200, 7)
+
+
+def test_the_hot_and_the_threshold_trajectory_cases_against_themselves(monkeypatch, capsys):
+    tool = _load_tool()
+    monkeypatch.setitem(tool.CASES, "traj-fig7_threshold",
+                        {**tool.CASES["traj-fig7_threshold"], "trajectories": 2_000})
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--cases", "traj-fig6,traj-fig7_threshold",
+                      "--repeats", "2"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(row[0], row[1]) for row in rows] == [("traj-fig6", "23189"),
+                                                  ("traj-fig7_threshold", "2319")]
+    assert all(float(row[-1]) > 0.0 for row in rows)

@@ -878,26 +878,57 @@ def test_cli_never_raises_on_any_config(preset, changes):
             assert code in (0, 1, 2), (command, config)
 
 
-def test_trajectories_evolve_the_schedule_once(tmp_path, monkeypatch):
+def _counted_trajectories(monkeypatch, tmp_path, preset):
+    """A trajectories call on ``preset``, with its survival-curve evaluations
+    and the engine runs (``protocol._run``, under ``run``) it made."""
     import zenocool.oracle
+    import zenocool.protocol
     import zenocool.runner
+
+    evaluations, runs = [], []
+    survival_curve, engine = zenocool.protocol._survival_curve, zenocool.protocol._run
+
+    def counted_curve(*args):
+        evaluations.append(args)
+        return survival_curve(*args)
+
+    def counted_run(*args):
+        runs.append(args)
+        return engine(*args)
+    monkeypatch.setattr(zenocool.oracle, "_survival_curve", counted_curve)
+    monkeypatch.setattr(zenocool.protocol, "_run", counted_run)
+    config = parse_config_data({"preset": preset})
+    zenocool.runner.run_trajectories(config, tmp_path, n_trajectories=500)
+    monkeypatch.undo()
+    return config, evaluations, runs
+
+
+def test_trajectories_evolve_the_schedule_once(tmp_path, monkeypatch):
     from zenocool import initial_state, run
 
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return run(*args, **kwargs)
-
-    monkeypatch.setattr(zenocool.oracle, "run", counted)
-    monkeypatch.setattr(zenocool.runner, "run", counted)
-    config = parse_config_data({"preset": "fig7_threshold"})
-    zenocool.runner.run_trajectories(config, tmp_path, n_trajectories=500)
-    assert len(calls) == 1
+    # fig7_threshold's first segment stops on until_n_bar: the evaluator runs it
+    config, evaluations, runs = _counted_trajectories(monkeypatch, tmp_path,
+                                                      "fig7_threshold")
+    assert len(evaluations) == 1
+    assert len(runs) == 1
 
     schedule = config.schedule()
     exact = run(initial_state(config.thermal_spec(), schedule), schedule)
     rows = read_csv(tmp_path / "trajectories.csv")
     assert [int(r["N"]) for r in rows] == [rec.step for rec in exact.records]
+    assert [float(r["p_exact"]) for r in rows] == [
+        rec.survival_probability for rec in exact.records]
+
+
+def test_trajectories_without_a_threshold_never_run_the_engine(tmp_path, monkeypatch):
+    from zenocool import initial_state, run
+
+    config, evaluations, runs = _counted_trajectories(monkeypatch, tmp_path, "fig4")
+    assert len(evaluations) == 1
+    assert runs == []
+
+    schedule = config.schedule()
+    exact = run(initial_state(config.thermal_spec(), schedule), schedule)
+    rows = read_csv(tmp_path / "trajectories.csv")
     assert [float(r["p_exact"]) for r in rows] == [
         rec.survival_probability for rec in exact.records]

@@ -508,7 +508,8 @@ def test_run_final_log_weights_are_those_of_the_terminal_record(monkeypatch, cas
 def test_amplitude_view_sums(size, monkeypatch):
     # The mass is bitwise the left-to-right sum of the 8,192-level chunk
     # dots that a ddot per chunk gives, whatever the number of chunks
-    # (1 to 8 here), and the moment v.v is sum_n n u_n^2 to 1e-15.
+    # (1 to 8 here), also when summed from u alone, and the moment v.v is
+    # sum_n n u_n^2 to 1e-15.
     chunk = protocol._DOT_CHUNK
     handed = []  # the length of every dot that matmul hands to BLAS
     real = np.matmul
@@ -540,6 +541,7 @@ def test_amplitude_view_sums(size, monkeypatch):
         want_moment = float((levels * u.astype(np.longdouble) ** 2).sum())
         mass, moment = view._mass_and_moment()
         assert mass == want_mass
+        assert view._mass() == (mass,)
         assert abs(moment - want_moment) <= 1e-15 * want_moment
         assert not view.uv[:, size:].any()
     assert size < 24 or subnormal and not view.u.all()
@@ -1060,3 +1062,89 @@ def test_one_patch_point_drives_every_reader(monkeypatch, tmp_path):
                                       "coefficients_driven.csv"]
     for name, data in shifted_tables.items():
         assert data != tables[name], name
+
+
+def _rebuild_case():
+    # the start of test_run_keeps_full_precision_over_a_wide_dynamic_range: the
+    # mass falls about 1e-6 a step, so the view is rebuilt every few steps
+    params = PhysicalParams(g_m=1.0, tau=math.pi / 2.0 - 1e-3)
+    return (ProtocolSchedule((Segment("conventional", params, 200),)),
+            PopulationDistribution(np.array([-690.0, 700.0])))
+
+
+def _floor_then_more_case():
+    schedule, initial = _floor_case()
+    return (ProtocolSchedule(schedule.segments + (replace(schedule.segments[0], steps=5),)),
+            initial)
+
+
+SURVIVAL_CASES = {
+    **{name: partial(_preset_start, name) for name in PRESETS
+       if PRESETS[name].get("segments")},
+    "zero-step-segment": lambda: (
+        ProtocolSchedule((Segment("driven", PARAMS_DRIVEN, 20),
+                          Segment("conventional", PARAMS_CONV, 0),
+                          Segment("driven", PARAMS_DRIVEN, 10))),
+        thermal_distribution(THERMAL_10K)),
+    "rebuilds": _rebuild_case,
+    "norm-floor": _floor_then_more_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SURVIVAL_CASES))
+def test_survival_curve_is_bitwise_that_of_run(case, monkeypatch):
+    schedule, initial = SURVIVAL_CASES[case]()
+    want = run(initial, schedule)
+    rebuilds = []
+    refresh = protocol._AmplitudeView.refresh
+
+    def counted(view, lw):
+        rebuilds.append(lw)
+        refresh(view, lw)
+    monkeypatch.setattr(protocol._AmplitudeView, "refresh", counted)
+    survival, steps_run = protocol._survival_curve(
+        initial, schedule, protocol._tables(schedule, initial.n_max))
+    assert survival.dtype == np.float64
+    assert survival.tobytes() == want.records.survival_probability.tobytes()
+    assert steps_run == want.steps_run
+    assert not survival.flags.writeable
+    batch = sample_trajectories(initial, schedule, n_trajectories=10, seed=1)
+    assert batch.exact_survival.tobytes() == survival.tobytes()
+    assert batch.n_steps == len(want.records) - 1
+    assert not batch.exact_survival.flags.writeable
+    assert want.terminated_early == (case == "norm-floor")
+    if case == "rebuilds":
+        assert len(rebuilds) > 10
+    if case == "zero-step-segment":
+        assert steps_run == (20, 0, 10)
+
+
+def _nan_table(variant, params, n_max):
+    values = np.ones(n_max + 1, dtype=complex)
+    values[1] = np.nan
+    return CoefficientTable(variant, values, params)
+
+
+@pytest.mark.parametrize("start, segment, poisoned", [
+    # no population at all
+    ([-math.inf, -math.inf, -math.inf], Segment("conventional", PARAMS_CONV, 3), False),
+    # the first measurement kills every populated level (see
+    # test_run_raises_when_every_level_is_killed)
+    ([-math.inf, 0.0],
+     Segment("driven", PhysicalParams(g_m=math.pi / math.sqrt(2.0), tau=1.0,
+                                      g_f=math.pi / math.sqrt(2.0)), 5), False),
+    # a NaN coefficient
+    ([math.log(0.5), math.log(0.5)], Segment("conventional", PARAMS_CONV, 3), True),
+    # exp(800) is not a double
+    ([0.0, 800.0], Segment("conventional", PARAMS_CONV, 0), False),
+], ids=["empty", "killed", "nan", "overflow"])
+def test_survival_curve_raises_what_run_raises(monkeypatch, start, segment, poisoned):
+    if poisoned:
+        monkeypatch.setattr(protocol, "build_table", _nan_table)
+    initial = PopulationDistribution(np.array(start))
+    schedule = ProtocolSchedule((segment,))
+    with pytest.raises(ValueError) as want:
+        run(initial, schedule)
+    with pytest.raises(ValueError) as got:
+        protocol._survival_curve(initial, schedule, protocol._tables(schedule, initial.n_max))
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))

@@ -9,10 +9,12 @@ as ``zenocool_old`` and ``zenocool_new``; the package imports itself only
 relatively, so both load side by side. Each case parses the same config
 on both sides and builds its schedule and thermal start there. A case
 with a ``trajectories`` count (the ``traj-*`` cases) times
-``sample_trajectories`` at a fixed seed, which includes the ``run`` that
-realizes the schedule; a case whose config has a ``sweep`` block (the
-``sweep-*`` cases) times ``sweep`` over its whole grid, and its n_max is
-the largest of the grid's starts; an ``export`` case (``export-hot-100k``)
+``sample_trajectories`` at a fixed seed, which includes the survival
+curve that realizes the schedule (a full ``run`` only where a segment
+has an ``until_n_bar``, as in ``traj-fig7_threshold``); a case whose
+config has a ``sweep`` block (the ``sweep-*`` cases) times ``sweep``
+over its whole grid, and its n_max is the largest of the grid's starts;
+an ``export`` case (``export-hot-100k``)
 runs its schedule once, untimed, and times the run, histogram and
 coefficient writers on the result, as a run with every export on calls
 them; the ``oracle-check`` case times ``runner.run_oracle_check`` at 200
@@ -66,6 +68,10 @@ CASES = {
     "hot-100k": _HOT_100K,
     "traj-fig4": {"preset": "fig4", "trajectories": 250_000},
     "traj-fig7": {"preset": "fig7", "trajectories": 250_000},
+    # the sampler call of a hot-100k operation: one inline chunk at n_max 23,189
+    "traj-fig6": {"preset": "fig6", "trajectories": 10_000},
+    # an until_n_bar schedule, whose survival curve comes from a full run
+    "traj-fig7_threshold": {"preset": "fig7_threshold", "trajectories": 250_000},
     "sweep-fig6": {"preset": "fig6_sweep"},
     "sweep-fig7": {"preset": "fig7_switch"},
     "export-hot-100k": {**_HOT_100K, "export": True,
