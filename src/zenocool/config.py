@@ -128,6 +128,14 @@ class ExperimentConfig:
             )
         return switched
 
+    def sweep_values(self) -> tuple[float, ...]:
+        """The sweep grid in library units: an SI ``tau`` grid is in seconds,
+        and :func:`~zenocool.protocol.sweep` takes omega_m tau."""
+        values = self.sweep.values
+        if self.sweep.axis == "tau" and self.si_units:
+            return tuple(v * self.params.omega_m for v in values)
+        return values
+
     def schedule(self) -> ProtocolSchedule:
         """The segments as a schedule; a segment that breaks a rule of
         ``Segment`` or of its parameters is a ``ConfigError`` naming it."""

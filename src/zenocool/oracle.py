@@ -266,12 +266,12 @@ def sample_trajectories(initial: PopulationDistribution,
     offset + k, which the next segment overwrites; only before a next
     segment are the survivors picked out.
 
-    The schedule is realized once by the engine's survival-only step
-    loop (``protocol._survival_curve``), bitwise the survival column and
-    segment steps of ``run``; a schedule with an ``until_n_bar`` segment
-    is run in full there, so conditional switches count. Trajectories
-    then follow the realized sequence of segments, and that survival
-    curve is returned as ``exact_survival``.
+    The schedule is realized once by the engine's step loop without
+    records (``protocol._survival_curve``), bitwise the survival column
+    and segment steps of ``run``; that loop reads n_bar where a segment
+    stops on it, so conditional switches count. Trajectories then follow
+    the realized sequence of segments, and that survival curve is
+    returned as ``exact_survival``.
 
     Raises
     ------

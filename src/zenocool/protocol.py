@@ -13,8 +13,10 @@ k_i measurements of segment i leave the log-weights
 lw_0 + sum_i k_i log_survival_i, observed once. The trajectory sampler
 needs only the survival curve, so it goes through the same step loop
 (:func:`_evolve`) scaling u alone and reading its mass, with no
-observable past the survival (:func:`_survival_curve`); a schedule with
-an ``until_n_bar`` segment is run in full, since it stops on n_bar.
+observable past the survival (:func:`_survival_curve`). A schedule with an
+``until_n_bar`` segment reads n_bar in that loop too, since it stops on
+n_bar, and a sweep reads such a schedule's realized steps off it before
+the closed form.
 
 The observables come from an amplitude view of the state,
 u_n = exp((lw_n - top) / 2) and v_n = sqrt(n) u_n, which each measurement
@@ -307,12 +309,7 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
     first step (:func:`_tables`) and returned in ``tables``, so a segment
     whose table cannot be built raises even if the run would stop first.
     """
-    return _run(initial, schedule, _tables(schedule, initial.n_max))
-
-
-def _run(initial: PopulationDistribution, schedule: ProtocolSchedule,
-         tables: tuple[CoefficientTable | None, ...]) -> RunResult:
-    """:func:`run` on the segment tables ``tables`` (:func:`_tables`)."""
+    tables = _tables(schedule, initial.n_max)
     rows, lw, norm_log, terminated, steps_run = _evolve(initial, schedule, tables, True)
     return RunResult(_records(rows, schedule), PopulationDistribution(lw, norm_log=norm_log),
                      terminated, steps_run, tables)
@@ -322,17 +319,13 @@ def _survival_curve(initial: PopulationDistribution, schedule: ProtocolSchedule,
                     tables: tuple[CoefficientTable | None, ...]
                     ) -> tuple[np.ndarray, tuple[int, ...]]:
     """``run(initial, schedule)``'s survival column (read-only) and
-    ``steps_run``, bit for bit, from the view's mass alone.
+    ``steps_run``, bit for bit, from :func:`_evolve` without records.
 
     Each measurement scales u alone and sums its mass, with no moment,
-    overlap or effective temperature. A schedule with an ``until_n_bar``
-    segment is run instead (:func:`_run`), because where it stops depends
-    on n_bar. ``tables`` are :func:`_tables` of the schedule. Raises what
-    :func:`run` raises on the same start.
+    overlap or effective temperature, unless a segment stops on n_bar
+    (:func:`_evolve`). ``tables`` are :func:`_tables` of the schedule.
+    Raises what :func:`run` raises on the same start.
     """
-    if any(s.until_n_bar is not None for s in schedule.segments):
-        result = _run(initial, schedule, tables)
-        return result.records.survival_probability, result.steps_run
     rows, *_, steps_run = _evolve(initial, schedule, tables, False)
     survival = np.array([row[3] for row in rows])
     survival.flags.writeable = False
@@ -341,17 +334,20 @@ def _survival_curve(initial: PopulationDistribution, schedule: ProtocolSchedule,
 
 def _evolve(initial: PopulationDistribution, schedule: ProtocolSchedule,
             tables: tuple[CoefficientTable | None, ...], moments: bool):
-    """The step loop of :func:`_run` and :func:`_survival_curve`.
+    """The step loop of :func:`run` and :func:`_survival_curve`.
 
     Each measurement multiplies the amplitude view's u row by |c_n|, and
     its v row too if ``moments``, and :meth:`_AmplitudeView.observe` then
     reads the state, with or without ``moments``; the initial state is
     read first, at its ``norm_log``. A segment ends at its step budget or
-    its ``until_n_bar`` (which NaN n_bar never reaches), and the run below
-    the norm floor. Returns the rows (step, n_bar, ground, survival,
-    thermal, segment), the final log-weights and log mass, whether the
-    run stopped at the floor, and the measurements each segment ran.
+    its ``until_n_bar``, and the run below the norm floor. A schedule with
+    an ``until_n_bar`` segment reads the moments whatever ``moments`` says,
+    so it stops where :func:`run` stops. Returns the rows (step, n_bar,
+    ground, survival, thermal, segment), the final log-weights and log
+    mass, whether the run stopped at the floor, and the measurements each
+    segment ran.
     """
+    moments = moments or any(s.until_n_bar is not None for s in schedule.segments)
     lw = initial.log_weights
     view = _AmplitudeView(lw.size)
     u, v = view.u, view.v  # a rebuild writes into these
@@ -432,29 +428,30 @@ def _records(rows, schedule: ProtocolSchedule) -> np.recarray:
 
 def _terminal_record(initial: PopulationDistribution, schedule: ProtocolSchedule,
                      tables: tuple[CoefficientTable | None, ...] | None = None) -> np.record:
-    """The last record of ``run(initial, schedule)``, without stepping through it.
+    """The last record of ``run(initial, schedule)``, without observing each step.
 
     Each segment applies one fixed diagonal operator, so k_i measurements
     of segment i leave the log-weights ``initial + sum_i k_i log_survival_i``,
     formed segment by segment by :func:`_advance` as :func:`run` forms its
-    final state: one observation of that state is the terminal record. A
-    schedule with an ``until_n_bar`` segment is run instead, because where
-    it stops depends on the path. ``initial`` is a thermal start
-    (:func:`initial_state`), so :func:`run`'s norm floor is out of reach:
-    c_0 = 1 keeps the log mass above log p_0 = -log(1 + n_bar_th).
+    final state: one observation of that state is the terminal record.
+    k_i is the segment's budget, or, where a segment stops on n_bar, the
+    ``steps_run`` of :func:`_survival_curve`. ``initial`` is a thermal
+    start (:func:`initial_state`), so :func:`run`'s norm floor is out of
+    reach: c_0 = 1 keeps the log mass above log p_0 = -log(1 + n_bar_th).
     ``tables`` defaults to :func:`_tables` of the schedule.
     """
     if tables is None:
         tables = _tables(schedule, initial.n_max)
+    steps_run = [s.steps for s in schedule.segments]
     if any(s.until_n_bar is not None for s in schedule.segments):
-        return _run(initial, schedule, tables).records[-1]
+        steps_run = _survival_curve(initial, schedule, tables)[1]
     lw = initial.log_weights
     last = 0
-    for seg_id, (seg, table) in enumerate(zip(schedule.segments, tables)):
-        if table is not None:
-            lw = _advance(lw, table, seg.steps)
+    for seg_id, (table, k) in enumerate(zip(tables, steps_run)):
+        if k:
+            lw = _advance(lw, table, k)
             last = seg_id
-    steps = schedule.total_steps
+    steps = sum(steps_run)
     n_bar, ground, survival, thermal, _ = _AmplitudeView(lw.size).observe(
         lambda: lw, None if steps else initial.norm_log)
     return _records([(steps, n_bar, ground, survival, thermal, last)], schedule)[0]

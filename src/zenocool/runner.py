@@ -218,11 +218,12 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict[str, str]:
     if config.sweep is None:
         raise ConfigError("config has no 'sweep' block")
     with _artifacts(out_dir, config, "sweep") as (out_dir, outputs, resolved):
-        points = sweep(config.sweep.axis, config.sweep.values, config.thermal_spec(),
+        points = sweep(config.sweep.axis, config.sweep_values(), config.thermal_spec(),
                        config.schedule(), hard_cap=config.hard_cap)
         path = out_dir / "sweep.csv"
-        # the numeric cells from the CSV formatter, the error text quoted by csv
-        values = lines([np.array([pt.value for pt in points], dtype=np.float64)])
+        # the numeric cells from the CSV formatter, the error text quoted by csv;
+        # the values in the file's units
+        values = lines([np.array(config.sweep.values, dtype=np.float64)])
         records = np.array([pt.record for pt in points if pt.record is not None],
                            dtype=StepRecord)
         rows = iter(lines(_record_columns(records)).decode().splitlines())

@@ -62,15 +62,31 @@ def test_a_trajectory_case_against_itself(monkeypatch, capsys):
 
 def test_a_sweep_case_against_itself(capsys):
     tool = _load_tool()
-    assert [tool.CASES[c]["preset"] for c in ("sweep-fig6", "sweep-fig7")] == [
-        "fig6_sweep", "fig7_switch"]
+    cases = ("sweep-fig6", "sweep-fig7", "sweep-fig7_threshold")
+    assert [tool.CASES[c]["preset"] for c in cases] == [
+        "fig6_sweep", "fig7_switch", "fig7_threshold"]
+    # a switch sweep of a schedule whose first segment stops on until_n_bar
+    assert tool.CASES["sweep-fig7_threshold"]["sweep"]["axis"] == "switch"
     src = str(ROOT / "src")
-    assert tool.main([src, src, "--cases", "sweep-fig6,sweep-fig7", "--repeats", "2"]) == 0
+    assert tool.main([src, src, "--cases", ",".join(cases), "--repeats", "2"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
-    # the largest n_max of the grid: fig6_sweep's 120 K point, fig7_switch's 10 K start
+    # the largest n_max of the grid: fig6_sweep's 120 K point, the 10 K start of the others
     assert [(row[0], row[1]) for row in rows] == [("sweep-fig6", "27827"),
-                                                  ("sweep-fig7", "2319")]
+                                                  ("sweep-fig7", "2319"),
+                                                  ("sweep-fig7_threshold", "2319")]
     assert all(float(row[-1]) > 0.0 for row in rows)
+
+
+def test_a_sweep_call_reads_an_si_tau_grid_in_seconds(tmp_path):
+    tool = _load_tool()
+    config = zenocool.parse_config_data({"preset": "fig4"})
+    tau_s = zenocool.PRESETS["fig4"]["tau"]
+    n_max, call = tool._call(zenocool, {"preset": "fig4",
+                                        "sweep": {"axis": "tau", "values": [tau_s]}},
+                             tmp_path)
+    (point,) = call()
+    want = zenocool.sweep("tau", [config.params.tau], config.thermal_spec(), config.schedule())
+    assert (n_max, point.record.item()) == (2319, want[0].record.item())
 
 
 def test_an_export_case_against_itself(monkeypatch, capsys):

@@ -406,6 +406,26 @@ def test_si_temperature_sweep_starts_from_n_bar_th(tmp_path):
             == Path(from_kelvin["sweep_csv"]).read_bytes())
 
 
+def test_si_tau_sweep_reads_its_grid_in_seconds(tmp_path):
+    # fig4's own interval, given in seconds as the file gives it, sweeps to fig4's run
+    from zenocool import initial_state, run
+
+    tau_s = PRESETS["fig4"]["tau"]
+    config = parse_config_data({"preset": "fig4", "sweep": {"axis": "tau", "values": [tau_s]}})
+    outputs = run_sweep(config, tmp_path / "out")
+    (row,) = read_csv(outputs["sweep_csv"])
+    schedule = config.schedule()
+    last = run(initial_state(config.thermal_spec(), schedule), schedule).records[-1]
+    assert (float(row["value"]), row["error"]) == (tau_s, "")
+    assert (int(row["N"]), int(row["segment"])) == (last.step, last.segment)
+    for column, field in [("n_bar", "n_bar"), ("F_ground", "ground_fidelity"),
+                          ("P_g", "survival_probability"), ("T_eff_K", "t_eff_kelvin"),
+                          ("F_th", "thermal_fidelity")]:
+        assert float(row[column]) == pytest.approx(last[field], rel=1e-12, abs=0.0), column
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["resolved"]["values"] == [tau_s]
+
+
 def test_cli_sweep_writes_a_failed_point_as_an_error_row(tmp_path):
     config = write_config(tmp_path, {"preset": "fig6_sweep",
                                      "sweep": {"axis": "T", "values": [0.5, -1.0]}})
@@ -880,23 +900,23 @@ def test_cli_never_raises_on_any_config(preset, changes):
 
 def _counted_trajectories(monkeypatch, tmp_path, preset):
     """A trajectories call on ``preset``, with its survival-curve evaluations
-    and the engine runs (``protocol._run``, under ``run``) it made."""
+    and the record-building runs (``protocol._records``, under ``run``) it made."""
     import zenocool.oracle
     import zenocool.protocol
     import zenocool.runner
 
     evaluations, runs = [], []
-    survival_curve, engine = zenocool.protocol._survival_curve, zenocool.protocol._run
+    survival_curve, records = zenocool.protocol._survival_curve, zenocool.protocol._records
 
     def counted_curve(*args):
         evaluations.append(args)
         return survival_curve(*args)
 
-    def counted_run(*args):
+    def counted_records(*args):
         runs.append(args)
-        return engine(*args)
+        return records(*args)
     monkeypatch.setattr(zenocool.oracle, "_survival_curve", counted_curve)
-    monkeypatch.setattr(zenocool.protocol, "_run", counted_run)
+    monkeypatch.setattr(zenocool.protocol, "_records", counted_records)
     config = parse_config_data({"preset": preset})
     zenocool.runner.run_trajectories(config, tmp_path, n_trajectories=500)
     monkeypatch.undo()
@@ -906,11 +926,12 @@ def _counted_trajectories(monkeypatch, tmp_path, preset):
 def test_trajectories_evolve_the_schedule_once(tmp_path, monkeypatch):
     from zenocool import initial_state, run
 
-    # fig7_threshold's first segment stops on until_n_bar: the evaluator runs it
+    # fig7_threshold's first segment stops on until_n_bar: the step loop
+    # reads n_bar to stop there, and still builds no records
     config, evaluations, runs = _counted_trajectories(monkeypatch, tmp_path,
                                                       "fig7_threshold")
     assert len(evaluations) == 1
-    assert len(runs) == 1
+    assert runs == []
 
     schedule = config.schedule()
     exact = run(initial_state(config.thermal_spec(), schedule), schedule)

@@ -487,7 +487,8 @@ def test_a_zero_coefficient_leaves_minus_inf_and_never_nan(monkeypatch, probabil
 
 
 @pytest.mark.parametrize("case", ["driven-conventional-driven", "zero-step",
-                                  "fig4", "fig6", "fig7"])
+                                  "fig4", "fig6", "fig7", "fig7_threshold",
+                                  "threshold-second", "threshold-unreached"])
 def test_run_final_log_weights_are_those_of_the_terminal_record(monkeypatch, case):
     schedule, initial = TERMINAL_CASES[case]()
     observed = []
@@ -500,8 +501,8 @@ def test_run_final_log_weights_are_those_of_the_terminal_record(monkeypatch, cas
     final = run(initial, schedule).final.log_weights
     del observed[:]
     protocol._terminal_record(initial, schedule)
-    (terminal,) = observed
-    np.testing.assert_array_equal(final, terminal)
+    # the last refresh: an until_n_bar schedule's realizing pass refreshes the view first
+    np.testing.assert_array_equal(final, observed[-1])
 
 
 @pytest.mark.parametrize("size", [1, 24, 8192, 8193, 23190, 57345, 65536])
@@ -817,8 +818,23 @@ def _floor_case():
             PopulationDistribution.from_probabilities([0.0, 1.0]))
 
 
+# until_n_bar schedules past fig7_threshold's: one stops its second segment
+# on n_bar, at step 9 of 300; the other never reaches its threshold
+THRESHOLD_CASES = {
+    "threshold-second": lambda: (
+        ProtocolSchedule((Segment("conventional", PARAMS_CONV, 20),
+                          Segment("driven", PARAMS_DRIVEN, 300, until_n_bar=10.0),
+                          Segment("conventional", PARAMS_CONV, 30))),
+        thermal_distribution(THERMAL_10K)),
+    "threshold-unreached": lambda: (
+        ProtocolSchedule((Segment("driven", PARAMS_DRIVEN, 10, until_n_bar=1.0),
+                          Segment("conventional", PARAMS_CONV, 40))),
+        thermal_distribution(THERMAL_10K)),
+}
+
 TERMINAL_CASES = {
     **{name: partial(_preset_start, name) for name in RUN_PRESETS},
+    **THRESHOLD_CASES,
     "zero-step": lambda: (
         ProtocolSchedule((Segment("driven", PARAMS_DRIVEN, 0),
                           Segment("conventional", PARAMS_CONV, 0))),
@@ -913,6 +929,23 @@ def test_sweep_over_n_reads_the_terminal_record_of_each_run():
                               run(initial_state(thermal, stepped), stepped).records[-1])
     assert [(p.record.step, p.record.segment) for p in points] == [
         (30, 0), (31, 1), (180, 1), (300, 1)]
+
+
+@pytest.mark.parametrize("axis, grid, ends", [
+    ("N", [0.0, 1.0, 150.0, 270.0], [(23, 0), (24, 1), (173, 1), (293, 1)]),
+    # the driving stops on n_bar at step 23 wherever its budget allows it
+    ("switch", [0.0, 10.0, 23.0, 100.0, 570.0],
+     [(570, 1), (570, 1), (570, 1), (493, 1), (23, 0)]),
+])
+def test_sweep_over_a_threshold_schedule_reads_the_last_record_of_each_run(axis, grid, ends):
+    config = parse_config_data({"preset": "fig7_threshold"})
+    thermal, schedule = config.thermal_spec(), config.schedule()
+    points = sweep(axis, grid, thermal, schedule)
+    for point, value in zip(points, grid):
+        th, stepped = protocol._apply_axis(axis, value, thermal, schedule)
+        _assert_same_terminal(point.record,
+                              run(initial_state(th, stepped), stepped).records[-1])
+    assert [(p.record.step, p.record.segment) for p in points] == ends
 
 
 def test_switch_sweep_matches_stepped_runs_and_beats_both_endpoints():
@@ -1081,6 +1114,7 @@ def _floor_then_more_case():
 SURVIVAL_CASES = {
     **{name: partial(_preset_start, name) for name in PRESETS
        if PRESETS[name].get("segments")},
+    **THRESHOLD_CASES,
     "zero-step-segment": lambda: (
         ProtocolSchedule((Segment("driven", PARAMS_DRIVEN, 20),
                           Segment("conventional", PARAMS_CONV, 0),
@@ -1117,6 +1151,18 @@ def test_survival_curve_is_bitwise_that_of_run(case, monkeypatch):
         assert len(rebuilds) > 10
     if case == "zero-step-segment":
         assert steps_run == (20, 0, 10)
+    if case.startswith("threshold-"):
+        assert steps_run == {"threshold-second": (20, 9, 30),
+                             "threshold-unreached": (10, 40)}[case]
+
+
+def test_the_mass_only_loop_stops_where_run_stops_on_n_bar():
+    # fig7_threshold's driving goes off once n_bar <= 10, at step 23 of 300;
+    # a loop that read the mass alone would never see n_bar reach it
+    schedule, initial = _preset_start("fig7_threshold")
+    tables = protocol._tables(schedule, initial.n_max)
+    steps_run = protocol._evolve(initial, schedule, tables, False)[-1]
+    assert steps_run == run(initial, schedule).steps_run == (23, 270)
 
 
 def _nan_table(variant, params, n_max):

@@ -10,10 +10,15 @@ relatively, so both load side by side. Each case parses the same config
 on both sides and builds its schedule and thermal start there. A case
 with a ``trajectories`` count (the ``traj-*`` cases) times
 ``sample_trajectories`` at a fixed seed, which includes the survival
-curve that realizes the schedule (a full ``run`` only where a segment
-has an ``until_n_bar``, as in ``traj-fig7_threshold``); a case whose
-config has a ``sweep`` block (the ``sweep-*`` cases) times ``sweep``
-over its whole grid, and its n_max is the largest of the grid's starts;
+curve that realizes the schedule (the engine's step loop without
+records, which reads n_bar too where a segment has an ``until_n_bar``,
+as in ``traj-fig7_threshold``); a case whose config has a ``sweep``
+block (the ``sweep-*`` cases) times ``sweep`` over its whole grid, in
+the library units the config converts it to
+(``ExperimentConfig.sweep_values``), and its n_max is the largest of
+the grid's starts; ``sweep-fig7_threshold`` sweeps the switch of an
+``until_n_bar`` schedule, whose terminal records take the realized steps
+of that loop;
 an ``export`` case (``export-hot-100k``)
 runs its schedule once, untimed, and times the run, histogram and
 coefficient writers on the result, as a run with every export on calls
@@ -70,10 +75,13 @@ CASES = {
     "traj-fig7": {"preset": "fig7", "trajectories": 250_000},
     # the sampler call of a hot-100k operation: one inline chunk at n_max 23,189
     "traj-fig6": {"preset": "fig6", "trajectories": 10_000},
-    # an until_n_bar schedule, whose survival curve comes from a full run
+    # an until_n_bar schedule, whose survival curve's step loop also reads n_bar
     "traj-fig7_threshold": {"preset": "fig7_threshold", "trajectories": 250_000},
     "sweep-fig6": {"preset": "fig6_sweep"},
     "sweep-fig7": {"preset": "fig7_switch"},
+    "sweep-fig7_threshold": {"preset": "fig7_threshold",
+                             "sweep": {"axis": "switch",
+                                       "values": [0, 20, 60, 120, 189, 300]}},
     "export-hot-100k": {**_HOT_100K, "export": True,
                         "outputs": {"histogram_csv": True, "coefficients_csv": True}},
     "oracle-check": {"oracle_check": {"draws": 200, "seed": 7}},
@@ -109,7 +117,10 @@ def _call(package, case: dict, out_dir: Path):
     config = package.parse_config_data(config)
     schedule, thermal = config.schedule(), config.thermal_spec()
     if config.sweep is not None:
-        axis, values = config.sweep.axis, config.sweep.values
+        # a tree older than the config's unit conversion has no SI tau sweep
+        values = (config.sweep_values() if hasattr(config, "sweep_values")
+                  else config.sweep.values)
+        axis = config.sweep.axis
         starts = (package.protocol._apply_axis(axis, v, thermal, schedule) for v in values)
         n_max = max(package.initial_state(th, sched, hard_cap=config.hard_cap).n_max
                     for th, sched in starts)
