@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from .config import ConfigError, PRESETS, parse_config, parse_config_data
 from .fock import CapacityError
-from .oracle import OracleNumericalError
+from .oracle import MAX_TRAJECTORIES, OracleNumericalError
 from . import runner
 
 EXIT_OK = 0
@@ -24,8 +24,8 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 
-def _integer(minimum: int):
-    """argparse type: a whole number >= ``minimum``."""
+def _integer(minimum: int, maximum: float = math.inf):
+    """argparse type: a whole number in [``minimum``, ``maximum``]."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -33,6 +33,8 @@ def _integer(minimum: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
     return parse
 
@@ -100,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_traj = sub.add_parser("trajectories",
                             help="Monte Carlo survival statistics")
     _add_common(p_traj)
-    p_traj.add_argument("--trajectories", type=_integer(1), default=10000)
+    p_traj.add_argument("--trajectories", type=_integer(1, MAX_TRAJECTORIES),
+                        default=10000)
     return parser
 
 

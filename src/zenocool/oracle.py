@@ -6,37 +6,22 @@ propagators from one batched eigendecomposition of those blocks give the
 ground-projected matrix element without any closed-form input, which makes
 them an independent oracle for the coefficient formulas;
 ``compare_random_draws`` checks the closed form against it. A trajectory
-sampler turns the same per-level survival probabilities into
+sampler draws the survival lengths of many independent measurement
+records at once from the engine's exact survival curve, as
 finite-statistics estimates of the cumulative success probability.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .fock import CapacityError, PopulationDistribution
+from .fock import PopulationDistribution
 # build_table stays bound here, though unused: bench/ patches it by name
 from .coefficients import _values, build_table, switches  # noqa: F401
 from .protocol import ProtocolSchedule, _survival_curve, _tables
-
-
-# Trajectories per independent RNG stream; bounds the sampler's scratch memory.
-_CHUNK_SIZE = 65536
-
-
-def _workers(n_chunks: int) -> int:
-    """Threads for ``n_chunks`` sampler chunks: the CPUs this process may
-    use, and at most one per chunk."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_chunks)
 
 
 class OracleNumericalError(RuntimeError):
@@ -107,223 +92,76 @@ class TrajectoryBatch:
     seed: int
     n_trajectories: int
     n_steps: int
-    survival_lengths: np.ndarray     # successful measurements before failure
+    counts: np.ndarray               # trajectories that survived exactly L = 0..n_steps
     stream_ids: tuple[str, ...]
     exact_survival: np.ndarray       # deterministic P_g after N = 0..n_steps
 
     @cached_property
-    def _alive(self) -> np.ndarray:
-        """Trajectories alive after N = 0..n_steps measurements, counted once."""
-        counts = np.bincount(self.survival_lengths, minlength=self.n_steps + 1)
-        return self.n_trajectories - np.concatenate(([0], np.cumsum(counts[:-1])))
+    def survival_lengths(self) -> np.ndarray:
+        """Each trajectory's survival length, in ascending order.
+
+        Nothing in the package reads this; it stays only for the benchmark's
+        ``useful_draw_ratio`` (bench/tracing.py), until that metric is
+        dropped (ROADMAP item 1). It takes 8 bytes per trajectory.
+        """
+        return np.repeat(np.arange(self.n_steps + 1), self.counts)
 
     def estimates(self) -> np.ndarray:
-        """Estimated survival probability after N = 0..n_steps measurements."""
-        return self._alive / self.n_trajectories
+        """Estimated survival probability after N = 0..n_steps measurements:
+        the share of trajectories that survived at least N."""
+        return self.counts[::-1].cumsum()[::-1] / self.n_trajectories
 
     def standard_errors(self) -> np.ndarray:
         p = self.estimates()
         return np.sqrt(p * (1.0 - p) / self.n_trajectories)
 
 
-# numpy's Generator.choice accepts probabilities that sum to 1 within this.
-_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+def _length_probabilities(survival: np.ndarray) -> np.ndarray:
+    """q_k = P(L = k) for k = 0..N of a survival curve: c_k - c_{k+1}, and
+    c_N for k = N, where c is the curve over its first value, clipped to
+    its running minimum."""
+    c = np.minimum.accumulate(survival / survival[0])
+    return np.append(c[:-1] - c[1:], c[-1])
 
 
-class _LevelTable:
-    """Inverse CDF of a level distribution, searched through a guide table.
-
-    ``levels(u)`` gives ``cdf.searchsorted(u, side="right")`` over the CDF
-    that numpy's ``Generator.choice`` builds, so the uniforms of
-    ``Generator.random(size)`` map to the levels that
-    ``Generator.choice(p.size, size, p=p)`` draws from the same stream, bit
-    for bit. The guide table (Chen's method) splits [0, 1) into ``m``
-    buckets, the smallest power of two at or above the requested count;
-    a u in [j/m, (j+1)/m) has its level in [guide[j], guide[j+1]], so one
-    comparison resolves a bucket that spans at most one level and only the
-    other draws are binary-searched. With m a power of two, u * m and
-    every edge j/m are exact, so the bucket is floor(u * m) for every
-    double u. The caller passes the scratch arrays, so threads can share
-    one table. The checks on ``p`` are choice's.
-    """
-
-    def __init__(self, p: np.ndarray, m: int):
-        p = np.asarray(p, dtype=float)
-        total = p.sum()
-        if np.isnan(total):
-            raise ValueError("level probabilities contain NaN")
-        if np.any(p < 0.0):
-            raise ValueError("level probabilities must be nonnegative")
-        if abs(total - 1.0) > _SUM_ATOL:
-            raise ValueError(f"level probabilities sum to {total!r}, not 1")
-        self.cdf = p.cumsum()
-        self.cdf /= self.cdf[-1]
-        self.m = 1 << (m - 1).bit_length()
-        guide = self.cdf.searchsorted(np.arange(self.m + 1) / self.m, side="right")
-        self.first = guide[:-1]
-        self.wide = np.diff(guide) > 1
-
-    def levels(self, u: np.ndarray, out: np.ndarray, x: np.ndarray, bucket: np.ndarray,
-               flag: np.ndarray) -> np.ndarray:
-        """Write the level of each uniform in ``u`` (values in [0, 1)) to ``out``.
-
-        ``x`` (float), ``bucket`` (integer) and ``flag`` (bool) are scratch
-        of u's size.
-        """
-        np.multiply(u, self.m, out=x)
-        np.copyto(bucket, x, casting="unsafe")
-        # every index is in range; mode "raise" would copy through a temporary
-        np.take(self.first, bucket, out=out, mode="clip")
-        np.take(self.cdf, out, out=x, mode="clip")
-        out += np.less_equal(x, u, out=flag)
-        rest = np.flatnonzero(np.take(self.wide, bucket, out=flag, mode="clip"))
-        out[rest] = self.cdf.searchsorted(u[rest], side="right")
-        return out
-
-
-def _mortal_log_survival(log_survival: np.ndarray) -> np.ndarray:
-    """A copy of ``log_survival`` with -0.0 wherever s_n >= 1."""
-    return np.where(log_survival < 0.0, log_survival, -0.0)
-
-
-def _run_lengths(log_u: np.ndarray, log_s: np.ndarray, k: int) -> np.ndarray:
-    """min(floor(log U / log s_n), k), written over ``log_u``.
-
-    ``log_s`` is -0.0 where s_n >= 1, so log U < 0 there reads +inf and
-    log U = 0 reads NaN, both of which ``fmin`` takes to k.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(log_u, log_s, out=log_u)
-    np.floor(log_u, out=log_u)
-    return np.fmin(log_u, k, out=log_u)
-
-
-def _sample_chunk(rng, table: _LevelTable, runs, n_steps: int,
-                  chunk_lengths: np.ndarray, scratch) -> None:
-    """Survival lengths of one chunk's trajectories, drawn from ``rng``.
-
-    ``runs`` holds each stepped segment's log survival (-0.0 where
-    s_n >= 1) and step count. The level table's bucket scratch is
-    ``chunk_lengths`` itself, which the segments overwrite later.
-    """
-    uniform, chunk_levels, log_s, flag = (a[:chunk_lengths.size] for a in scratch)
-    levels = table.levels(rng.random(out=uniform), chunk_levels, log_s, chunk_lengths, flag)
-    if not runs:
-        chunk_lengths.fill(n_steps)
-    live = None  # positions of the live trajectories; None while all live
-    offset = 0
-    for log_survival, k in runs:
-        n = levels.size
-        if n == 0:
-            break
-        # every index is in range; mode "raise" would copy through a temporary
-        ls = np.take(log_survival, levels, out=log_s[:n], mode="clip")
-        log_u = rng.random(out=uniform[:n])
-        np.negative(log_u, out=log_u)
-        np.log1p(log_u, out=log_u)  # log U, U in (0, 1]
-        sv = _run_lengths(log_u, ls, k)
-        sv += offset
-        # a survivor reads offset + k until a later segment overwrites it
-        if live is None:
-            np.copyto(chunk_lengths, sv, casting="unsafe")
-        else:
-            chunk_lengths[live] = sv
-        offset += k
-        if offset < n_steps:  # another segment follows
-            kept = np.flatnonzero(sv == offset)
-            live = kept if live is None else live[kept]
-            levels = levels[kept]
+# Generator.multinomial takes its count as a C long.
+MAX_TRAJECTORIES = 2**63 - 1
 
 
 def sample_trajectories(initial: PopulationDistribution,
                         schedule: ProtocolSchedule, *,
                         n_trajectories: int, seed: int) -> TrajectoryBatch:
-    """Monte Carlo rollout of the measurement record.
+    """Monte Carlo survival lengths of ``n_trajectories`` measurement records.
 
-    Each trajectory draws a Fock level from the initial distribution and
-    then survives each measurement with the level's squared coefficient
-    magnitude s_n. Within a run of k measurements of one segment that
-    probability is fixed, so the number of measurements survived before
-    the first failure is geometric, P(L >= m) = s_n^m, and one uniform U
-    per live trajectory gives it as ``floor(log U / log s_n)``: s_n = 1
-    survives the run, s_n = 0 fails its first measurement. The cost is
-    O(trajectories x segments), not O(trajectories x measurements).
-    Chunks of ``_CHUNK_SIZE`` use independent spawned RNG streams and write
-    their own slices of the lengths, so results are reproducible from one
-    seed, and the chunks run in parallel on a thread pool, one thread per
-    usable CPU, with the same results for any number of threads. A call
-    of one chunk, or on one usable CPU, runs inline. Each thread holds one
-    scratch set of three arrays of a chunk's size and one bool mask.
+    A trajectory draws a Fock level from the initial distribution and then
+    survives each measurement with the level's squared coefficient
+    magnitude, so its survival length L has P(L >= k) = c_k, the exact
+    survival curve P_g(k) over P_g(0). Independent trajectories therefore
+    give a length histogram that is Multinomial(n_trajectories, q), with
+    q_k = c_k - c_{k+1} for k < N and q_N = c_N, and one draw of it from
+    ``np.random.default_rng(seed)`` replaces every per-trajectory draw:
+    the cost is O(N), whatever the number of trajectories.
 
-    Each chunk reads its levels through ``_LevelTable``, with the smallest
-    power of two at or above min(levels, n_trajectories) buckets, from one
-    uniform per trajectory, so they and every later draw are those of
-    ``Generator.choice(p.size, size, p=p)`` on the same stream.
-
-    Each segment writes the lengths of all its live trajectories in one
-    pass: offset + min(floor(log U / log s_n), k), densely while every
-    trajectory lives and by one scatter after that. A survivor reads
-    offset + k, which the next segment overwrites; only before a next
-    segment are the survivors picked out.
+    A table admits |c_n| up to 1 + ``coefficients._MAG_TOL``, so the curve
+    can rise; its running minimum is taken (:func:`_length_probabilities`),
+    so every q_k >= 0, they sum to 1, and the estimates never rise with N.
 
     The schedule is realized once by the engine's step loop without
     records (``protocol._survival_curve``), bitwise the survival column
     and segment steps of ``run``; that loop reads n_bar where a segment
-    stops on it, so conditional switches count. Trajectories then follow
-    the realized sequence of segments, and that survival curve is
+    stops on it, so conditional switches count. That survival curve is
     returned as ``exact_survival``.
-
-    Raises
-    ------
-    CapacityError
-        If the survival lengths of ``n_trajectories`` cannot be allocated.
     """
-    if n_trajectories < 1:
-        raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
-    try:
-        lengths = np.empty(n_trajectories, dtype=np.int64)
-    except (MemoryError, ValueError) as exc:
-        raise CapacityError(
-            f"n_trajectories={n_trajectories} needs {8 * n_trajectories} bytes "
-            f"of survival lengths, which cannot be allocated"
-        ) from exc
-    tables = _tables(schedule, initial.n_max)
-    exact_survival, steps_run = _survival_curve(initial, schedule, tables)
-    n_steps = exact_survival.size - 1
-    runs = [(_mortal_log_survival(tables[seg_id].log_survival), k)
-            for seg_id, k in enumerate(steps_run) if k]
-
-    p = initial.probabilities()
-    p = p / p.sum()
-    table = _LevelTable(p, min(p.size, n_trajectories))
-    children = np.random.SeedSequence(seed).spawn(math.ceil(n_trajectories / _CHUNK_SIZE))
-    workers = _workers(len(children))
-    width = min(_CHUNK_SIZE, n_trajectories)
-    # one scratch set per thread, taken by a chunk while it runs (list pop
-    # and append are atomic): uniforms, levels, log s_n, flags
-    free = [(np.empty(width), np.empty(width, dtype=np.intp), np.empty(width),
-             np.empty(width, dtype=bool)) for _ in range(workers)]
-
-    def sample_chunk(child, start):
-        scratch = free.pop()
-        try:
-            _sample_chunk(np.random.default_rng(child), table, runs, n_steps,
-                          lengths[start:start + _CHUNK_SIZE], scratch)
-        finally:
-            free.append(scratch)
-
-    starts = range(0, n_trajectories, _CHUNK_SIZE)
-    if workers == 1:
-        for child, start in zip(children, starts):
-            sample_chunk(child, start)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            # reading every result raises a chunk's exception, if any
-            list(pool.map(sample_chunk, children, starts))
-    stream_ids = tuple(str(c.spawn_key) for c in children)
-    return TrajectoryBatch(seed, n_trajectories, n_steps, lengths, stream_ids,
-                           exact_survival)
+    if not 1 <= n_trajectories <= MAX_TRAJECTORIES:
+        raise ValueError(f"n_trajectories must be in [1, {MAX_TRAJECTORIES}], "
+                         f"got {n_trajectories}")
+    exact_survival, _ = _survival_curve(initial, schedule,
+                                        _tables(schedule, initial.n_max))
+    counts = np.random.default_rng(seed).multinomial(n_trajectories,
+                                                     _length_probabilities(exact_survival))
+    # one stream: the root of the seed, whose spawn key is ()
+    return TrajectoryBatch(seed, n_trajectories, exact_survival.size - 1, counts,
+                           ("()",), exact_survival)
 
 
 _DRAW_KINDS = ("driven-detuned", "driven", "conventional-detuned", "conventional")

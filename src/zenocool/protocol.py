@@ -15,8 +15,8 @@ needs only the survival curve, so it goes through the same step loop
 (:func:`_evolve`) scaling u alone and reading its mass, with no
 observable past the survival (:func:`_survival_curve`). A schedule with an
 ``until_n_bar`` segment reads n_bar in that loop too, since it stops on
-n_bar, and a sweep reads such a schedule's realized steps off it before
-the closed form.
+n_bar, and a sweep reads the realized steps off it before the closed
+form, stepping the schedule only up to its last such segment.
 
 The observables come from an amplitude view of the state,
 u_n = exp((lw_n - top) / 2) and v_n = sqrt(n) u_n, which each measurement
@@ -434,17 +434,23 @@ def _terminal_record(initial: PopulationDistribution, schedule: ProtocolSchedule
     of segment i leave the log-weights ``initial + sum_i k_i log_survival_i``,
     formed segment by segment by :func:`_advance` as :func:`run` forms its
     final state: one observation of that state is the terminal record.
-    k_i is the segment's budget, or, where a segment stops on n_bar, the
-    ``steps_run`` of :func:`_survival_curve`. ``initial`` is a thermal
+    k_i is the segment's budget, except up to the last segment that stops
+    on n_bar, where it is the ``steps_run`` of :func:`_survival_curve` over
+    that prefix of the schedule: what follows that segment cannot change
+    where it stops. ``initial`` is a thermal
     start (:func:`initial_state`), so :func:`run`'s norm floor is out of
     reach: c_0 = 1 keeps the log mass above log p_0 = -log(1 + n_bar_th).
     ``tables`` defaults to :func:`_tables` of the schedule.
     """
     if tables is None:
         tables = _tables(schedule, initial.n_max)
-    steps_run = [s.steps for s in schedule.segments]
-    if any(s.until_n_bar is not None for s in schedule.segments):
-        steps_run = _survival_curve(initial, schedule, tables)[1]
+    segments = schedule.segments
+    steps_run = [s.steps for s in segments]
+    stops = [i for i, s in enumerate(segments) if s.until_n_bar is not None]
+    if stops:  # realize the prefix that ends at the last segment stopping on n_bar
+        j = stops[-1] + 1
+        steps_run[:j] = _survival_curve(initial, ProtocolSchedule(segments[:j]),
+                                        tables[:j])[1]
     lw = initial.log_weights
     last = 0
     for seg_id, (table, k) in enumerate(zip(tables, steps_run)):

@@ -603,7 +603,8 @@ def test_cli_sweep_and_trajectories(tmp_path):
     assert len(rows) == 6
     assert float(rows[0]["p_hat"]) == 1.0
     manifest = json.loads((tmp_path / "t" / "manifest.json").read_text())
-    assert manifest["resolved"]["stream_ids"]
+    # one multinomial draw from the root stream of the seed
+    assert manifest["resolved"]["stream_ids"] == ["()"]
 
 
 @pytest.mark.parametrize("key", ["g_f", "T_kelvin", "n_bar_th", "delta_e"])
@@ -796,18 +797,20 @@ def test_cli_non_finite_coefficients_are_a_numeric_failure(tmp_path, capsys, com
     assert list(out.glob("*.csv")) == []
 
 
-def test_cli_trajectory_count_beyond_memory_is_a_capacity_error(tmp_path, capsys):
-    # numpy refuses 2**62 int64 lengths with ValueError before any allocation
+def test_cli_trajectory_count_past_the_multinomial_is_a_config_error(tmp_path, capsys):
+    # Generator.multinomial takes the count as a C long; 10**12 runs in O(N)
     out = tmp_path / "out"
     code = main(["--quiet", "trajectories", "--preset", "fig3c", "--out-dir", str(out),
-                 "--trajectories", str(2**62)])
+                 "--trajectories", str(2**63)])
     err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("numeric failure:")
-    assert f"n_trajectories={2**62}" in err
-    assert f"{8 * 2**62} bytes" in err
+    assert code == 1
+    assert f"argument --trajectories: must be <= {2**63 - 1}, got {2**63}" in err
     assert "Traceback" not in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+    assert main(["--quiet", "trajectories", "--preset", "fig3c", "--out-dir", str(out),
+                 "--trajectories", str(10**12)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved"]["n_trajectories"] == 10**12
 
 
 def test_cli_config_that_is_not_json_is_a_config_error(tmp_path, capsys):

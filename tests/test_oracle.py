@@ -1,13 +1,15 @@
 import math
-import sys
 import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import zenocool.oracle
+import zenocool.protocol
 from zenocool import (
     VARIANTS,
     OracleNumericalError,
@@ -25,10 +27,11 @@ from zenocool import (
     unitarity_defect,
 )
 from zenocool.cli import main
-from zenocool.coefficients import _values, switches, variant_params
-from zenocool.oracle import (_DRAW_KINDS, TrajectoryBatch, _block_matrices,
-                             _LevelTable, _mortal_log_survival, _oracle_elements,
-                             _propagators, _run_lengths)
+from zenocool.coefficients import (_MAG_TOL, CoefficientTable, _values, switches,
+                                   variant_params)
+from zenocool.oracle import (_DRAW_KINDS, MAX_TRAJECTORIES, TrajectoryBatch,
+                             _block_matrices, _length_probabilities, _oracle_elements,
+                             _propagators)
 from engine_reference import joint_hamiltonian
 
 
@@ -300,38 +303,33 @@ def test_trajectories_ground_state_all_survive():
     d = PopulationDistribution.from_probabilities([1.0] + [0.0] * 5)
     schedule = ProtocolSchedule((Segment("driven", params, 20),))
     batch = sample_trajectories(d, schedule, n_trajectories=5000, seed=0)
-    assert np.all(batch.survival_lengths == 20)
+    np.testing.assert_array_equal(batch.counts, [0] * 20 + [5000])
     np.testing.assert_array_equal(batch.estimates(), np.ones(21))
 
 
-def test_trajectory_lengths_are_counted_once(monkeypatch):
+def test_trajectory_lengths_are_counted_once():
+    # lengths 0, 1, 3 and 3: an estimate is the share that survived at least N
     batch = TrajectoryBatch(seed=0, n_trajectories=4, n_steps=3,
-                            survival_lengths=np.array([0, 1, 3, 3]), stream_ids=(),
+                            counts=np.array([1, 1, 0, 2]), stream_ids=("()",),
                             exact_survival=np.ones(4))
-    calls = []
-    bincount = np.bincount
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return bincount(*args, **kwargs)
-    monkeypatch.setattr(zenocool.oracle.np, "bincount", counted)
     p = np.array([1.0, 0.75, 0.5, 0.5])
     np.testing.assert_array_equal(batch.estimates(), p)
     np.testing.assert_array_equal(batch.standard_errors(), np.sqrt(p * (1.0 - p) / 4))
-    assert len(calls) == 1
+    # the per-trajectory view, built on first read
+    np.testing.assert_array_equal(batch.survival_lengths, [0, 1, 3, 3])
 
 
-def test_trajectories_reproducible_and_chunked(monkeypatch):
-    monkeypatch.setattr(zenocool.oracle, "_CHUNK_SIZE", 1024)
+def test_trajectories_reproducible_from_one_stream():
     params = PhysicalParams(g_m=math.pi / 10.0, tau=1.0)
     d = PopulationDistribution.from_probabilities([0.3, 0.4, 0.3])
     schedule = ProtocolSchedule((Segment("conventional", params, 15),))
     a = sample_trajectories(d, schedule, n_trajectories=10000, seed=42)
     b = sample_trajectories(d, schedule, n_trajectories=10000, seed=42)
-    np.testing.assert_array_equal(a.survival_lengths, b.survival_lengths)
-    assert len(a.stream_ids) == math.ceil(10000 / 1024)
+    np.testing.assert_array_equal(a.counts, b.counts)
+    assert a.counts.size == 16 and a.counts.sum() == 10000
+    assert a.stream_ids == ("()",)
     c = sample_trajectories(d, schedule, n_trajectories=10000, seed=43)
-    assert not np.array_equal(a.survival_lengths, c.survival_lengths)
+    assert not np.array_equal(a.counts, c.counts)
 
 
 def test_trajectories_two_point_analytic():
@@ -382,19 +380,113 @@ def test_trajectories_validation():
     params = PhysicalParams(g_m=1e-4, tau=10.0)
     d = PopulationDistribution.from_probabilities([1.0])
     schedule = ProtocolSchedule((Segment("conventional", params, 1),))
-    with pytest.raises(ValueError):
-        sample_trajectories(d, schedule, n_trajectories=0, seed=0)
+    for n in (0, MAX_TRAJECTORIES + 1):
+        with pytest.raises(ValueError, match="n_trajectories"):
+            sample_trajectories(d, schedule, n_trajectories=n, seed=0)
+    batch = sample_trajectories(d, schedule, n_trajectories=MAX_TRAJECTORIES, seed=0)
+    assert batch.counts.sum() == MAX_TRAJECTORIES
 
 
-def reference_sample_trajectories(initial, schedule, *, n_trajectories, seed):
-    """The sampler as it was before the guide-table level draw, kept verbatim.
+def _preset_case(name):
+    config = parse_config_data({"preset": name})
+    schedule = config.schedule()
+    return initial_state(config.thermal_spec(), schedule, hard_cap=config.hard_cap), schedule
 
-    Levels come from ``rng.choice``, and each segment copies its live
-    trajectories through boolean masks.
+
+def test_counts_are_one_multinomial_draw_of_the_curve():
+    initial, schedule = _preset_case("fig7_threshold")
+    batch = sample_trajectories(initial, schedule, n_trajectories=250_000, seed=17)
+    exact = run(initial, schedule).records.survival_probability
+    np.testing.assert_array_equal(batch.exact_survival, exact)
+    q = _length_probabilities(exact)
+    np.testing.assert_array_equal(q[:-1], exact[:-1] - exact[1:])
+    np.testing.assert_array_equal(
+        batch.counts, np.random.default_rng(17).multinomial(250_000, q))
+
+
+LAW_SEEDS = 1_000
+LAW_TRAJECTORIES = 2_000
+
+
+@pytest.mark.parametrize("preset", ["fig4", "fig7", "fig7_threshold"])
+def test_estimates_follow_the_binomial_law_over_seeds(monkeypatch, preset):
+    """Over 1,000 seeds, p_hat at N = 1, 10, 50 and the last N has a mean
+    within 4 standard errors of p_exact, and a sample variance within 5 of
+    its standard deviations of p(1 - p)/M."""
+    initial, schedule = _preset_case(preset)
+    tables = zenocool.protocol._tables(schedule, initial.n_max)
+    curve = zenocool.protocol._survival_curve(initial, schedule, tables)
+    # the curve is deterministic: it is evaluated once, and every seed draws from it
+    monkeypatch.setattr(zenocool.oracle, "_tables", lambda *args: tables)
+    monkeypatch.setattr(zenocool.oracle, "_survival_curve", lambda *args: curve)
+    m, seeds = LAW_TRAJECTORIES, LAW_SEEDS
+    p_hat = np.array([sample_trajectories(initial, schedule, n_trajectories=m,
+                                          seed=seed).estimates() for seed in range(seeds)])
+    exact = curve[0]
+    assert exact[0] == 1.0
+    for n in (1, 10, 50, exact.size - 1):
+        p = exact[n]
+        var = p * (1.0 - p) / m
+        assert abs(p_hat[:, n].mean() - p) <= 4.0 * math.sqrt(var / seeds), n
+        # Var(s^2) = var^2 (2 / (S - 1) + kurtosis / S), with the binomial
+        # share's excess kurtosis
+        kurtosis = (1.0 - 6.0 * p * (1.0 - p)) / (m * p * (1.0 - p))
+        spread = var * math.sqrt(2.0 / (seeds - 1) + kurtosis / seeds)
+        assert abs(p_hat[:, n].var(ddof=1) - var) <= 5.0 * spread, n
+
+
+def test_a_rising_curve_is_clipped_to_its_running_minimum(monkeypatch):
+    # |c_1| = 1 + 1e-12, the most a table accepts: once level 2 has died
+    # out, the raw curve rises by about 1e-12 a measurement
+    assert _MAG_TOL == 1e-12
+
+    def hand_table(variant, params, n_max):
+        return CoefficientTable(variant, np.array([1.0, 1.0 + _MAG_TOL, 0.5]), params)
+    monkeypatch.setattr(zenocool.protocol, "build_table", hand_table)
+    initial = PopulationDistribution.from_probabilities([0.25, 0.5, 0.25])
+    params = PhysicalParams(g_m=0.1, tau=1.0)
+    schedule = ProtocolSchedule((Segment("conventional", params, 200),))
+    batch = sample_trajectories(initial, schedule, n_trajectories=10**6, seed=4)
+    exact = batch.exact_survival
+    assert np.diff(exact).max() > 0.0 and exact[-1] > exact[0] * 0.75
+    q = _length_probabilities(exact)
+    assert (q >= 0.0).all()
+    # consecutive curve values lie within a factor 2, so every difference is
+    # exact and they sum to c_0 = 1 exactly
+    assert math.fsum(q) == 1.0
+    np.testing.assert_array_equal(q[-1], exact[1:].min())
+    assert (np.diff(batch.estimates()) <= 0.0).all()
+
+
+def test_a_trillion_trajectories_take_the_memory_of_ten_thousand():
+    initial, schedule = _preset_case("fig4")
+
+    def peak(n_trajectories):
+        tracemalloc.start()
+        try:
+            batch = sample_trajectories(initial, schedule, n_trajectories=n_trajectories,
+                                        seed=5)
+            batch.estimates()
+            return tracemalloc.get_traced_memory()[1], batch
+        finally:
+            tracemalloc.stop()
+    peak(10**4)  # first-call caches
+    small, _ = peak(10**4)
+    large, batch = peak(10**12)
+    assert batch.counts.sum() == 10**12
+    # the draw is O(N); 8 bytes per trajectory would be 8 TB
+    assert abs(large - small) <= 4096, (small, large)
+
+
+def reference_sample_trajectories(initial, schedule, *, n_trajectories, seed,
+                                  chunk=65_536):
+    """Trajectory by trajectory: each draws its Fock level with ``rng.choice``
+    and then survives each measurement with the level's squared coefficient
+    magnitude, in chunks of ``chunk`` trajectories, one spawned stream each.
+
+    It reads the segments' coefficient tables, not the survival curve, so
+    it checks the sampler's law from the other side.
     """
-    _CHUNK_SIZE = zenocool.oracle._CHUNK_SIZE
-    if n_trajectories < 1:
-        raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
     realized = run(initial, schedule)
     n_steps = len(realized.records) - 1
     runs = [(seg_id, k) for seg_id, k in enumerate(realized.steps_run) if k]
@@ -406,13 +498,11 @@ def reference_sample_trajectories(initial, schedule, *, n_trajectories, seed):
 
     p = initial.probabilities()
     p = p / p.sum()
-    seq = np.random.SeedSequence(seed)
-    n_chunks = max(1, math.ceil(n_trajectories / _CHUNK_SIZE))
-    children = seq.spawn(n_chunks)
+    children = np.random.SeedSequence(seed).spawn(max(1, math.ceil(n_trajectories / chunk)))
     lengths = np.empty(n_trajectories, dtype=np.int64)
     start = 0
     for child in children:
-        size = min(_CHUNK_SIZE, n_trajectories - start)
+        size = min(chunk, n_trajectories - start)
         rng = np.random.default_rng(child)
         levels = rng.choice(p.size, size=size, p=p)
         chunk_lengths = np.full(size, n_steps, dtype=np.int64)
@@ -433,15 +523,23 @@ def reference_sample_trajectories(initial, schedule, *, n_trajectories, seed):
             offset += k
         lengths[start:start + size] = chunk_lengths
         start += size
-    stream_ids = tuple(str(c.spawn_key) for c in children)
-    return TrajectoryBatch(seed, n_trajectories, n_steps, lengths, stream_ids,
+    counts = np.bincount(lengths, minlength=n_steps + 1)
+    return TrajectoryBatch(seed, n_trajectories, n_steps, counts,
+                           tuple(str(c.spawn_key) for c in children),
                            realized.records.survival_probability)
 
 
-def _preset_case(name):
-    config = parse_config_data({"preset": name})
-    schedule = config.schedule()
-    return initial_state(config.thermal_spec(), schedule, hard_cap=config.hard_cap), schedule
+def assert_same_law(got, want):
+    """Two independent batches of one schedule: at every N their estimates
+    differ by at most 5 standard deviations of the difference, taken at the
+    exact survival probability."""
+    assert got.n_steps == want.n_steps
+    np.testing.assert_array_equal(got.exact_survival, want.exact_survival)
+    p = got.exact_survival / got.exact_survival[0]
+    sd = np.sqrt(np.clip(p * (1.0 - p), 0.0, None)
+                 * (1.0 / got.n_trajectories + 1.0 / want.n_trajectories))
+    diff = np.abs(got.estimates() - want.estimates())
+    assert (diff <= 5.0 * sd + 1e-12).all(), int(np.argmax(diff - 5.0 * sd))
 
 
 # g_m = g_f = 1 and g_m tau = pi / sqrt(2): driven, level 1 has s = 0, levels 0 and 7 s = 1
@@ -471,34 +569,21 @@ SAMPLER_CASES = {
 
 @pytest.mark.parametrize("chunk", [None, 1024], ids=["default-chunk", "chunk-1024"])
 @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
-def test_sampler_matches_the_choice_sampler(monkeypatch, case, chunk):
+def test_sampler_matches_the_choice_sampler(case, chunk):
+    """The multinomial histogram has the law of trajectory-by-trajectory
+    sampling, whether that runs in one stream or in chunks of 1,024."""
     build, n_trajectories = SAMPLER_CASES[case]
     if chunk is not None:
-        monkeypatch.setattr(zenocool.oracle, "_CHUNK_SIZE", chunk)
         n_trajectories = min(n_trajectories, 5 * chunk - 120)
-    # at least two streams, the last one partial
-    assert n_trajectories % zenocool.oracle._CHUNK_SIZE != 0
-    assert n_trajectories > zenocool.oracle._CHUNK_SIZE or case == "fig6"
     initial, schedule = build()
     got = sample_trajectories(initial, schedule, n_trajectories=n_trajectories, seed=17)
-    want = reference_sample_trajectories(initial, schedule,
-                                         n_trajectories=n_trajectories, seed=17)
-    np.testing.assert_array_equal(got.survival_lengths, want.survival_lengths)
-    assert got.stream_ids == want.stream_ids
-    assert got.n_steps == want.n_steps
-
-
-def test_sampler_leaves_a_chunk_once_every_trajectory_died():
-    # |c_5| = sin(0.0005 pi) ~ 1.6e-3: no trajectory on level 5 outlives the
-    # first segment, so the chunk never draws for the second
-    params = PhysicalParams(g_m=0.999 * math.pi / (2.0 * math.sqrt(5.0)), tau=1.0)
-    schedule = ProtocolSchedule((Segment("conventional", params, 10),
-                                 Segment("conventional", params, 5)))
-    initial = PopulationDistribution.from_probabilities([0, 0, 0, 0, 0, 1])
-    got = sample_trajectories(initial, schedule, n_trajectories=3_000, seed=17)
-    want = reference_sample_trajectories(initial, schedule, n_trajectories=3_000, seed=17)
-    assert not got.survival_lengths.any()
-    np.testing.assert_array_equal(got.survival_lengths, want.survival_lengths)
+    kwargs = {} if chunk is None else {"chunk": chunk}
+    want = reference_sample_trajectories(initial, schedule, n_trajectories=n_trajectories,
+                                         seed=17, **kwargs)
+    assert len(want.stream_ids) == math.ceil(n_trajectories / (chunk or 65_536))
+    assert got.stream_ids == ("()",)
+    assert got.counts.sum() == want.counts.sum() == n_trajectories
+    assert_same_law(got, want)
 
 
 def _zero_step_case():
@@ -518,135 +603,33 @@ POOL_CASES = {
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(POOL_CASES))
-def test_any_worker_count_gives_the_choice_sampler(monkeypatch, case, workers):
-    monkeypatch.setattr(zenocool.oracle, "_CHUNK_SIZE", 1024)
-    monkeypatch.setattr(zenocool.oracle, "_workers", lambda n_chunks: workers)
+def test_any_worker_count_gives_the_choice_sampler(case, workers):
+    """Calls made at once from ``workers`` threads share no state: each
+    gives the counts of the same call made alone, and together they have
+    the law of trajectory-by-trajectory sampling."""
     initial, schedule = POOL_CASES[case]()
-    n_trajectories = 5 * 1024 - 120  # five streams, the last one partial
-    threads = set()
-    default_rng = np.random.default_rng
+    n_trajectories = 5 * 1024 - 120
+    seeds = [23 + i for i in range(workers)]
+    alone = [sample_trajectories(initial, schedule, n_trajectories=n_trajectories, seed=s)
+             for s in seeds]
+    barrier = threading.Barrier(workers)
 
-    def recording_rng(*args, **kwargs):
-        threads.add(threading.get_ident())
-        return default_rng(*args, **kwargs)
-    with monkeypatch.context() as patch:
-        patch.setattr(np.random, "default_rng", recording_rng)
-        got = sample_trajectories(initial, schedule, n_trajectories=n_trajectories, seed=23)
-    # one worker runs inline; more run every chunk on the pool's threads
-    caller = threading.get_ident()
-    assert threads == {caller} if workers == 1 else caller not in threads
+    def call(seed):
+        barrier.wait()
+        return sample_trajectories(initial, schedule, n_trajectories=n_trajectories,
+                                   seed=seed)
+    with ThreadPoolExecutor(workers) as pool:
+        together = list(pool.map(call, seeds))
+    for a, b in zip(alone, together):
+        np.testing.assert_array_equal(a.counts, b.counts)
+        np.testing.assert_array_equal(a.exact_survival, b.exact_survival)
+        assert (a.n_steps, a.stream_ids) == (b.n_steps, b.stream_ids)
+    pooled = TrajectoryBatch(23, workers * n_trajectories, together[0].n_steps,
+                             sum(b.counts for b in together), ("()",),
+                             together[0].exact_survival)
     want = reference_sample_trajectories(initial, schedule,
-                                         n_trajectories=n_trajectories, seed=23)
-    np.testing.assert_array_equal(got.survival_lengths, want.survival_lengths)
-    np.testing.assert_array_equal(got.exact_survival, want.exact_survival)
-    assert (got.n_steps, got.stream_ids) == (want.n_steps, want.stream_ids)
-
-
-def test_more_workers_than_cores_share_no_scratch(monkeypatch):
-    # many short chunks and a short switch interval make the threads take
-    # and return scratch sets often; a set taken twice at once would mix
-    # two chunks' draws and break the bit-for-bit match
-    monkeypatch.setattr(zenocool.oracle, "_CHUNK_SIZE", 64)
-    monkeypatch.setattr(zenocool.oracle, "_workers", lambda n_chunks: min(8, n_chunks))
-    initial, schedule = _zero_step_case()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = sample_trajectories(initial, schedule, n_trajectories=64 * 150 - 7, seed=29)
-    finally:
-        sys.setswitchinterval(interval)
-    want = reference_sample_trajectories(initial, schedule,
-                                         n_trajectories=64 * 150 - 7, seed=29)
-    np.testing.assert_array_equal(got.survival_lengths, want.survival_lengths)
-
-
-class _StreamFailure(RuntimeError):
-    pass
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_failing_chunk_fails_the_call_and_leaves_no_thread(monkeypatch, workers):
-    monkeypatch.setattr(zenocool.oracle, "_CHUNK_SIZE", 1024)
-    monkeypatch.setattr(zenocool.oracle, "_workers", lambda n_chunks: workers)
-    initial, schedule = _preset_case("fig7")
-    default_rng = np.random.default_rng
-
-    def failing_rng(seed):
-        if seed.spawn_key == (2,):
-            raise _StreamFailure("the third stream fails")
-        return default_rng(seed)
-    monkeypatch.setattr(np.random, "default_rng", failing_rng)
-    before = threading.active_count()
-    with pytest.raises(_StreamFailure):
-        sample_trajectories(initial, schedule, n_trajectories=5_000, seed=23)
-    assert threading.active_count() == before
-
-
-def test_workers_are_the_usable_cpus_at_most_one_per_chunk(monkeypatch):
-    monkeypatch.setattr(zenocool.oracle.os, "sched_getaffinity", lambda pid: {0, 2, 5},
-                        raising=False)
-    assert [zenocool.oracle._workers(n) for n in (1, 2, 3, 40)] == [1, 2, 3, 3]
-    monkeypatch.delattr(zenocool.oracle.os, "sched_getaffinity")
-    monkeypatch.setattr(zenocool.oracle.os, "cpu_count", lambda: 2)
-    assert [zenocool.oracle._workers(n) for n in (1, 2, 3)] == [1, 2, 2]
-    monkeypatch.setattr(zenocool.oracle.os, "cpu_count", lambda: None)
-    assert zenocool.oracle._workers(3) == 1
-
-
-def test_run_lengths_match_the_masked_inf_form():
-    # log U in {0, < 0} against s_n = 1 and s_n < 1, plus s_n = 0, an s_n
-    # rounded above 1 and a log s_n whose quotient overflows
-    log_u = np.array([0.0, -0.7, 0.0, -0.7, 0.0, -0.7, 0.0, -0.7, -0.7])
-    log_survival = np.array([0.0, 0.0, -0.2, -0.2, -np.inf, -np.inf, 1e-16, 1e-16, -1e-310])
-    k = 5
-    masked = np.full(log_u.size, np.inf)
-    with np.errstate(over="ignore"):
-        np.divide(log_u, log_survival, out=masked, where=log_survival < 0.0)
-    want = np.minimum(np.floor(masked), k)
-    mortal = _mortal_log_survival(log_survival)
-    assert np.signbit(mortal[[0, 6]]).all() and not mortal[[0, 6]].any()
-    with np.errstate(invalid="ignore"):
-        assert np.isnan(log_u[0] / mortal[0])  # 0 / -0.0, which fmin takes to k
-    got = _run_lengths(log_u.copy(), mortal, k)
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(got, [5, 5, 0, 3, 0, 0, 5, 5, 5])
-
-
-SEGMENT_PARAMS = st.one_of(
-    st.sampled_from([CERTAIN_AND_IMPOSSIBLE, CONVENTIONAL_TENTH_PI]),
-    st.builds(lambda g, t, f, d: PhysicalParams(g_m=g, tau=t, g_f=g * f, delta_e=g * d),
-              st.floats(0.05, 1.5), st.floats(0.5, 5.0), st.floats(0.0, 3.0),
-              st.floats(-3.0, 3.0)),
-)
-SEGMENTS = st.builds(Segment, st.sampled_from(VARIANTS), SEGMENT_PARAMS,
-                     st.one_of(st.just(0), st.integers(1, 40)),
-                     st.one_of(st.none(), st.floats(0.05, 20.0)))
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(ground=st.sampled_from([1e-6, 0.01, 1.0]),
-       weights=st.lists(st.sampled_from([0.0, 1e-6, 0.01, 0.3, 1.0]), max_size=39),
-       segments=st.lists(SEGMENTS, min_size=1, max_size=4),
-       n_trajectories=st.integers(1, 4 * 1024 + 100), seed=st.integers(0, 2**32))
-# every trajectory but a rare ground one dies on its first measurement, so
-# the chunks leave the loop before the last segment
-@example(ground=1e-6, weights=[1.0],
-         segments=[Segment("driven", CERTAIN_AND_IMPOSSIBLE, 4),
-                   Segment("conventional", CONVENTIONAL_TENTH_PI, 0),
-                   Segment("driven", CERTAIN_AND_IMPOSSIBLE, 3, until_n_bar=0.5)],
-         n_trajectories=1025, seed=3)
-def test_dense_lengths_match_the_choice_sampler(ground, weights, segments, n_trajectories,
-                                                seed):
-    initial = PopulationDistribution.from_probabilities(_normalized([ground, *weights]))
-    schedule = ProtocolSchedule(tuple(segments))
-    # a chunk of 1,024 dies out on a schedule where a chunk of 65,536 would not
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(zenocool.oracle, "_CHUNK_SIZE", 1024)
-        got = sample_trajectories(initial, schedule, n_trajectories=n_trajectories, seed=seed)
-        want = reference_sample_trajectories(initial, schedule,
-                                             n_trajectories=n_trajectories, seed=seed)
-    np.testing.assert_array_equal(got.survival_lengths, want.survival_lengths)
-    assert (got.n_steps, got.stream_ids) == (want.n_steps, want.stream_ids)
+                                         n_trajectories=n_trajectories, seed=23, chunk=1024)
+    assert_same_law(pooled, want)
 
 
 def _normalized(weights):
@@ -664,32 +647,17 @@ def _geometric(n_levels, n_bar):
     return _normalized((n_bar / (1.0 + n_bar)) ** np.arange(n_levels))
 
 
-def _levels(table, u):
-    """``table.levels(u, ...)`` with scratch as the sampler passes it: the
-    bucket in a chunk's int64 lengths, every array holding stale values."""
-    lengths = np.full(u.size + 3, -7, dtype=np.int64)
-    return table.levels(u, np.full(u.size, -1, dtype=np.intp), np.full(u.size, np.nan),
-                        lengths[2:-1], np.ones(u.size, dtype=bool))
-
-
-LEVEL_DISTRIBUTIONS = st.one_of(
-    st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1e-9, 0.25, 1.0, 3.0]),
-             min_size=1, max_size=300).filter(lambda w: sum(w) > 0.0).map(_normalized),
-    st.integers(1, 500).map(lambda n: _point_mass(n, 0)),
-    st.integers(1, 500).map(lambda n: _point_mass(n, n - 1)),
-    st.just(np.ones(1)),
-    st.builds(_geometric, st.integers(1, 23_190), st.floats(1e-3, 1e4)),
-)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(p=LEVEL_DISTRIBUTIONS, buckets=st.integers(1, 25_000),
-       size=st.integers(1, 3_000), seed=st.integers(0, 2**63))
-def test_level_draw_is_choice_on_the_same_stream(p, buckets, size, seed):
-    table = _LevelTable(p, buckets)
-    u = np.random.default_rng(seed).random(size)
-    got = _levels(table, u)
-    np.testing.assert_array_equal(got, np.random.default_rng(seed).choice(p.size, size, p=p))
+def _drawn_from_law(monkeypatch, q, n_trajectories, seed):
+    """The batch the sampler draws where the survival curve is P(L >= k) of
+    the length law ``q``: the reverse cumulative sum of ``q``."""
+    curve = q[::-1].cumsum()[::-1]
+    monkeypatch.setattr(zenocool.oracle, "_tables", lambda *args: ())
+    monkeypatch.setattr(zenocool.oracle, "_survival_curve",
+                        lambda *args: (curve, (q.size - 1,)))
+    initial = PopulationDistribution.from_probabilities([1.0])
+    schedule = ProtocolSchedule((Segment("conventional", CONVENTIONAL_TENTH_PI, q.size - 1),))
+    return curve, sample_trajectories(initial, schedule, n_trajectories=n_trajectories,
+                                      seed=seed)
 
 
 @pytest.mark.parametrize("p", [
@@ -703,17 +671,23 @@ def test_level_draw_is_choice_on_the_same_stream(p, buckets, size, seed):
 ], ids=["geometric-23190", "geometric-512", "zeros", "mass-first", "mass-last", "one-level",
         "level-on-edge"])
 @pytest.mark.parametrize("buckets", [1, 3, 6, 7, 40, 1000, 23_190])
-def test_level_draw_at_bucket_edges(p, buckets):
-    # "level-on-edge" puts a CDF step on the edge 5/6, where u = 5/6 - 1 ulp
-    # gives u * 6 = 5 in floating point
-    edges = np.arange(buckets + 1) / buckets
-    u = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
-                        [0.0, 1.0 - 2.0**-53]])
-    u = u[(u >= 0.0) & (u < 1.0)]
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    got = _levels(_LevelTable(p, buckets), u)
-    np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
+def test_level_draw_at_bucket_edges(monkeypatch, p, buckets):
+    """A length law ``p`` with empty bins, its mass in the first or last bin
+    of the histogram, or one bin only, drawn for ``buckets`` trajectories:
+    the curve gives back ``p``, and no trajectory lands in an empty bin."""
+    curve, batch = _drawn_from_law(monkeypatch, p, buckets, seed=buckets)
+    q = _length_probabilities(curve)
+    np.testing.assert_allclose(q, p, rtol=0.0, atol=1e-15)
+    assert (q[p == 0.0] == 0.0).all()
+    assert batch.n_steps == p.size - 1 and batch.counts.size == p.size
+    np.testing.assert_array_equal(batch.counts,
+                                  np.random.default_rng(buckets).multinomial(buckets, q))
+    assert batch.counts.sum() == buckets
+    assert not batch.counts[q == 0.0].any()
+    if (p == 1.0).any():
+        np.testing.assert_array_equal(batch.counts, buckets * p)
+    estimates = batch.estimates()
+    assert estimates[0] == 1.0 and (np.diff(estimates) <= 0.0).all()
 
 
 @pytest.mark.parametrize("p", [
@@ -724,32 +698,18 @@ def test_level_draw_at_bucket_edges(p, buckets):
     np.array([0.75, 0.25]),
 ], ids=["geometric-23190", "zeros", "mass-last", "one-level", "level-on-edge"])
 @pytest.mark.parametrize("requested", [1, 2, 3, 6, 7, 40, 1000, 1024, 1025, 23_190])
-def test_level_table_searches_its_own_power_of_two_edges(p, requested):
-    table = _LevelTable(p, requested)
-    assert table.m == 2 ** math.ceil(math.log2(requested))
-    # "level-on-edge" puts a CDF step on the edge 3/4 of every table from 4 buckets up
-    edges = np.arange(table.m + 1) / table.m
-    u = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
-    u = u[(u >= 0.0) & (u < 1.0)]
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    got = _levels(table, u)
-    np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
-
-
-@pytest.mark.parametrize("p, message", [
-    ([0.5, math.nan, 0.5], "NaN"),
-    ([1.5, -0.5], "nonnegative"),
-    ([0.5, 0.5 + 1e-7], "sum"),
-])
-def test_level_table_rejects_what_choice_rejects(p, message):
-    with pytest.raises(ValueError):
-        np.random.default_rng(0).choice(len(p), 4, p=p)
-    with pytest.raises(ValueError, match=message):
-        _LevelTable(np.array(p), len(p))
-
-
-def test_level_table_accepts_a_sum_within_choice_tolerance():
-    p = np.array([0.5, 0.5 + 1e-9])
-    got = _levels(_LevelTable(p, 2), np.random.default_rng(3).random(1000))
-    np.testing.assert_array_equal(got, np.random.default_rng(3).choice(2, 1000, p=p))
+def test_level_table_searches_its_own_power_of_two_edges(monkeypatch, p, requested):
+    """For ``requested`` trajectories, on and beside powers of two, each
+    estimate is the share of the per-trajectory view that survived at
+    least N, found by a search of the sorted lengths, correctly rounded."""
+    _, batch = _drawn_from_law(monkeypatch, p, requested, seed=requested)
+    lengths = batch.survival_lengths
+    assert lengths.size == requested and (np.diff(lengths) >= 0).all()
+    np.testing.assert_array_equal(np.bincount(lengths, minlength=p.size), batch.counts)
+    survivors = requested - lengths.searchsorted(np.arange(p.size), side="left")
+    want = np.array([int(s) / requested for s in survivors])
+    np.testing.assert_array_equal(batch.estimates(), want)
+    if requested & (requested - 1) == 0:
+        np.testing.assert_array_equal(batch.estimates() * requested, survivors)
+    np.testing.assert_array_equal(batch.standard_errors(),
+                                  np.sqrt(want * (1.0 - want) / requested))

@@ -856,6 +856,37 @@ def test_terminal_record_is_the_last_record_of_run(case):
     assert not result.terminated_early
 
 
+def _full_pass_terminal_record(terminal_record, initial, schedule, tables):
+    """``terminal_record`` with every segment realized by the step loop:
+    the closed form over the budgets of a copy of the schedule whose
+    budgets are the realized steps and which stops on nothing."""
+    steps_run = protocol._survival_curve(initial, schedule, tables)[1]
+    realized = ProtocolSchedule(tuple(replace(s, steps=k, until_n_bar=None)
+                                      for s, k in zip(schedule.segments, steps_run)))
+    return terminal_record(initial, realized, tables)
+
+
+def test_switch_sweep_steps_only_up_to_the_last_threshold_segment(monkeypatch, tmp_path):
+    # fig7_threshold's driving stops on n_bar = 10; the 270 conventional
+    # measurements after it need no step loop
+    config = parse_config_data({"preset": "fig7_threshold", "sweep": {
+        "axis": "switch", "values": [0, 20, 60, 120, 189, 300]}})
+    realized = []
+    survival_curve = protocol._survival_curve
+
+    def counted(initial, schedule, tables):
+        realized.append(len(schedule.segments))
+        return survival_curve(initial, schedule, tables)
+    monkeypatch.setattr(protocol, "_survival_curve", counted)
+    zenocool.runner.run_sweep(config, tmp_path / "prefix")
+    assert realized == [1] * 6
+    monkeypatch.setattr(protocol, "_terminal_record",
+                        partial(_full_pass_terminal_record, protocol._terminal_record))
+    zenocool.runner.run_sweep(config, tmp_path / "full")
+    assert ((tmp_path / "prefix" / "sweep.csv").read_bytes()
+            == (tmp_path / "full" / "sweep.csv").read_bytes())
+
+
 def test_terminal_record_of_a_thermal_start_never_nears_the_norm_floor():
     # the first cooling-free level, n = (pi / 0.3)^2 = 109.7, lies past n_max = 40,
     # so every level but the ground one decays; c_0 = 1 keeps P_g at p_0 = 1/2
@@ -1078,9 +1109,9 @@ def test_one_patch_point_drives_every_reader(monkeypatch, tmp_path):
         run_experiment(config, out_dir)
         batch = sample_trajectories(initial, schedule, n_trajectories=1000, seed=3)
         tables = {p.name: p.read_bytes() for p in out_dir.glob("coefficients_*.csv")}
-        return batch.survival_lengths, tables
+        return batch.counts, tables
 
-    lengths, tables = outputs(tmp_path / "clean")
+    counts, tables = outputs(tmp_path / "clean")
     real = protocol.build_table
 
     def shifted(variant, params, n_max):
@@ -1089,8 +1120,8 @@ def test_one_patch_point_drives_every_reader(monkeypatch, tmp_path):
         values[1:] *= np.exp(-0.5e-6)
         return CoefficientTable(variant, values, params)
     monkeypatch.setattr(protocol, "build_table", shifted)
-    shifted_lengths, shifted_tables = outputs(tmp_path / "shifted")
-    assert not np.array_equal(shifted_lengths, lengths)
+    shifted_counts, shifted_tables = outputs(tmp_path / "shifted")
+    assert not np.array_equal(shifted_counts, counts)
     assert sorted(shifted_tables) == ["coefficients_conventional.csv",
                                       "coefficients_driven.csv"]
     for name, data in shifted_tables.items():

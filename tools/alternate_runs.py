@@ -36,7 +36,6 @@ value exported beforehand survives it:
 ``OPENBLAS_NUM_THREADS=2 python tools/alternate_runs.py ...`` times two
 BLAS threads. The header line ends with the number of CPUs the process
 may use and the ``OPENBLAS_NUM_THREADS`` the run saw (``unset`` if none):
-the trajectory sampler runs its chunks on one thread per usable CPU, and
 the chunked sums of the engine are faster or slower than one long dot
 depending on the BLAS threads.
 """
@@ -73,7 +72,7 @@ CASES = {
     "hot-100k": _HOT_100K,
     "traj-fig4": {"preset": "fig4", "trajectories": 250_000},
     "traj-fig7": {"preset": "fig7", "trajectories": 250_000},
-    # the sampler call of a hot-100k operation: one inline chunk at n_max 23,189
+    # the sampler call of a hot-100k operation: 10^4 trajectories at n_max 23,189
     "traj-fig6": {"preset": "fig6", "trajectories": 10_000},
     # an until_n_bar schedule, whose survival curve's step loop also reads n_bar
     "traj-fig7_threshold": {"preset": "fig7_threshold", "trajectories": 250_000},

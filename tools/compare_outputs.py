@@ -36,7 +36,7 @@ from pathlib import Path
 
 SKIPPED_KEYS = {"wall_time_s", "outputs"}
 SEED = 5
-TRAJECTORIES = 140_000  # three RNG streams of 65,536, the last one partial
+TRAJECTORIES = 140_000
 ORACLE_DRAWS = 200
 THRESHOLD = 1e-12
 
