@@ -1,8 +1,9 @@
 """CSV cells exactly as Python's ``%`` writes them, a chunk of rows at a time.
 
 Every float is written as ``"%.17g" % x`` and every integer as
-``"%d" % n``. ``lines`` lays out rows; its cells come from the vectorized
-``float_words`` and ``int_words``, or, in a chunk too small to repay
+``"%d" % n``. ``lines`` cuts a table into chunks of equal row counts
+and writes their rows; the cells come from the vectorized
+``float_words`` and ``int_words``, or, in a table too small to repay
 them, from Python's ``%`` itself. ``float_words`` reads a cell's 17
 digits off one long-double product |x|·10^(16−e) and hands every cell
 whose digits it cannot certify (NaN, ±inf, a fraction within the
@@ -34,10 +35,12 @@ _Q_MIN, _Q_MAX = 16 - 308, 16 + 324
 # double, that error exceeds half a unit at 1e16, so every cell takes the
 # fallback.
 _TIE_TOLERANCE = float(np.finfo(np.longdouble).eps)
-# Below this many cells in a chunk, Python's own "%d"/"%.17g" rows are as
+# Below this many cells in a table, Python's own "%d"/"%.17g" rows are as
 # fast: the vector path costs 200–400 µs a chunk and 0.2–0.3 µs a cell,
 # Python 0.6–1.2 µs a float cell.
 _VECTOR_MIN = 1024
+# Cells formatted per chunk: bounds the formatter's temporaries to about 1 MiB.
+_CHUNK_CELLS = 4096
 
 
 def _word(text: bytes) -> np.uint32:
@@ -198,32 +201,36 @@ def float_words(x: np.ndarray) -> np.ndarray:
     return words
 
 
-def lines(columns) -> bytes:
+def lines(columns):
     """The rows of equal-length 1-D ``columns`` (int64 or float64) as CSV
-    lines: Python's ``%`` writes a chunk of fewer than ``_VECTOR_MIN``
-    cells, and one ``bytes.translate`` squeezes the NULs out of a larger
-    chunk's ``_row_words``."""
-    if len(columns[0]) * len(columns) < _VECTOR_MIN:
-        line = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in columns) + "\n"
-        return "".join(line % row for row in zip(*(c.tolist() for c in columns))).encode()
-    return _row_words(columns).tobytes().translate(None, b"\0")
-
-
-def _row_words(columns) -> np.ndarray:
-    """One row of NUL-padded words per CSV line. The float columns are
-    formatted in one ``float_words`` call, a column passed twice (the same
-    array) once."""
+    lines, a chunk of bytes at a time: Python's ``%`` writes a table of
+    fewer than ``_VECTOR_MIN`` cells, and a larger one is cut into
+    ⌈cells / ``_CHUNK_CELLS``⌉ chunks whose row counts differ by at most
+    one, each laid out by ``_chunk_words`` and squeezed of its NULs by
+    one ``bytes.translate``."""
     n = len(columns[0])
-    floats = list({id(c): c for c in columns if c.dtype.kind == "f"}.values())
-    if floats:
-        words = float_words(np.stack(floats, axis=1).ravel()).reshape(-1, n, len(floats))
-        by_id = {id(c): words[:, :, k] for k, c in enumerate(floats)}
-    cells = [by_id[id(c)] if c.dtype.kind == "f" else int_words(c) for c in columns]
-    out = np.empty((n, sum(len(c) + 1 for c in cells)), np.uint32)
-    end = 0
-    for c in cells:
-        out[:, end:end + len(c)] = c.T
-        end += len(c) + 1
-        out[:, end - 1] = _COMMA
-    out[:, -1] = _NEWLINE
-    return out
+    if n * len(columns) < _VECTOR_MIN:
+        line = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in columns) + "\n"
+        yield "".join(line % row for row in zip(*(c.tolist() for c in columns))).encode()
+        return
+    distinct = {id(c): c for c in columns}  # each array cut once per chunk
+    slots = [list(distinct).index(id(c)) for c in columns]
+    for chunk in zip(*(np.array_split(c, -(-n * len(columns) // _CHUNK_CELLS))
+                       for c in distinct.values())):
+        yield _chunk_words(chunk, slots).tobytes().translate(None, b"\0")
+
+
+def _chunk_words(chunk, slots) -> np.ndarray:
+    """One row of NUL-padded words per CSV line of a chunk that holds each
+    distinct array once, its columns in the order of ``slots``; the float
+    arrays are formatted in one ``float_words`` call. A function of its
+    own, so that its temporaries are freed before ``lines`` cuts the next
+    chunk, not held by the paused generator."""
+    floats = [c for c in chunk if c.dtype.kind == "f"]
+    words = iter(np.split(float_words(np.concatenate(floats)), len(floats), axis=1)
+                 if floats else ())
+    cells = [next(words) if c.dtype.kind == "f" else int_words(c) for c in chunk]
+    comma = np.full((1, len(chunk[0])), _COMMA)
+    out = np.concatenate([w for k in slots for w in (cells[k], comma)])
+    out[-1] = _NEWLINE
+    return out.T

@@ -20,7 +20,7 @@ import logging
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .params import PhysicalParams
 from .fock import DEFAULT_EPSILON_TAIL, DEFAULT_HARD_CAP, ThermalSpec
@@ -182,8 +182,8 @@ class ExperimentConfig:
 
 def _plain(spec) -> dict:
     """A spec's fields as JSON keys: ``None`` left out, tuples as lists."""
-    return {k: list(v) if isinstance(v, tuple) else v
-            for k, v in asdict(spec).items() if v is not None}
+    values = ((f.name, getattr(spec, f.name)) for f in fields(spec))
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values if v is not None}
 
 
 # A field's JSON kind, by the names in its annotation (a string, under

@@ -28,7 +28,7 @@ DEFAULT_HARD_CAP = 65536
 
 
 class CapacityError(RuntimeError):
-    """More Fock levels than the configured cap, or more trajectories than fit in memory."""
+    """More Fock levels than the configured cap."""
 
 
 # Below this log, exp() leaves the normal doubles, and numpy's vector exp

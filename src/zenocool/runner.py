@@ -3,9 +3,9 @@
 Every CSV number is written exactly as ``"%.17g" % x`` writes it (an
 integer column as ``"%d"``), so regression tolerances on the files are
 meaningful and identical config and seed produce byte-identical CSV
-output. One streaming writer, ``_write_csv``, writes every table a chunk
-of rows at a time, with its cells from ``_cells.lines``; ``sweep.csv``
-takes its numeric cells from the same formatter.
+output. One streaming writer, ``_write_csv``, writes each table's header
+and the chunks of CSV lines that ``_cells.lines`` cuts and formats;
+``sweep.csv`` takes its numeric cells from the same generator.
 
 Every JSON file (each ``manifest.json`` and ``oracle_report.json``) is
 written by ``_write_json`` as one line of key-sorted JSON;
@@ -44,19 +44,12 @@ RUN_COLUMNS = ("N", "n_bar", "F_ground", "P_g", "T_eff_K", "F_th", "segment")
 # Largest unitarity defect of an oracle propagator that run_oracle_check accepts.
 UNITARITY_TOLERANCE = 1e-12
 
-# Cells formatted per chunk: bounds the formatter's temporaries to about 1 MiB.
-_CHUNK_CELLS = 4096
-
 
 def _write_csv(path: Path, header, columns):
-    """Write the equal-length int or float arrays ``columns`` under ``header``,
-    ``_CHUNK_CELLS`` cells at a time."""
-    rows = max(1, _CHUNK_CELLS // len(columns))
+    """Write the equal-length int or float arrays ``columns`` under ``header``."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(columns[0]), rows):
-            chunk = {id(c): c[start:start + rows] for c in columns}  # one slice per array
-            fh.write(lines([chunk[id(c)] for c in columns]))
+        fh.writelines(lines(columns))
 
 
 def _probe_writable(out_dir: Path):
@@ -87,9 +80,8 @@ def write_coefficients_csv(path: Path, table: CoefficientTable, powers):
     value (numpy's array ``**`` can differ in the last ulp); power 1 is
     the ``abs2`` column itself."""
     header = ["n", "re", "im", "abs2"] + [f"abs2_pow_{2 * N}" for N in powers]
-    values = table.values
-    abs2 = np.abs(values) ** 2
-    columns = [np.arange(abs2.size), values.real, values.imag, abs2]
+    abs2 = table.magnitude ** 2
+    columns = [np.arange(abs2.size), table.values.real, table.values.imag, abs2]
     columns += [abs2 if N == 1 else
                 np.fromiter(map(pow, abs2.tolist(), repeat(N)), np.float64, abs2.size)
                 for N in powers]
@@ -223,10 +215,10 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict[str, str]:
         path = out_dir / "sweep.csv"
         # the numeric cells from the CSV formatter, the error text quoted by csv;
         # the values in the file's units
-        values = lines([np.array(config.sweep.values, dtype=np.float64)])
+        values = b"".join(lines([np.array(config.sweep.values, dtype=np.float64)]))
         records = np.array([pt.record for pt in points if pt.record is not None],
                            dtype=StepRecord)
-        rows = iter(lines(_record_columns(records)).decode().splitlines())
+        rows = iter(b"".join(lines(_record_columns(records))).decode().splitlines())
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("axis", "value") + RUN_COLUMNS + ("error",))

@@ -110,6 +110,29 @@ def test_an_export_call_writes_the_three_files(tmp_path):
     assert (tmp_path / "out" / "histogram.csv").read_text().count("\n") == n_max + 2
 
 
+def test_a_run_experiment_case_against_itself(monkeypatch, capsys):
+    tool = _load_tool()
+    assert tool.CASES["run-fig5c"] == {
+        "preset": "fig5c", "experiment": True,
+        "outputs": {"histogram_csv": True, "coefficients_csv": True}}
+    monkeypatch.setitem(tool.CASES, "run-fig3a", {"preset": "fig3a", "experiment": True})
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--cases", "run-fig3a", "--repeats", "2"]) == 0
+    case, n_max, *_, ratio = capsys.readouterr().out.splitlines()[1].split()
+    assert (case, n_max) == ("run-fig3a", "24") and float(ratio) > 0.0
+
+
+def test_a_run_experiment_call_writes_every_file(tmp_path):
+    tool = _load_tool()
+    n_max, call = tool._call(zenocool, tool.CASES["run-fig5c"], tmp_path / "new")
+    call()
+    names = sorted(p.name for p in (tmp_path / "new").iterdir())
+    assert (n_max, names) == (2319, ["coefficients_driven.csv", "histogram.csv",
+                                     "manifest.json", "run.csv"])
+    manifest = json.loads((tmp_path / "new" / "manifest.json").read_text())
+    assert manifest["config"]["preset"] == "fig5c"
+
+
 def test_an_oracle_check_case_against_itself(capsys):
     tool = _load_tool()
     src = str(ROOT / "src")

@@ -562,6 +562,39 @@ def test_cli_run_and_exit_codes(tmp_path):
                  "--out-dir", str(blocker)]) == 3
 
 
+_PROBED_ENTRIES = [
+    ("run", lambda out: run_experiment(parse_config_data({"preset": "fig3a"}), out)),
+    ("sweep", lambda out: run_sweep(parse_config_data({"preset": "fig7_switch"}), out)),
+    ("sample_trajectories", lambda out: run_trajectories(
+        parse_config_data({"preset": "fig3a"}), out, n_trajectories=10)),
+    ("compare_random_draws", lambda out: run_oracle_check(out, draws=2)),
+]
+
+
+@pytest.mark.parametrize("engine, entry", _PROBED_ENTRIES, ids=[e for e, _ in _PROBED_ENTRIES])
+def test_an_unwritable_out_dir_fails_before_any_computation(tmp_path, monkeypatch,
+                                                            engine, entry):
+    """An out-dir below a regular file cannot be made, by root either, and
+    each entry point raises before it enters the computation it runs."""
+    entered = []
+    monkeypatch.setattr(zenocool.runner, engine, lambda *a, **k: entered.append(engine))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x")
+    with pytest.raises(OSError):
+        entry(blocker / "out")
+    assert entered == []
+
+
+def test_cli_run_below_a_file_exits_3_before_running(tmp_path, monkeypatch):
+    entered = []
+    monkeypatch.setattr(zenocool.runner, "run", lambda *a, **k: entered.append("run"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x")
+    assert main(["--quiet", "run", "--preset", "fig3a",
+                 "--out-dir", str(blocker / "out")]) == 3
+    assert entered == []
+
+
 def test_cli_oracle_numeric_failure(tmp_path):
     assert main(["--quiet", "oracle-check", "--out-dir", str(tmp_path / "o"),
                  "--draws", "8", "--tolerance", "0.0"]) == 2

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import zenocool._cells as cells
 import zenocool.runner as runner
-from zenocool import PopulationDistribution, initial_state, parse_config_data, run
-from zenocool.runner import RUN_COLUMNS, write_histogram_csv, write_run_csv
+from zenocool import (PopulationDistribution, build_table, initial_state, parse_config_data,
+                      run)
+from zenocool.runner import (RUN_COLUMNS, write_coefficients_csv, write_histogram_csv,
+                             write_run_csv)
 
 
 def _text(words: np.ndarray) -> list[bytes]:
@@ -114,19 +116,62 @@ def test_both_row_paths_write_the_same_bytes(monkeypatch, vector_min):
     x = np.array(EDGES)
     columns = [np.arange(x.size) - 50, x, rng.standard_normal(x.size), x]
     monkeypatch.setattr(cells, "_VECTOR_MIN", vector_min)
-    assert cells.lines(columns) == _rows(columns)
+    assert b"".join(cells.lines(columns)) == _rows(columns)
 
 
 def test_chunks_cover_every_row_once(tmp_path, monkeypatch):
-    """Rows straddle chunk boundaries, and the short last chunk takes the
-    Python path."""
-    monkeypatch.setattr(runner, "_CHUNK_CELLS", 60)
+    """Rows straddle chunk boundaries, the chunks differ by at most one
+    row, and a column passed twice is written in both places."""
+    monkeypatch.setattr(cells, "_CHUNK_CELLS", 60)
     monkeypatch.setattr(cells, "_VECTOR_MIN", 40)
     rng = np.random.default_rng(7)
-    n = 47  # 20 rows a chunk: 20, 20, then 7 rows (21 cells, Python's)
-    columns = [np.arange(n), rng.standard_normal(n) * 1e-6, rng.random(n)]
-    runner._write_csv(tmp_path / "x.csv", ("n", "a", "b"), columns)
-    assert (tmp_path / "x.csv").read_bytes() == b"n,a,b\n" + _rows(columns)
+    n = 47  # 188 cells: ⌈188 / 60⌉ = 4 chunks
+    a = rng.standard_normal(n) * 1e-6
+    columns = [np.arange(n), a, rng.random(n), a]
+    assert [c.count(b"\n") for c in cells.lines(columns)] == [12, 12, 12, 11]
+    runner._write_csv(tmp_path / "x.csv", ("n", "a", "b", "a"), columns)
+    assert (tmp_path / "x.csv").read_bytes() == b"n,a,b,a\n" + _rows(columns)
+    rows = _vector_chunk_rows(monkeypatch)
+    for n in range(5, 200):  # 20 to 796 cells: the Python path, then 1 to 14 chunks
+        k = np.arange(n)  # passed twice, so formatted once a chunk
+        chunks = list(cells.lines([k, rng.random(n), rng.random(n), k]))
+        if 4 * n < 40:
+            assert not rows and len(chunks) == 1
+        else:
+            assert rows == [c.count(b"\n") for c in chunks] and sum(rows) == n
+            assert max(rows) - min(rows) <= 1 and 4 * max(rows) <= 60 + 4
+        del rows[:]
+
+
+def _vector_chunk_rows(monkeypatch) -> list[int]:
+    """The row count of each int column that ``int_words`` formats, as a
+    list that fills while the test writes."""
+    rows, int_words = [], cells.int_words
+    monkeypatch.setattr(cells, "int_words", lambda v: rows.append(len(v)) or int_words(v))
+    return rows
+
+
+def test_a_table_is_cut_into_equal_vector_chunks(tmp_path, monkeypatch):
+    """fig4's 2,320-row histogram (4,640 cells) is two chunks of 1,160 rows
+    and a fig9 table (2,501 rows of 5 columns) four of 626, 625, 625, 625;
+    every chunk takes the vector path, whose ``int_words`` writes the n
+    column, and formats the ``abs2`` column passed twice once."""
+    config = parse_config_data({"preset": "fig4"})
+    result = run(initial_state(config.thermal_spec(), config.schedule(),
+                               hard_cap=config.hard_cap), config.schedule())
+    fig9 = parse_config_data({"preset": "fig9"})
+    table = build_table(fig9.outputs.variants[0], fig9.params, fig9.outputs.n_max)
+    rows = _vector_chunk_rows(monkeypatch)
+    write_histogram_csv(tmp_path / "histogram.csv", result.final)
+    assert rows == [1160, 1160]
+    del rows[:]
+    floats, float_words = [], cells.float_words
+    monkeypatch.setattr(cells, "float_words", lambda x: floats.append(x.size) or float_words(x))
+    write_coefficients_csv(tmp_path / "coefficients.csv", table, fig9.outputs.powers)
+    assert rows == [626, 625, 625, 625]
+    assert floats == [3 * r for r in rows]  # re, im and abs2
+    lines = (tmp_path / "coefficients.csv").read_text().splitlines()
+    assert len(lines) == 2502 and lines[0] == "n,re,im,abs2,abs2_pow_2"
 
 
 def test_an_empty_table_writes_its_header(tmp_path):
@@ -135,8 +180,7 @@ def test_an_empty_table_writes_its_header(tmp_path):
 
 
 def test_run_and_histogram_files_match_the_row_wise_layout(tmp_path):
-    """fig4 writes 2,320 histogram rows: two full vector chunks and a short
-    Python one."""
+    """fig4 writes 2,320 histogram rows: two vector chunks of 1,160 rows."""
     config = parse_config_data({"preset": "fig4"})
     result = run(initial_state(config.thermal_spec(), config.schedule(),
                                hard_cap=config.hard_cap), config.schedule())

@@ -1,5 +1,5 @@
-"""Time ``run``, ``sweep``, the trajectory sampler, the CSV writers or the oracle check of two
-source trees, alternating.
+"""Time ``run``, ``sweep``, the trajectory sampler, the CSV writers, ``run_experiment`` or the
+oracle check of two source trees, alternating.
 
     python tools/alternate_runs.py OLD_SRC NEW_SRC [--cases fig4,fig6] [--repeats 21]
 
@@ -22,7 +22,10 @@ of that loop;
 an ``export`` case (``export-hot-100k``)
 runs its schedule once, untimed, and times the run, histogram and
 coefficient writers on the result, as a run with every export on calls
-them; the ``oracle-check`` case times ``runner.run_oracle_check`` at 200
+them; a ``run-*`` case (``run-fig5c``) times ``runner.run_experiment``
+end to end, the run, its run, histogram and coefficient CSVs and the
+manifest, each side writing into a directory of its own; the
+``oracle-check`` case times ``runner.run_oracle_check`` at 200
 draws and seed 7, each side writing into a directory of its own, and its
 n_max reads 0; every other case times ``run``. After
 one untimed call per side, every repeat times one call per side, the old
@@ -83,6 +86,8 @@ CASES = {
                                        "values": [0, 20, 60, 120, 189, 300]}},
     "export-hot-100k": {**_HOT_100K, "export": True,
                         "outputs": {"histogram_csv": True, "coefficients_csv": True}},
+    "run-fig5c": {"preset": "fig5c", "experiment": True,
+                  "outputs": {"histogram_csv": True, "coefficients_csv": True}},
     "oracle-check": {"oracle_check": {"draws": 200, "seed": 7}},
 }
 TRAJECTORY_SEED = 1
@@ -105,14 +110,15 @@ def _export(package, result, powers, out_dir: Path):
 
 
 def _call(package, case: dict, out_dir: Path):
-    """The case's start's n_max and the call to time on it; an export or
-    oracle-check case writes into ``out_dir``."""
+    """The case's start's n_max and the call to time on it; an export, run
+    or oracle-check case writes into ``out_dir``."""
     config = dict(case)
     oracle_check = config.pop("oracle_check", None)
     if oracle_check is not None:
         return 0, functools.partial(package.runner.run_oracle_check, out_dir, **oracle_check)
     n_trajectories = config.pop("trajectories", None)
     export = config.pop("export", False)
+    experiment = config.pop("experiment", False)
     config = package.parse_config_data(config)
     schedule, thermal = config.schedule(), config.thermal_spec()
     if config.sweep is not None:
@@ -126,6 +132,8 @@ def _call(package, case: dict, out_dir: Path):
         return n_max, functools.partial(package.sweep, axis, values, thermal, schedule,
                                         hard_cap=config.hard_cap)
     initial = package.initial_state(thermal, schedule, hard_cap=config.hard_cap)
+    if experiment:
+        return initial.n_max, functools.partial(package.runner.run_experiment, config, out_dir)
     if export:
         out_dir.mkdir(parents=True)
         return initial.n_max, functools.partial(
