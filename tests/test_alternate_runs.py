@@ -110,16 +110,40 @@ def test_an_export_call_writes_the_three_files(tmp_path):
     assert (tmp_path / "out" / "histogram.csv").read_text().count("\n") == n_max + 2
 
 
-def test_a_run_experiment_case_against_itself(monkeypatch, capsys):
+def test_a_run_experiment_case_against_itself(capsys):
     tool = _load_tool()
     assert tool.CASES["run-fig5c"] == {
         "preset": "fig5c", "experiment": True,
         "outputs": {"histogram_csv": True, "coefficients_csv": True}}
-    monkeypatch.setitem(tool.CASES, "run-fig3a", {"preset": "fig3a", "experiment": True})
+    assert tool.CASES["run-fig3a"] == {"preset": "fig3a", "experiment": True}
     src = str(ROOT / "src")
     assert tool.main([src, src, "--cases", "run-fig3a", "--repeats", "2"]) == 0
     case, n_max, *_, ratio = capsys.readouterr().out.splitlines()[1].split()
     assert (case, n_max) == ("run-fig3a", "24") and float(ratio) > 0.0
+
+
+def test_a_coefficient_only_run_experiment_case_against_itself(capsys):
+    """``run-fig2`` has no start: its n_max is the coefficient tables'."""
+    tool = _load_tool()
+    assert tool.CASES["run-fig2"] == {"preset": "fig2", "experiment": True}
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--cases", "run-fig2", "--repeats", "2"]) == 0
+    case, n_max, *_, ratio = capsys.readouterr().out.splitlines()[1].split()
+    assert (case, n_max) == ("run-fig2", "2500") and float(ratio) > 0.0
+
+
+def test_the_fig2_and_fig3a_run_experiment_calls_write_their_files(tmp_path):
+    """fig2 writes two 2,501-row coefficient tables with powers [1, 10];
+    fig3a writes an 81-row run.csv."""
+    tool = _load_tool()
+    _, call = tool._call(zenocool, tool.CASES["run-fig2"], tmp_path / "fig2")
+    call()
+    for variant in ("driven", "conventional"):
+        lines = (tmp_path / "fig2" / f"coefficients_{variant}.csv").read_text().splitlines()
+        assert len(lines) == 2502 and lines[0] == "n,re,im,abs2,abs2_pow_2,abs2_pow_20"
+    _, call = tool._call(zenocool, tool.CASES["run-fig3a"], tmp_path / "fig3a")
+    call()
+    assert (tmp_path / "fig3a" / "run.csv").read_text().count("\n") == 82
 
 
 def test_a_run_experiment_call_writes_every_file(tmp_path):

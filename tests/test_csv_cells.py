@@ -2,11 +2,13 @@
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import zenocool._cells as cells
 import zenocool.runner as runner
@@ -73,12 +75,14 @@ def test_random_bit_patterns():
 
 def test_every_cell_through_the_fallback(monkeypatch):
     """With an infinite tie window no digit is certain, so Python's own
-    "%.17g" writes every cell; a garbage spelling table proves that no
-    cell is spelled from the table."""
+    "%.17g" writes every cell; a garbage word table proves that no cell
+    is spelled from the table."""
     values = EDGES + np.random.default_rng(4).standard_normal(2_000).tolist()
-    monkeypatch.setattr(cells, "_TIE_TOLERANCE", math.inf)
-    garbage = np.full(4 * cells._GROUP, int.from_bytes(b"XXXX", "little"), np.uint32)
-    monkeypatch.setattr(cells, "_spellings", lambda: garbage)
+    powers, tolerance, columns = cells._decades()
+    monkeypatch.setattr(cells, "_decades",
+                        lambda: (powers, np.full_like(tolerance, math.inf), columns))
+    garbage = np.full_like(cells._words(), int.from_bytes(b"XXXX", "little"))
+    monkeypatch.setattr(cells, "_words", lambda: garbage)
     assert _floats(values) == _want(values)
 
 
@@ -94,15 +98,46 @@ def test_int_cells_are_python_percent_d():
 
 
 def test_power_table_is_correctly_rounded():
-    """Each entry lies within half an ulp of 10^q, the bound the tie
-    window rests on, and the entries flagged exact are exact."""
-    powers, inexact = cells._powers_of_ten()
-    for q, p, flag in zip(range(cells._Q_MIN, cells._Q_MAX + 1), powers, inexact):
+    """Each decade's entry lies within half an ulp of 10^(16−e), the bound
+    the tie window rests on, and the window is doubled exactly where the
+    entry is inexact."""
+    powers, tolerance, _ = cells._decades()
+    for k, e in enumerate(cells._exponents().tolist()):
+        q = 16 - e
         exact = Fraction(10) ** q
-        value = Fraction(*p.as_integer_ratio())
-        half_ulp = Fraction(*np.spacing(p).as_integer_ratio()) / 2
+        value = Fraction(*powers[k].as_integer_ratio())
+        half_ulp = Fraction(*np.spacing(powers[k]).as_integer_ratio()) / 2
         assert abs(value - exact) <= half_ulp, q
-        assert flag == (value != exact), q
+        assert tolerance[k] == cells._TIE_TOLERANCE / 2 * (1 + (value != exact)), q
+
+
+def _shifted_decades(shift: int, exponents) -> tuple:
+    """The decade table with 10^(16−e) off by ``shift`` decades for each
+    e in ``exponents``, so that the product lands outside its decade."""
+    powers, tolerance, columns = cells._decades()
+    powers = powers.copy()
+    for e in exponents:
+        powers[1 + e - cells._E_MIN] *= np.longdouble(10) ** shift
+    return powers, tolerance, columns
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_a_product_outside_its_decade_is_not_certain(monkeypatch, shift):
+    """With 10^(16−e) a decade too large (the product at or above 1e17) or
+    too small (below 1e16) for some e, those cells fail the decade guard
+    and Python's "%.17g" writes them; the other cells keep the vector
+    path. Without the guard they would come out with a digit too many or
+    too few."""
+    exponents = [-300, -5, -2, 0, 3, 16, 17, 200]
+    shifted = [s * m * 10.0 ** e for e in exponents for m in (1.5, 1.2345678901234567, 9.5)
+               for s in (1.0, -1.0)]
+    kept = [m * 10.0 ** e for e in (-100, -3, 1, 5) for m in (1.25, -3.5)]
+    values = shifted + kept
+    table = _shifted_decades(shift, exponents)
+    monkeypatch.setattr(cells, "_decades", lambda: table)
+    certain = cells._decimal(np.array(values))[-1]
+    assert not certain[:len(shifted)].any() and certain[len(shifted):].all()
+    assert _floats(values) == _want(values)
 
 
 def _rows(columns) -> bytes:
@@ -205,3 +240,50 @@ def test_a_histogram_with_underflowed_levels(tmp_path):
     assert (p == 0.0).any() and (p[p > 0] < sys.float_info.min).any()
     assert (tmp_path / "h.csv").read_bytes() == (
         "n,p_n\n" + "".join("%d,%.17g\n" % row for row in enumerate(p.tolist()))).encode()
+
+
+_COLUMN = st.one_of(arrays(np.int64, st.shared(st.integers(1, 300), key="rows")),
+                    arrays(np.float64, st.shared(st.integers(1, 300), key="rows"),
+                           elements=st.floats()))
+
+
+@pytest.mark.parametrize("chunk_cells, vector_min", [(cells._CHUNK_CELLS, cells._VECTOR_MIN),
+                                                    (60, 40)])
+@settings(max_examples=60, deadline=None)
+@given(columns=st.lists(_COLUMN, min_size=1, max_size=5), twice=st.integers(0, 10))
+def test_random_tables_are_python_percent_rows(tmp_path_factory, chunk_cells, vector_min,
+                                               columns, twice):
+    """Whole tables of 1 to 300 rows of int64 and float64 columns (NaN,
+    ±inf, −0.0 and subnormals included), one array passed twice, written
+    through ``runner._write_csv``: at the default sizes a table takes
+    either side of ``_VECTOR_MIN``, and at 60 cells a chunk, with the
+    vector path from 40 cells, it is cut into many chunks."""
+    columns.insert(twice % (len(columns) + 1), columns[0])
+    path = tmp_path_factory.mktemp("table") / "x.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cells, "_CHUNK_CELLS", chunk_cells)
+        patch.setattr(cells, "_VECTOR_MIN", vector_min)
+        runner._write_csv(path, [f"c{j}" for j in range(len(columns))], columns)
+    header = ",".join(f"c{j}" for j in range(len(columns))) + "\n"
+    assert path.read_bytes() == header.encode() + _rows(columns)
+
+
+def _peak_bytes(rows: int) -> int:
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(rows)
+    columns = [np.arange(rows), x, rng.random(rows) * 1e-9, x]
+    tracemalloc.start()
+    try:
+        for _ in cells.lines(columns):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_formatting_holds_one_chunk_not_the_table():
+    """2,000 and 20,000 rows of four columns are 2 and 20 chunks of 1,000
+    rows; the peak of iterating ``lines`` stays that of one chunk's
+    temporaries."""
+    small, large = _peak_bytes(2_000), _peak_bytes(20_000)
+    assert large <= 1.2 * small, (small, large)

@@ -22,9 +22,12 @@ of that loop;
 an ``export`` case (``export-hot-100k``)
 runs its schedule once, untimed, and times the run, histogram and
 coefficient writers on the result, as a run with every export on calls
-them; a ``run-*`` case (``run-fig5c``) times ``runner.run_experiment``
-end to end, the run, its run, histogram and coefficient CSVs and the
-manifest, each side writing into a directory of its own; the
+them; a ``run-*`` case times ``runner.run_experiment`` end to end, each
+side writing into a directory of its own: ``run-fig5c`` the run, its
+run, histogram and coefficient CSVs and the manifest, ``run-fig3a`` an
+81-row run and its ``run.csv``, and ``run-fig2`` the coefficient-only
+export of two 2,501-row tables with powers [1, 10], whose n_max is its
+tables'; the
 ``oracle-check`` case times ``runner.run_oracle_check`` at 200
 draws and seed 7, each side writing into a directory of its own, and its
 n_max reads 0; every other case times ``run``. After
@@ -88,6 +91,8 @@ CASES = {
                         "outputs": {"histogram_csv": True, "coefficients_csv": True}},
     "run-fig5c": {"preset": "fig5c", "experiment": True,
                   "outputs": {"histogram_csv": True, "coefficients_csv": True}},
+    "run-fig3a": {"preset": "fig3a", "experiment": True},
+    "run-fig2": {"preset": "fig2", "experiment": True},
     "oracle-check": {"oracle_check": {"draws": 200, "seed": 7}},
 }
 TRAJECTORY_SEED = 1
@@ -120,6 +125,9 @@ def _call(package, case: dict, out_dir: Path):
     export = config.pop("export", False)
     experiment = config.pop("experiment", False)
     config = package.parse_config_data(config)
+    if experiment and not config.segments:  # a coefficient-only export has no start
+        return config.outputs.n_max, functools.partial(package.runner.run_experiment, config,
+                                                       out_dir)
     schedule, thermal = config.schedule(), config.thermal_spec()
     if config.sweep is not None:
         # a tree older than the config's unit conversion has no SI tau sweep
