@@ -10,15 +10,24 @@ and the chunks of CSV lines that ``_cells.lines`` cuts and formats;
 Every JSON file (each ``manifest.json`` and ``oracle_report.json``) is
 written by ``_write_json`` as one line of key-sorted JSON;
 ``python -m json.tool FILE`` pretty-prints it.
+
+Every artifact goes to disk through one writer, ``_write``, which
+rewrites an existing file in place and then cuts it at its new length.
+A rerun into the same out-dir, as every benchmark pass is, would
+otherwise truncate each file to zero, or rename a new one over it, and
+ext4's default ``auto_da_alloc`` starts writeback of such a file when it
+is closed: about 100 µs a file, against about 10 µs in place.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 import time
 from contextlib import contextmanager
-from itertools import repeat, zip_longest
+from itertools import chain, repeat, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +54,22 @@ RUN_COLUMNS = ("N", "n_bar", "F_ground", "P_g", "T_eff_K", "F_th", "segment")
 UNITARITY_TOLERANCE = 1e-12
 
 
+def _write(path: Path, chunks):
+    """Write the byte strings ``chunks`` to ``path`` over what it holds,
+    then cut it at their end; a symlink's target is rewritten. The cut
+    also runs when ``chunks`` raises, so a failed write leaves what it
+    wrote and nothing of the old file, as a truncating open did."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        try:
+            fh.writelines(chunks)
+        finally:
+            fh.truncate()
+
+
 def _write_csv(path: Path, header, columns):
     """Write the equal-length int or float arrays ``columns`` under ``header``."""
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        fh.writelines(lines(columns))
+    _write(path, chain([(",".join(header) + "\n").encode()], lines(columns)))
 
 
 def _probe_writable(out_dir: Path):
@@ -95,8 +115,7 @@ def _dimensionless_params(params) -> dict:
 
 def _write_json(path: Path, data: dict):
     """A one-shot ``dumps`` without ``indent`` runs json's C encoder."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(data, sort_keys=True) + "\n")
+    _write(path, [(json.dumps(data, sort_keys=True) + "\n").encode()])
 
 
 @contextmanager
@@ -106,15 +125,20 @@ def _artifacts(out_dir, config: ExperimentConfig, command: str):
     Yields ``(out_dir, outputs, resolved)``: the body names each file it
     writes in ``outputs`` and adds what it resolved to ``resolved``, which
     starts with the config's params and seed. A body that raises leaves no
-    manifest.
+    manifest: one that an earlier call left in ``out_dir`` would describe
+    files this call may have partly rewritten, so it is removed.
     """
     out_dir = Path(out_dir)
     _probe_writable(out_dir)
     start = time.perf_counter()
     outputs: dict[str, str] = {}
     resolved = {"params": _dimensionless_params(config.params), "seed": config.seed}
-    yield out_dir, outputs, resolved
     path = out_dir / "manifest.json"
+    try:
+        yield out_dir, outputs, resolved
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     _write_json(path, {
         "package": "zenocool",
         "version": __version__,
@@ -219,12 +243,13 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict[str, str]:
         records = np.array([pt.record for pt in points if pt.record is not None],
                            dtype=StepRecord)
         rows = iter(b"".join(lines(_record_columns(records))).decode().splitlines())
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("axis", "value") + RUN_COLUMNS + ("error",))
-            for pt, value in zip(points, values.decode().splitlines()):
-                cells = [""] * len(RUN_COLUMNS) if pt.record is None else next(rows).split(",")
-                writer.writerow([pt.axis, value, *cells, pt.error or ""])
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(("axis", "value") + RUN_COLUMNS + ("error",))
+        for pt, value in zip(points, values.decode().splitlines()):
+            cells = [""] * len(RUN_COLUMNS) if pt.record is None else next(rows).split(",")
+            writer.writerow([pt.axis, value, *cells, pt.error or ""])
+        _write(path, [text.getvalue().encode()])
         outputs["sweep_csv"] = str(path)
         resolved.update({
             "axis": config.sweep.axis,

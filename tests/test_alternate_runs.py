@@ -157,6 +157,39 @@ def test_a_run_experiment_call_writes_every_file(tmp_path):
     assert manifest["config"]["preset"] == "fig5c"
 
 
+def test_the_run_fig4_sweep_and_trajectory_runner_cases_against_themselves(capsys):
+    tool = _load_tool()
+    assert tool.CASES["run-fig4"] == {"preset": "fig4", "experiment": True}
+    assert tool.CASES["run-fig8"] == {"preset": "fig8", "experiment": True}
+    assert tool.CASES["run-traj-fig4"] == {"preset": "fig4", "experiment": True,
+                                           "trajectories": 250_000}
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--cases", "run-fig4,run-fig8,run-traj-fig4",
+                      "--repeats", "2"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(row[0], row[1]) for row in rows] == [("run-fig4", "2319"), ("run-fig8", "2319"),
+                                                  ("run-traj-fig4", "2319")]
+    assert all(float(row[-1]) > 0.0 for row in rows)
+
+
+def test_the_run_fig4_sweep_and_trajectory_runner_calls_write_their_files(tmp_path):
+    """Each call goes through the runner entry point that the CLI calls."""
+    tool = _load_tool()
+    written = {}
+    for case in ("run-fig4", "run-fig8", "run-traj-fig4"):
+        _, call = tool._call(zenocool, tool.CASES[case], tmp_path / case)
+        outputs = call()
+        written[case] = sorted(p.name for p in (tmp_path / case).iterdir())
+        manifest = json.loads((tmp_path / case / "manifest.json").read_text())
+        assert manifest["outputs"] == {k: v for k, v in outputs.items() if k != "manifest"}
+    assert written == {"run-fig4": ["manifest.json", "run.csv"],
+                       "run-fig8": ["manifest.json", "sweep.csv"],
+                       "run-traj-fig4": ["manifest.json", "trajectories.csv"]}
+    assert (tmp_path / "run-fig4" / "run.csv").read_text().count("\n") == 302
+    assert json.loads((tmp_path / "run-traj-fig4" / "manifest.json").read_text())[
+        "resolved"]["n_trajectories"] == 250_000
+
+
 def test_an_oracle_check_case_against_itself(capsys):
     tool = _load_tool()
     src = str(ROOT / "src")

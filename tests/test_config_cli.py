@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -270,6 +271,121 @@ def test_an_entry_point_that_raises_writes_no_manifest(tmp_path, command, config
         ENTRY_POINTS[command](parse_config_data(config), tmp_path / "out")
     assert (tmp_path / "out").is_dir()
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_a_failed_call_removes_the_manifest_of_an_earlier_one(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    run_experiment(parse_config_data({"preset": "fig3a"}), out)
+    assert (out / "manifest.json").exists()
+
+    def fail(*args, **kwargs):
+        raise FloatingPointError("run failed")
+    monkeypatch.setattr(zenocool.runner, "run", fail)
+    with pytest.raises(FloatingPointError, match="run failed"):
+        run_experiment(parse_config_data({"preset": "fig4"}), out)
+    assert sorted(p.name for p in out.iterdir()) == ["run.csv"]
+
+
+# Every name an artifact can have, and a call of each entry point on one
+# config that writes all of them between them; the sweep has an error row.
+ARTIFACT_NAMES = ("run.csv", "histogram.csv", "coefficients_driven.csv", "sweep.csv",
+                  "trajectories.csv", "manifest.json", "oracle_report.json")
+ARTIFACT_CONFIG = {**SI_CONFIG, "outputs": {"histogram_csv": True, "coefficients_csv": True},
+                   "sweep": {"axis": "T", "values": [1.0, 10.0, -1.0]}}
+ARTIFACT_CALLS = {
+    "run": lambda out: run_experiment(parse_config_data(ARTIFACT_CONFIG), out),
+    "sweep": lambda out: run_sweep(parse_config_data(ARTIFACT_CONFIG), out),
+    "trajectories": lambda out: _trajectories(parse_config_data(ARTIFACT_CONFIG), out),
+    "oracle-check": lambda out: run_oracle_check(out, draws=4),
+}
+
+
+def _masked_files(out):
+    """Every file of ``out`` by name, each ``wall_time_s`` value masked."""
+    return {p.name: re.sub(rb'"wall_time_s": [^,}]+', b'"wall_time_s": 0', p.read_bytes())
+            for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("garbage", [b"x", b"stale,1,2\n" * 20_000], ids=["shorter", "longer"])
+@pytest.mark.parametrize("command", sorted(ARTIFACT_CALLS))
+def test_a_rerun_over_stale_files_writes_the_bytes_of_a_fresh_one(tmp_path, command,
+                                                                   garbage):
+    out = tmp_path / "out"
+    ARTIFACT_CALLS[command](out)
+    fresh = _masked_files(out)
+    for name in ARTIFACT_NAMES:
+        (out / name).write_bytes(garbage)
+    ARTIFACT_CALLS[command](out)
+    rerun = _masked_files(out)
+    assert {name: rerun[name] for name in fresh} == fresh
+    # the names this call does not write keep their stale bytes
+    assert {name: rerun[name] for name in ARTIFACT_NAMES if name not in fresh} == {
+        name: garbage for name in ARTIFACT_NAMES if name not in fresh}
+    sizes = sorted(map(len, fresh.values()))
+    assert len(garbage) < sizes[0] or len(garbage) > sizes[-1]
+
+
+def test_a_write_that_fails_leaves_what_it_wrote_and_no_stale_tail(tmp_path):
+    path = tmp_path / "run.csv"
+    path.write_bytes(b"stale\n" * 100)
+
+    def chunks():
+        yield b"N,n_bar\n"
+        raise MemoryError("chunk")
+    with pytest.raises(MemoryError, match="chunk"):
+        zenocool.runner._write(path, chunks())
+    assert path.read_bytes() == b"N,n_bar\n"
+
+
+def test_an_artifact_that_is_a_symlink_has_its_target_rewritten(tmp_path):
+    fresh = tmp_path / "fresh"
+    ARTIFACT_CALLS["run"](fresh)
+    out, targets = tmp_path / "out", tmp_path / "targets"
+    out.mkdir()
+    targets.mkdir()
+    for name in ("run.csv", "manifest.json"):
+        (targets / name).write_bytes(b"stale\n" * 10_000)
+        (out / name).symlink_to(targets / name)
+    ARTIFACT_CALLS["run"](out)
+    for name in ("run.csv", "manifest.json"):
+        assert (out / name).is_symlink()
+    assert (targets / "run.csv").read_bytes() == (fresh / "run.csv").read_bytes()
+    manifest = json.loads((targets / "manifest.json").read_text())
+    assert manifest["outputs"]["run_csv"] == str(out / "run.csv")
+
+
+def test_no_artifact_is_truncated_or_renamed_into_place(tmp_path, monkeypatch):
+    """Truncating a file to zero, or renaming a new one over it, makes ext4
+    start its writeback on close; every artifact is rewritten in place."""
+    opened, refused = [], []
+    os_open, builtin_open = os.open, open
+
+    def checked_os_open(path, flags, *args, **kwargs):
+        if flags & os.O_TRUNC:
+            refused.append(("os.open O_TRUNC", path))
+        if flags & (os.O_WRONLY | os.O_RDWR):
+            opened.append(Path(path).name)
+        return os_open(path, flags, *args, **kwargs)
+
+    def checked_open(file, mode="r", *args, **kwargs):
+        if "w" in mode and not isinstance(file, int):
+            refused.append((f"open {mode!r}", file))
+        return builtin_open(file, mode, *args, **kwargs)
+
+    def no_rename(name):
+        def refuse(*args, **kwargs):
+            refused.append((name, args))
+            raise AssertionError(f"{name} called")
+        return refuse
+    monkeypatch.setattr(os, "open", checked_os_open)
+    monkeypatch.setattr(zenocool.runner, "open", checked_open, raising=False)
+    monkeypatch.setattr(os, "replace", no_rename("os.replace"))
+    monkeypatch.setattr(os, "rename", no_rename("os.rename"))
+    for command, call in ARTIFACT_CALLS.items():
+        for _ in range(2):  # a fresh write and a rewrite
+            call(tmp_path / command)
+    assert refused == []
+    assert set(ARTIFACT_NAMES) <= set(opened)
 
 
 def test_zero_step_schedule_single_row(tmp_path):

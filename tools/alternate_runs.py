@@ -1,5 +1,5 @@
-"""Time ``run``, ``sweep``, the trajectory sampler, the CSV writers, ``run_experiment`` or the
-oracle check of two source trees, alternating.
+"""Time ``run``, ``sweep``, the trajectory sampler, the CSV writers or the runner's entry
+points of two source trees, alternating.
 
     python tools/alternate_runs.py OLD_SRC NEW_SRC [--cases fig4,fig6] [--repeats 21]
 
@@ -22,15 +22,21 @@ of that loop;
 an ``export`` case (``export-hot-100k``)
 runs its schedule once, untimed, and times the run, histogram and
 coefficient writers on the result, as a run with every export on calls
-them; a ``run-*`` case times ``runner.run_experiment`` end to end, each
-side writing into a directory of its own: ``run-fig5c`` the run, its
-run, histogram and coefficient CSVs and the manifest, ``run-fig3a`` an
-81-row run and its ``run.csv``, and ``run-fig2`` the coefficient-only
-export of two 2,501-row tables with powers [1, 10], whose n_max is its
-tables'; the
-``oracle-check`` case times ``runner.run_oracle_check`` at 200
-draws and seed 7, each side writing into a directory of its own, and its
-n_max reads 0; every other case times ``run``. After
+them; a ``run-*`` case times the runner entry point that the CLI
+calls, end to end, each side writing into a directory of its own:
+``runner.run_experiment`` for ``run-fig5c`` (the run, its run,
+histogram and coefficient CSVs and the manifest), ``run-fig3a`` (an
+81-row run and its ``run.csv``), ``run-fig4`` (a 301-row ``run.csv``
+and the manifest) and ``run-fig2`` (the coefficient-only export of two
+2,501-row tables with powers [1, 10], whose n_max is its tables');
+``runner.run_sweep`` for ``run-fig8``, whose config has a ``sweep``
+block (``sweep.csv`` and the manifest); and ``runner.run_trajectories``
+for ``run-traj-fig4``, which has a ``trajectories`` count (250,000
+trajectories at the fixed seed). The ``oracle-check`` case times
+``runner.run_oracle_check`` at 200 draws and seed 7, each side writing
+into a directory of its own, and its n_max reads 0; every other case
+times ``run``. Every ``run-*`` and ``oracle-check`` repeat rewrites the
+files of the one before, as the benchmark's passes do. After
 one untimed call per side, every repeat times one call per side, the old
 side first on even repeats and the new side first on odd ones, so that a
 drift in machine speed falls on both sides alike. The table gives each side's
@@ -93,6 +99,9 @@ CASES = {
                   "outputs": {"histogram_csv": True, "coefficients_csv": True}},
     "run-fig3a": {"preset": "fig3a", "experiment": True},
     "run-fig2": {"preset": "fig2", "experiment": True},
+    "run-fig4": {"preset": "fig4", "experiment": True},
+    "run-fig8": {"preset": "fig8", "experiment": True},
+    "run-traj-fig4": {"preset": "fig4", "experiment": True, "trajectories": 250_000},
     "oracle-check": {"oracle_check": {"draws": 200, "seed": 7}},
 }
 TRAJECTORY_SEED = 1
@@ -125,9 +134,9 @@ def _call(package, case: dict, out_dir: Path):
     export = config.pop("export", False)
     experiment = config.pop("experiment", False)
     config = package.parse_config_data(config)
+    runner = package.runner
     if experiment and not config.segments:  # a coefficient-only export has no start
-        return config.outputs.n_max, functools.partial(package.runner.run_experiment, config,
-                                                       out_dir)
+        return config.outputs.n_max, functools.partial(runner.run_experiment, config, out_dir)
     schedule, thermal = config.schedule(), config.thermal_spec()
     if config.sweep is not None:
         # a tree older than the config's unit conversion has no SI tau sweep
@@ -137,11 +146,17 @@ def _call(package, case: dict, out_dir: Path):
         starts = (package.protocol._apply_axis(axis, v, thermal, schedule) for v in values)
         n_max = max(package.initial_state(th, sched, hard_cap=config.hard_cap).n_max
                     for th, sched in starts)
+        if experiment:
+            return n_max, functools.partial(runner.run_sweep, config, out_dir)
         return n_max, functools.partial(package.sweep, axis, values, thermal, schedule,
                                         hard_cap=config.hard_cap)
     initial = package.initial_state(thermal, schedule, hard_cap=config.hard_cap)
+    if experiment and n_trajectories is not None:
+        return initial.n_max, functools.partial(
+            runner.run_trajectories, config, out_dir, n_trajectories=n_trajectories,
+            seed=TRAJECTORY_SEED)
     if experiment:
-        return initial.n_max, functools.partial(package.runner.run_experiment, config, out_dir)
+        return initial.n_max, functools.partial(runner.run_experiment, config, out_dir)
     if export:
         out_dir.mkdir(parents=True)
         return initial.n_max, functools.partial(
