@@ -33,6 +33,22 @@ cost an ``exp`` pass and gain nothing: at the switch of ``fig7`` a
 rebuild leaves the final n_bar 6e-17 relative from a long-double
 evaluation, as no rebuild does.
 
+A run over more than 2 ``_DOT_CHUNK`` levels also drops emptied rows
+from the view (:meth:`_AmplitudeView.compact`). At measurements 16, 32,
+64, ... of each segment, every ``_BLOCK``-level row of the view whose
+amplitudes are all at most eps = 2^-60 u_0 / size leaves it, once such
+rows hold ``_DOT_CHUNK`` levels or more; the log-weights stay over all
+levels, so the final state is exact. Level 0 is the rule's witness:
+c_0 = 1 in every table, so u_0 stays fixed between rebuilds, and it
+bounds the sums from below, mass >= u_0^2 and overlap >= u_0. A dropped
+amplitude stays at most 2 eps for the rest of the run, whatever a later
+segment does at its level, since |c_n| <= 1 + 1e-12 (over fewer than
+6e11 measurements). Fewer than size levels are dropped, so together they
+move the overlap by less than 2^-59 of itself, and the mass and n_bar
+(absolutely) by less than 2^-118: each record moves by less than 2^-58
+relative. Emptied rows thus leave the view before they decay into the
+subnormal range.
+
 The thermal fidelity's reference is the untruncated thermal state
 rho^(2n) / Z, rho^2 = n_bar / (1 + n_bar), Z = 1 + n_bar, so it depends on
 the state alone and not on n_max. Its overlap with the state uses the same
@@ -74,6 +90,10 @@ _MIN_VIEW_MASS = 1e-16
 
 _DOT_CHUNK = 8192
 _BLOCK = 128
+# The view drops a grid row once its amplitudes are all at most
+# _DROP u_0 / size, first at measurement _FIRST_COMPACTION of a segment.
+_DROP = 2.0 ** -60
+_FIRST_COMPACTION = 16
 
 SWEEP_AXES = ("g_f", "T", "tau", "N", "switch")
 # what fails one grid point of a sweep; any other exception is a fault of the program
@@ -175,21 +195,56 @@ class _AmplitudeView:
     sum_a rho^(_BLOCK a) sum_b u_n rho^b is one matrix-vector product and
     one short ``exp`` over the joint exponents (b, then _BLOCK a) instead
     of one ``exp`` per level.
+
+    :meth:`compact` drops each grid row whose amplitudes are all at most
+    eps = 2^-60 u_0 / size. Level 0 is the rule's witness: c_0 = 1, so u_0
+    is fixed between rebuilds and bounds the sums from below (mass >= u_0^2,
+    overlap >= u_0), while a dropped amplitude never exceeds 2 eps again;
+    no record moves by more than 2^-58 relative (module docstring). Row 0
+    holds u_0 > eps, so it is never dropped. The kept rows move to the
+    front of the buffer, ascending; ``row_ids`` holds their grid rows a
+    and ``keep`` their levels (``slice(None)`` until a row is dropped): a
+    step scales u by |c_n| gathered over ``keep``, a rebuild refills the
+    kept rows alone, and the overlap takes each kept row's own
+    rho^(_BLOCK a). A compacted view is a :class:`_CompactedView`, whose
+    sums take one dot over the kept levels of each chunk of the whole
+    grid: rows move by whole ``_BLOCK``-level strides, so a ddot adds each
+    kept term in the lane it had, and a dropped term was under half an
+    ulp of what it met there. On ``fig6`` and the ``hot-100k`` case the
+    mass and moment stay bitwise those of the whole view, so only the
+    thermal fidelity moves, by about 1e-15.
     """
 
     def __init__(self, size: int):
-        rows = -(-size // _BLOCK)
-        self.uv = np.zeros((2, rows * _BLOCK))
-        self.grid = self.uv[0].reshape(rows, _BLOCK)
-        self.u, self.v = self.uv[:, :size]
-        whole = size - size % _DOT_CHUNK if size > _DOT_CHUNK else 0
-        self.chunks = (self.uv[:, :whole].reshape(2, -1, 1, _DOT_CHUNK),
-                       self.uv[:, :whole].reshape(2, -1, _DOT_CHUNK, 1))
-        self.rest = tuple(self.uv[:, whole:size])
+        self.size = size
+        self.uv = np.zeros((2, -(-size // _BLOCK) * _BLOCK))
+        self.keep = slice(None)  # the levels the view holds: all, or the kept rows' levels
+        self._cut(np.arange(self.uv.shape[1] // _BLOCK), size)
         self.top = 0.0
+
+    def _cut(self, row_ids: np.ndarray, held: int) -> None:
+        """Cut every view over the first ``held`` entries of each row of
+        ``uv``, which hold the levels of grid rows ``row_ids``, in order."""
+        rows = row_ids.size
+        self.row_ids, self.end = row_ids, int(row_ids[-1]) + 1
+        self.grid = self.uv[0, :rows * _BLOCK].reshape(rows, _BLOCK)
+        self.u, self.v = self.uv[:, :held]
+        # below[a]: how many kept rows lie under grid row a, for a = 0..end
+        if rows == self.end:  # every row: the whole chunks in one batched matmul
+            self.below = range(rows + 1)
+            whole = held - held % _DOT_CHUNK if held > _DOT_CHUNK else 0
+            self.chunks = (self.uv[:, :whole].reshape(2, -1, 1, _DOT_CHUNK),
+                           self.uv[:, :whole].reshape(2, -1, _DOT_CHUNK, 1))
+            self.rest = tuple(self.uv[:, whole:held])
+        else:  # one dot over the kept levels of each chunk of the whole grid
+            self.below = np.searchsorted(row_ids, np.arange(self.end + 1)).tolist()
+            starts = np.flatnonzero(np.diff(row_ids // (_DOT_CHUNK // _BLOCK))) + 1
+            edges = [0, *(starts * _BLOCK).tolist(), held]
+            self.parts = tuple(tuple(self.uv[:, a:b]) for a, b in zip(edges, edges[1:]))
+            self.__class__ = _CompactedView  # whose sums read the parts
         # n = _BLOCK a + b: exponents b along a row, then _BLOCK a down the rows
         self.exponents = np.concatenate((np.arange(_BLOCK, dtype=float),
-                                         np.arange(rows, dtype=float) * _BLOCK))
+                                         row_ids * float(_BLOCK)))
         # rho^b and rho^(_BLOCK a), two views of one buffer
         self.powers = np.empty_like(self.exponents)
         self.col_pow, self.row_pow = self.powers[:_BLOCK], self.powers[_BLOCK:]
@@ -202,12 +257,35 @@ class _AmplitudeView:
             raise ValueError("log_weights must be finite or -inf")
         if top == -math.inf:
             raise ValueError("distribution has no surviving population")
-        x = np.subtract(lw, top, out=self.v)
+        x = np.subtract(lw[self.keep], top, out=self.v)
         x *= 0.5
         self.u.fill(0.0)
         np.exp(x, out=self.u, where=x > LOG_TINY)
-        np.multiply(np.sqrt(np.arange(self.v.size)), self.u, out=self.v)
+        np.multiply(np.sqrt(np.arange(lw.size)[self.keep]), self.u, out=self.v)
         self.top = top
+
+    def compact(self) -> bool:
+        """Drop the rows of amplitudes at most eps = ``_DROP`` u_0 / size,
+        once the rows dropped since the start hold ``_DOT_CHUNK`` levels or
+        more, and re-cut every view over the rest (:meth:`_cut`); True if
+        it dropped any. A row holding a NaN is kept, so that the next sum
+        still fails. Nothing is dropped where eps is under
+        exp(``LOG_TINY``): a level the view holds at 0 may then exceed it.
+        """
+        eps = float(self.u[0]) * _DROP / self.size
+        if not eps >= math.exp(LOG_TINY):
+            return False
+        keep = np.flatnonzero(~(self.grid.max(axis=1) <= eps))
+        dropped = self.uv.shape[1] - keep.size * _BLOCK  # levels, by the whole grid
+        if keep.size == self.row_ids.size or dropped < _DOT_CHUNK:
+            return False
+        by_row = self.uv.reshape(2, -1, _BLOCK)
+        by_row[:, :keep.size] = by_row[:, keep]
+        row_ids = self.row_ids[keep]
+        levels = (row_ids[:, None] * _BLOCK + np.arange(_BLOCK)).ravel()
+        self.keep = levels[:levels.searchsorted(self.size)]  # the last row may be partial
+        self._cut(row_ids, self.keep.size)
+        return True
 
     def _mass_and_moment(self) -> tuple[float, float]:
         """u.u and v.v, each summed over its chunks left to right."""
@@ -233,7 +311,8 @@ class _AmplitudeView:
         cols = min(_BLOCK, int(LOG_TINY / log_rho) + 1)
         if cols == 1:  # so rows == 1; also log_rho = -inf, where 0 * log_rho is NaN
             return float(self.u[0])
-        rows = min(self.row_pow.size, int(LOG_TINY / (_BLOCK * log_rho)) + 1)
+        # the kept rows of the grid rows a < limit, a prefix since row_ids ascend
+        rows = self.below[min(self.end, int(LOG_TINY / (_BLOCK * log_rho)) + 1)]
         # exp(0) = 1 keeps rho^0 exact in both views
         np.exp(np.multiply(self.exponents, log_rho, out=self.powers), out=self.powers)
         if cols < _BLOCK:
@@ -279,6 +358,27 @@ class _AmplitudeView:
         else:
             thermal = ground
         return n_bar, ground, survival, thermal, norm_log
+
+
+class _CompactedView(_AmplitudeView):
+    """An amplitude view that has dropped rows (:meth:`_AmplitudeView.compact`).
+
+    Its sums take one dot over the kept levels of each chunk of the whole
+    grid (``parts``), left to right, in place of the batched whole chunks.
+    """
+
+    def _mass_and_moment(self) -> tuple[float, float]:
+        mass = moment = 0.0
+        for u, v in self.parts:
+            mass += float(u.dot(u))
+            moment += float(v.dot(v))
+        return mass, moment
+
+    def _mass(self) -> tuple[float]:
+        mass = 0.0
+        for u, _ in self.parts:
+            mass += float(u.dot(u))
+        return (mass,)
 
 
 def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResult:
@@ -356,12 +456,16 @@ def _evolve(initial: PopulationDistribution, schedule: ProtocolSchedule,
     rows = [(0, n_bar, ground, survival, thermal, 0)]
     steps_run = [0] * len(schedule.segments)
     terminated = False
+    # a view of more than two dot chunks drops its emptied rows at
+    # measurements 16, 32, 64, ... of each segment; 0 never comes
+    first = _FIRST_COMPACTION if lw.size > 2 * _DOT_CHUNK else 0
     for seg_id, (seg, table) in enumerate(zip(schedule.segments, tables)):
         if terminated:
             break
         if table is None:
             continue
-        magnitude = table.magnitude
+        magnitude = table.magnitude[view.keep]
+        due = first
 
         def log_weights():  # called within the step loop: lw at the segment's start
             return _advance(lw, table, k)
@@ -369,6 +473,10 @@ def _evolve(initial: PopulationDistribution, schedule: ProtocolSchedule,
             u *= magnitude
             if moments:
                 v *= magnitude
+            if k == due:
+                due *= 2
+                if view.compact():
+                    u, v, magnitude = view.u, view.v, table.magnitude[view.keep]
             n_bar, ground, survival, thermal, norm_log = observe(log_weights, None, moments)
             rows.append((len(rows), n_bar, ground, survival, thermal, seg_id))
             if norm_log < DEFAULT_NORM_LOG_FLOOR:

@@ -157,6 +157,20 @@ def test_a_run_experiment_call_writes_every_file(tmp_path):
     assert manifest["config"]["preset"] == "fig5c"
 
 
+def test_the_run_hot_100k_case_against_itself(capsys, tmp_path):
+    """``run-hot-100k`` is the ``hot-100k`` run through ``run_experiment``."""
+    tool = _load_tool()
+    assert tool.CASES["run-hot-100k"] == {**tool.CASES["hot-100k"], "experiment": True}
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--cases", "run-hot-100k", "--repeats", "2"]) == 0
+    case, n_max, *_, ratio = capsys.readouterr().out.splitlines()[1].split()
+    assert (case, n_max) == ("run-hot-100k", "23189") and float(ratio) > 0.0
+    _, call = tool._call(zenocool, tool.CASES["run-hot-100k"], tmp_path)
+    call()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "run.csv"]
+    assert (tmp_path / "run.csv").read_text().count("\n") == 302
+
+
 def test_the_run_fig4_sweep_and_trajectory_runner_cases_against_themselves(capsys):
     tool = _load_tool()
     assert tool.CASES["run-fig4"] == {"preset": "fig4", "experiment": True}

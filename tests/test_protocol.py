@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from zenocool import (
     PRESETS,
@@ -552,16 +553,18 @@ def test_amplitude_view_sums(size, monkeypatch):
 
 def _overlap_reference(view, log_rho):
     """The thermal overlap with separate column and row ``exp`` calls over
-    fresh power arrays, ``col_pow[cols:] = 0`` always, and fresh slices."""
-    block, n_rows = protocol._BLOCK, view.grid.shape[0]
-    col_pow, row_pow = np.ones(block), np.ones(n_rows)
+    fresh power arrays, ``col_pow[cols:] = 0`` always, and fresh slices,
+    over the grid rows the view keeps (``row_ids``, all of them until it
+    compacts)."""
+    block, row_ids = protocol._BLOCK, view.row_ids
+    col_pow, row_pow = np.ones(block), np.ones(row_ids.size)
     cols = min(block, int(protocol.LOG_TINY / log_rho) + 1)
-    rows = min(n_rows, int(protocol.LOG_TINY / (block * log_rho)) + 1)
+    limit = int(protocol.LOG_TINY / (block * log_rho)) + 1
+    rows = sum(1 for a in row_ids.tolist() if a < limit)
     x = np.multiply(np.arange(block, dtype=float)[1:cols], log_rho, out=col_pow[1:cols])
     np.exp(x, out=x)
     col_pow[cols:] = 0.0
-    x = np.multiply((np.arange(n_rows, dtype=float) * block)[1:rows], log_rho,
-                    out=row_pow[1:rows])
+    x = np.multiply((row_ids * float(block))[1:rows], log_rho, out=row_pow[1:rows])
     np.exp(x, out=x)
     return float((view.grid[:rows] @ col_pow).dot(row_pow[:rows]))
 
@@ -612,6 +615,23 @@ def test_thermal_overlap_is_bitwise_the_separate_exp_evaluation(size, hollow):
     assert view._overlap(-math.inf) == view.u[0]
 
 
+def test_a_compacted_view_takes_the_overlap_of_its_kept_rows():
+    # 182 grid rows, of which rows 40-139 and 150 on are empty: the view keeps
+    # rows 0-39 and 140-149, and each overlap counts those under its row limit
+    size, block = 23_190, protocol._BLOCK
+    lw = np.random.default_rng(7).uniform(-40.0, 0.0, size)
+    lw[0] = 0.0
+    lw[40 * block:140 * block] = lw[150 * block:] = -math.inf
+    view = protocol._AmplitudeView(size)
+    view.refresh(lw)
+    assert view.compact()
+    assert view.row_ids.tolist() == [*range(40), *range(140, 150)]
+    for limit in (1, 20, 40, 41, 100, 140, 141, 145, 150, 182, 100, 1):
+        log_rho = protocol.LOG_TINY / (block * (limit - 0.5))  # rows a < limit
+        assert view._overlap(log_rho) == _overlap_reference(view, log_rho), limit
+        assert view.rows == sum(a < limit for a in view.row_ids.tolist()), limit
+
+
 def test_a_run_that_crosses_a_rows_boundary_keeps_its_records(monkeypatch):
     # fig4 (n_max 2,319, 19 grid rows) cools from n_bar 83 to 0.6 in one
     # segment; its overlap keeps fewer rows from n_bar ~1.2 on, step 180
@@ -631,6 +651,221 @@ def test_a_run_that_crosses_a_rows_boundary_keeps_its_records(monkeypatch):
     monkeypatch.setattr(protocol._AmplitudeView, "_overlap", _overlap_reference)
     want = run(initial, schedule).records
     assert records.tobytes() == want.tobytes()
+    # fig6 (n_max 23,189, 182 grid rows) compacts its view: the reference
+    # reads the kept rows' own exponents
+    schedule, initial = _preset_start("fig6")
+    kept = _compactions(monkeypatch)
+    records = run(initial, schedule).records
+    assert kept and kept[-1] < 182
+    counted = []  # the kept rows of the overlap, and those under its row limit
+
+    def counting(view, log_rho):
+        value = overlap(view, log_rho)
+        limit = int(protocol.LOG_TINY / (protocol._BLOCK * log_rho)) + 1
+        counted.append((view.rows, int((view.row_ids < limit).sum())))
+        return value
+    monkeypatch.setattr(protocol._AmplitudeView, "_overlap", counting)
+    assert records.tobytes() == run(initial, schedule).records.tobytes()
+    assert all(rows == want for rows, want in counted)
+
+
+def _compactions(monkeypatch) -> list[int]:
+    """Patch in a traced :meth:`_AmplitudeView.compact`: the list fills with
+    the grid rows the view keeps after each compaction that drops rows."""
+    kept = []
+    compact = protocol._AmplitudeView.compact
+
+    def traced(view):
+        dropped = compact(view)
+        if dropped:
+            kept.append(view.row_ids.size)
+        return dropped
+    monkeypatch.setattr(protocol._AmplitudeView, "compact", traced)
+    return kept
+
+
+def _uncompacted(monkeypatch, call, *args):
+    """``call(*args)`` with a view that drops nothing."""
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol._AmplitudeView, "compact", lambda view: False)
+        return call(*args)
+
+
+def _assert_compaction_keeps(got, want):
+    """Equal steps, segments and early stop, every float field within 1e-14
+    relative, and bitwise-equal final log-weights."""
+    assert (got.steps_run, got.terminated_early) == (want.steps_run, want.terminated_early)
+    for field in ("step", "segment"):
+        np.testing.assert_array_equal(got.records[field], want.records[field])
+    for field in TERMINAL_FIELDS:
+        np.testing.assert_allclose(got.records[field], want.records[field], rtol=1e-14,
+                                   atol=0.0, err_msg=field)
+    np.testing.assert_array_equal(got.final.log_weights, want.final.log_weights)
+
+
+PARAMS_HOT = PhysicalParams.from_si(OMEGA, G_M, 220 / OMEGA, g_f=45 * G_M)
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n_bar=st.floats(500.0, 1200.0), ratio=st.floats(40.0, 60.0),
+       driven=st.integers(128, 160), row=st.floats(0.0, 1.0), later=st.integers(10, 40),
+       detuned=st.sampled_from(["driven-detuned", "conventional-detuned"]),
+       until=st.floats(1.0, 200.0))
+def test_compaction_changes_no_record(n_bar, ratio, driven, row, later, detuned, until):
+    # A hot thermal start of 17,287 to 41,464 levels (epsilon_tail 1e-15)
+    # whose driven segment drops rows by measurement 128, then a
+    # conventional segment whose cooling-free level lies in a dropped row,
+    # a detuned one and one that stops on n_bar.
+    initial = thermal_distribution(ThermalSpec(n_bar_th=n_bar, epsilon_tail=1e-15))
+    assert initial.n_max + 1 > 2 * protocol._DOT_CHUNK
+    params = replace(PARAMS_HOT, g_f=ratio * PARAMS_HOT.g_m)
+    first = Segment("driven", params, driven)
+    with pytest.MonkeyPatch.context() as patch:
+        views = []
+        compact = protocol._AmplitudeView.compact
+
+        def traced(view):
+            views.append(view)
+            return compact(view)
+        patch.setattr(protocol._AmplitudeView, "compact", traced)
+        run(initial, ProtocolSchedule((first,)))
+    n_rows = views[-1].uv.shape[1] // protocol._BLOCK
+    dropped = sorted(set(range(n_rows)) - set(views[-1].row_ids.tolist()))
+    assert len(dropped) * protocol._BLOCK >= protocol._DOT_CHUNK
+    level = dropped[int(row * (len(dropped) - 1))] * protocol._BLOCK
+    # |c_level| = |cos(g_m sqrt(level) tau)| = 1
+    cooling_free = replace(params, tau=math.pi / (params.g_m * math.sqrt(level)))
+    magnitude = build_table("conventional", cooling_free, initial.n_max).magnitude
+    assert magnitude[level] == pytest.approx(1.0, abs=1e-12)
+    schedule = ProtocolSchedule((
+        first,
+        Segment("conventional", cooling_free, later),
+        Segment(detuned, replace(params, delta_e=3.0 * params.g_m), later),
+        Segment("driven", params, 300, until_n_bar=until)))
+    with pytest.MonkeyPatch.context() as patch:
+        _assert_compaction_keeps(run(initial, schedule),
+                                 _uncompacted(patch, run, initial, schedule))
+
+
+def _nan_in_a_dropped_row(monkeypatch, plant):
+    """fig6's survival curve, with a NaN in the log survival of its top
+    level, and in the view there too at the first compaction that drops
+    rows if ``plant``; that row would be dropped without it."""
+    schedule, initial = _preset_start("fig6")
+    tables = protocol._tables(schedule, initial.n_max)
+    level = initial.n_max
+    poisoned = tables[0].log_survival.copy()
+    poisoned[level] = math.nan
+    monkeypatch.setitem(vars(tables[0]), "log_survival", poisoned)
+    compact = protocol._AmplitudeView.compact
+    planted = []
+
+    def planting(view):
+        eps = view.u[0] * protocol._DROP / view.size
+        dead = view.grid.max(axis=1) <= eps
+        if not planted and dead.sum() * protocol._BLOCK >= protocol._DOT_CHUNK:
+            assert dead[-1] and view.u.size == initial.n_max + 1
+            planted.append(level)
+            if plant:
+                view.u[level] = math.nan
+        return compact(view)
+    monkeypatch.setattr(protocol._AmplitudeView, "compact", planting)
+    survival = protocol._survival_curve(initial, schedule, tables)[0]
+    assert planted
+    return survival
+
+
+def test_a_nan_in_a_row_compaction_would_drop_still_fails_the_run(monkeypatch):
+    # the survival curve never forms its log-weights but to rebuild the view,
+    # so only the NaN in the view fails it: it must stay there to be summed
+    assert len(_nan_in_a_dropped_row(monkeypatch, plant=False)) == 301
+    with pytest.raises(ValueError, match="log_weights must be finite or -inf"):
+        _nan_in_a_dropped_row(monkeypatch, plant=True)
+
+
+def _compacted_rebuild_case():
+    # 20,000 levels: level 1 on top and cooled by |cos 1| = 0.54 a step, the
+    # ground level e^-20 under it in amplitude, and every other level e^-30
+    # and more under it, so that rows 65 on are dropped at measurement 16,
+    # all but row 149: its level 19,108 ~ (44 pi)^2 sits e^-19.5 under level
+    # 1 and is all but cooling-free. The mass falls below _MIN_VIEW_MASS
+    # at measurement 30 or so, and the rebuilt view's top is level 19,108.
+    lw = -60.0 - 0.01 * np.arange(20_000)
+    lw[:2] = -40.0, 0.0
+    lw[19_108] = -39.0
+    return (ProtocolSchedule((Segment("conventional", PhysicalParams(g_m=1.0, tau=1.0), 60),)),
+            PopulationDistribution(lw))
+
+
+def test_a_compacted_view_is_rebuilt_over_its_kept_rows(monkeypatch):
+    schedule, initial = _compacted_rebuild_case()
+    want = _uncompacted(monkeypatch, run, initial, schedule)
+    kept = _compactions(monkeypatch)
+    refreshed = []  # whether the view had dropped rows at each rebuild
+    refresh = protocol._AmplitudeView.refresh
+
+    def traced(view, lw):
+        refreshed.append(isinstance(view.keep, np.ndarray))
+        refresh(view, lw)
+    monkeypatch.setattr(protocol._AmplitudeView, "refresh", traced)
+    got = run(initial, schedule)
+    assert kept[0] <= 64 and refreshed[0] is False and any(refreshed[1:])
+    assert got.records.n_bar[-1] > 13_000  # level 19,108 holds 73% of the weight
+    _assert_compaction_keeps(got, want)
+
+
+def test_a_view_far_above_its_ground_level_drops_nothing(monkeypatch):
+    # u_0 is e^-670 of the top amplitude, so eps = 2^-60 u_0 / size is under
+    # e^-708, where the view holds level 19,108 at 0 though it is not empty:
+    # once level 1 has decayed under it, it holds all of n_bar. The view
+    # drops rows only after its rebuilds have brought u_0 up, and keeps
+    # that level's row then.
+    lw = np.full(20_000, -math.inf)
+    lw[:2] = -640.0, 700.0
+    lw[19_108] = -716.0
+    initial = PopulationDistribution(lw)
+    schedule = ProtocolSchedule((Segment("conventional", PhysicalParams(g_m=1.0, tau=1.0),
+                                         1_300),))
+    kept = _compactions(monkeypatch)
+    got = run(initial, schedule)
+    assert kept == [2] and not got.terminated_early
+    assert got.records.n_bar[-1] > 1e-30
+    _assert_compaction_keeps(got, _uncompacted(monkeypatch, run, initial, schedule))
+
+
+def test_compaction_keeps_the_gain_and_leaves_small_views_alone(monkeypatch):
+    # by its last measurement, fig6's view holds at most half of its 182 grid rows
+    kept = _compactions(monkeypatch)
+    views = []
+    compact = protocol._AmplitudeView.compact
+    monkeypatch.setattr(protocol._AmplitudeView, "compact",
+                        lambda view: views.append(view) or compact(view))
+    schedule, initial = _preset_start("fig6")
+    got = run(initial, schedule)
+    assert kept and kept[-1] <= 182 // 2
+    # its sums take one dot over the kept levels of each 8,192-level chunk, left to right
+    view = views[-1]
+    per_chunk = protocol._DOT_CHUNK // protocol._BLOCK
+    mass = moment = 0.0
+    for chunk in sorted(set((view.row_ids // per_chunk).tolist())):
+        held = np.repeat(view.row_ids // per_chunk == chunk, protocol._BLOCK)[:view.u.size]
+        u, v = view.u[held], view.v[held]
+        mass += float(u.dot(u))
+        moment += float(v.dot(v))
+    assert view._mass_and_moment() == (mass, moment) and view._mass() == (mass,)
+    # so a dropped row moves no mass or moment: only the thermal fidelity moves
+    want = _uncompacted(monkeypatch, run, initial, schedule)
+    for field in ("n_bar", "ground_fidelity", "survival_probability"):
+        assert got.records[field].tobytes() == want.records[field].tobytes(), field
+    assert got.final.norm_log == want.final.norm_log
+    np.testing.assert_allclose(got.records.thermal_fidelity, want.records.thermal_fidelity,
+                               rtol=1e-14, atol=0.0)
+    # fig4's 2,320 levels never compact: its records are those of a view that drops nothing
+    del kept[:], views[:]
+    schedule, initial = _preset_start("fig4")
+    records = run(initial, schedule).records
+    assert not kept and not views
+    assert records.tobytes() == _uncompacted(monkeypatch, run, initial, schedule).records.tobytes()
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -1152,6 +1387,7 @@ SURVIVAL_CASES = {
                           Segment("driven", PARAMS_DRIVEN, 10))),
         thermal_distribution(THERMAL_10K)),
     "rebuilds": _rebuild_case,
+    "compacted-rebuild": _compacted_rebuild_case,
     "norm-floor": _floor_then_more_case,
 }
 

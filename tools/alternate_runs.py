@@ -27,7 +27,8 @@ calls, end to end, each side writing into a directory of its own:
 ``runner.run_experiment`` for ``run-fig5c`` (the run, its run,
 histogram and coefficient CSVs and the manifest), ``run-fig3a`` (an
 81-row run and its ``run.csv``), ``run-fig4`` (a 301-row ``run.csv``
-and the manifest) and ``run-fig2`` (the coefficient-only export of two
+and the manifest), ``run-hot-100k`` (the ``hot-100k`` run at n_max
+23,189, its ``run.csv`` and the manifest) and ``run-fig2`` (the coefficient-only export of two
 2,501-row tables with powers [1, 10], whose n_max is its tables');
 ``runner.run_sweep`` for ``run-fig8``, whose config has a ``sweep``
 block (``sweep.csv`` and the manifest); and ``runner.run_trajectories``
@@ -100,6 +101,7 @@ CASES = {
     "run-fig3a": {"preset": "fig3a", "experiment": True},
     "run-fig2": {"preset": "fig2", "experiment": True},
     "run-fig4": {"preset": "fig4", "experiment": True},
+    "run-hot-100k": {**_HOT_100K, "experiment": True},
     "run-fig8": {"preset": "fig8", "experiment": True},
     "run-traj-fig4": {"preset": "fig4", "experiment": True, "trajectories": 250_000},
     "oracle-check": {"oracle_check": {"draws": 200, "seed": 7}},
