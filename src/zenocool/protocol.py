@@ -22,16 +22,18 @@ The observables come from an amplitude view of the state,
 u_n = exp((lw_n - top) / 2) and v_n = sqrt(n) u_n, which each measurement
 multiplies by |c_n|: the mass u.u, n_bar = v.v / u.u and the ground
 fidelity u_0^2 / u.u take no ``exp`` and write no product array per step.
-The view is built from the log-weights with one ``exp`` at the start of a
-run, and rebuilt whenever its mass falls below ``_MIN_VIEW_MASS``, so it
-stays exact over any dynamic range. A step touches the view alone: the
-log-weights are formed as lw_start + j log_survival (:func:`_advance`)
-only when the view is rebuilt at step j of a segment, and once at the
-segment's end, so each carries two roundings per segment, not one per
-measurement. The view is not rebuilt at a segment switch, which would
-cost an ``exp`` pass and gain nothing: at the switch of ``fig7`` a
-rebuild leaves the final n_bar 6e-17 relative from a long-double
-evaluation, as no rebuild does.
+Each sum takes one dot per ``_DOT_CHUNK``-level chunk of the level grid,
+over the levels the view holds there, added left to right, whether or not
+the view has dropped rows. The view is built from the log-weights with
+one ``exp`` at the start of a run, and rebuilt whenever its mass falls
+below ``_MIN_VIEW_MASS``, so it stays exact over any dynamic range. A
+step touches the view alone: the log-weights are formed as
+lw_start + j log_survival (:func:`_advance`) only when the view is
+rebuilt at step j of a segment, and once at the segment's end, so each
+carries two roundings per segment, not one per measurement. The view is
+not rebuilt at a segment switch, which would cost an ``exp`` pass and
+gain nothing: at the switch of ``fig7`` a rebuild leaves the final n_bar
+6e-17 relative from a long-double evaluation, as no rebuild does.
 
 A run over more than 2 ``_DOT_CHUNK`` levels also drops emptied rows
 from the view (:meth:`_AmplitudeView.compact`). At measurements 16, 32,
@@ -184,11 +186,12 @@ class _AmplitudeView:
     their share stays below exp(2 LOG_TINY) / _MIN_VIEW_MASS.
 
     u and v = sqrt(n) u are the two rows of one buffer, zero past the
-    last level. Each sum adds its dots over ``_DOT_CHUNK``-level
-    chunks left to right, the whole chunks of both rows in one batched
-    ``matmul`` and the rest (unpadded: ddot orders a short tail otherwise)
-    in one dot per row, so the mass is bitwise one ddot per chunk. OpenBLAS
-    threads a longer ddot, which on 2 cores slowed a run at n_max 23,189.
+    last level. :meth:`_sums` adds one dot per part left to right, a part
+    being the levels the view holds of one ``_DOT_CHUNK``-level chunk of
+    the whole grid (``parts``; the last is unpadded: ddot orders a short
+    tail otherwise), so the mass of a view that has dropped nothing is
+    bitwise one ddot per chunk. OpenBLAS threads a longer ddot, which on 2
+    cores slowed a run at n_max 23,189.
 
     u is the head of a grid of ``_BLOCK`` columns, level n = _BLOCK a + b
     at row a, column b, so that the thermal-fidelity overlap
@@ -206,13 +209,12 @@ class _AmplitudeView:
     and ``keep`` their levels (``slice(None)`` until a row is dropped): a
     step scales u by |c_n| gathered over ``keep``, a rebuild refills the
     kept rows alone, and the overlap takes each kept row's own
-    rho^(_BLOCK a). A compacted view is a :class:`_CompactedView`, whose
-    sums take one dot over the kept levels of each chunk of the whole
-    grid: rows move by whole ``_BLOCK``-level strides, so a ddot adds each
-    kept term in the lane it had, and a dropped term was under half an
-    ulp of what it met there. On ``fig6`` and the ``hot-100k`` case the
-    mass and moment stay bitwise those of the whole view, so only the
-    thermal fidelity moves, by about 1e-15.
+    rho^(_BLOCK a). The parts are cut over the kept rows the same way:
+    rows move by whole ``_BLOCK``-level strides, so a ddot adds each kept
+    term in the lane it had, and a dropped term was under half an ulp of
+    what it met there. On ``fig6`` and the ``hot-100k`` case the mass and
+    moment stay bitwise those of the whole view, so only the thermal
+    fidelity moves, by about 1e-15.
     """
 
     def __init__(self, size: int):
@@ -228,20 +230,13 @@ class _AmplitudeView:
         rows = row_ids.size
         self.row_ids, self.end = row_ids, int(row_ids[-1]) + 1
         self.grid = self.uv[0, :rows * _BLOCK].reshape(rows, _BLOCK)
-        self.u, self.v = self.uv[:, :held]
+        u, v = self.u, self.v = self.uv[0, :held], self.uv[1, :held]
         # below[a]: how many kept rows lie under grid row a, for a = 0..end
-        if rows == self.end:  # every row: the whole chunks in one batched matmul
-            self.below = range(rows + 1)
-            whole = held - held % _DOT_CHUNK if held > _DOT_CHUNK else 0
-            self.chunks = (self.uv[:, :whole].reshape(2, -1, 1, _DOT_CHUNK),
-                           self.uv[:, :whole].reshape(2, -1, _DOT_CHUNK, 1))
-            self.rest = tuple(self.uv[:, whole:held])
-        else:  # one dot over the kept levels of each chunk of the whole grid
-            self.below = np.searchsorted(row_ids, np.arange(self.end + 1)).tolist()
-            starts = np.flatnonzero(np.diff(row_ids // (_DOT_CHUNK // _BLOCK))) + 1
-            edges = [0, *(starts * _BLOCK).tolist(), held]
-            self.parts = tuple(tuple(self.uv[:, a:b]) for a, b in zip(edges, edges[1:]))
-            self.__class__ = _CompactedView  # whose sums read the parts
+        self.below = (range(rows + 1) if rows == self.end
+                      else row_ids.searchsorted(np.arange(self.end + 1)).tolist())
+        # parts: the kept levels of each _DOT_CHUNK-level chunk of the whole grid that has any
+        edges = [_BLOCK * a for a in self.below[:self.end:_DOT_CHUNK // _BLOCK]] + [held]
+        self.parts = [(u[a:b], v[a:b]) for a, b in zip(edges, edges[1:]) if a < b]
         # n = _BLOCK a + b: exponents b along a row, then _BLOCK a down the rows
         self.exponents = np.concatenate((np.arange(_BLOCK, dtype=float),
                                          row_ids * float(_BLOCK)))
@@ -267,9 +262,9 @@ class _AmplitudeView:
     def compact(self) -> bool:
         """Drop the rows of amplitudes at most eps = ``_DROP`` u_0 / size,
         once the rows dropped since the start hold ``_DOT_CHUNK`` levels or
-        more, and re-cut every view over the rest (:meth:`_cut`); True if
-        it dropped any. A row holding a NaN is kept, so that the next sum
-        still fails. Nothing is dropped where eps is under
+        more, and re-cut every view and part over the rest (:meth:`_cut`);
+        True if it dropped any. A row holding a NaN is kept, so that the
+        next sum still fails. Nothing is dropped where eps is under
         exp(``LOG_TINY``): a level the view holds at 0 may then exceed it.
         """
         eps = float(self.u[0]) * _DROP / self.size
@@ -287,24 +282,14 @@ class _AmplitudeView:
         self._cut(row_ids, self.keep.size)
         return True
 
-    def _mass_and_moment(self) -> tuple[float, float]:
-        """u.u and v.v, each summed over its chunks left to right."""
+    def _sums(self, moments: bool) -> tuple[float, ...]:
+        """(u.u, v.v), or (u.u,) without ``moments``: one dot per part, added left to right."""
         mass = moment = 0.0
-        if self.chunks[0].size:
-            for m, n in zip(*np.matmul(*self.chunks).reshape(2, -1).tolist()):
-                mass += m
-                moment += n
-        u, v = self.rest
-        return mass + float(u.dot(u)), moment + float(v.dot(v))
-
-    def _mass(self) -> tuple[float]:
-        """(u.u,), bitwise the mass of :meth:`_mass_and_moment`, from u alone."""
-        mass = 0.0
-        if self.chunks[0].size:
-            for m in np.matmul(self.chunks[0][0], self.chunks[1][0]).ravel().tolist():
-                mass += m
-        u = self.rest[0]
-        return (mass + float(u.dot(u)),)
+        for u, v in self.parts:
+            mass += float(u.dot(u))
+            if moments:
+                moment += float(v.dot(v))
+        return (mass, moment) if moments else (mass,)
 
     def _overlap(self, log_rho: float) -> float:
         """sum_n u_n rho^n, dropping each factor rho^b, rho^(_BLOCK a) under exp(LOG_TINY)."""
@@ -331,14 +316,15 @@ class _AmplitudeView:
         mass where it is known exactly (the initial state). A term of the
         thermal overlap whose rho^n has a factor under exp(``LOG_TINY``) is
         dropped; u_n^2 <= mass and Z >= 1, so it would move the fidelity's
-        square root by less than exp(LOG_TINY). Without ``moments`` only
-        the survival and log mass are read, off u alone (:meth:`_mass`; v
-        need only be current after a rebuild), and the rest are NaN.
+        square root by less than exp(LOG_TINY). The mass and moment are
+        :meth:`_sums` of the view. Without ``moments`` only the survival and
+        log mass are read, off u alone (v need only be current after a
+        rebuild), and the rest are NaN.
         """
-        found = self._mass_and_moment() if moments else self._mass()
+        found = self._sums(moments)
         if not found[0] >= _MIN_VIEW_MASS:  # also NaN and an empty view
             self.refresh(log_weights())
-            found = self._mass_and_moment() if moments else self._mass()
+            found = self._sums(moments)
         mass = found[0]
         if norm_log is None:
             norm_log = self.top + math.log(mass)
@@ -358,27 +344,6 @@ class _AmplitudeView:
         else:
             thermal = ground
         return n_bar, ground, survival, thermal, norm_log
-
-
-class _CompactedView(_AmplitudeView):
-    """An amplitude view that has dropped rows (:meth:`_AmplitudeView.compact`).
-
-    Its sums take one dot over the kept levels of each chunk of the whole
-    grid (``parts``), left to right, in place of the batched whole chunks.
-    """
-
-    def _mass_and_moment(self) -> tuple[float, float]:
-        mass = moment = 0.0
-        for u, v in self.parts:
-            mass += float(u.dot(u))
-            moment += float(v.dot(v))
-        return mass, moment
-
-    def _mass(self) -> tuple[float]:
-        mass = 0.0
-        for u, _ in self.parts:
-            mass += float(u.dot(u))
-        return (mass,)
 
 
 def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResult:

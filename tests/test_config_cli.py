@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import zenocool.runner
 
@@ -1034,6 +1034,9 @@ MUTATED_PRESETS = ["fig2", "fig3a", "fig5a", "fig7", "fig7_switch", "fig8", "fig
 @given(preset=st.sampled_from(MUTATED_PRESETS),
        changes=st.dictionaries(st.sampled_from(sorted(MUTATIONS)),
                                st.integers(0, 10), max_size=4))
+# a dimensionless run, whose T_eff_K is nan, and a sweep whose every point fails
+@example(preset="fig2", changes={"n_bar_th": 1, "outputs": 0, "segments": 5})
+@example(preset="fig8", changes={"hard_cap": 2})
 def test_cli_never_raises_on_any_config(preset, changes):
     config = dict(PRESETS[preset])
     for key, pick in changes.items():
@@ -1045,9 +1048,26 @@ def test_cli_never_raises_on_any_config(preset, changes):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_config(Path(tmp), config)
         for command in ("run", "coeffs", "sweep"):
-            code = main(["--quiet", command, "--config", str(path),
-                         "--out-dir", os.path.join(tmp, command)])
+            out_dir = Path(tmp, command)
+            code = main(["--quiet", command, "--config", str(path), "--out-dir", str(out_dir)])
             assert code in (0, 1, 2), (command, config)
+            if code == 0:
+                _assert_finite_cells(out_dir, parse_config(path).si_units)
+
+
+def _assert_finite_cells(out_dir, si_units):
+    """Every cell of every CSV under ``out_dir`` is a finite number, but
+    the ``axis`` and ``error`` text, the empty cells of a failed sweep row,
+    and ``T_eff_K`` of a dimensionless config, which has no kelvin scale
+    and reports ``nan``."""
+    for path in out_dir.rglob("*.csv"):
+        for row in read_csv(path):
+            failed = bool(row.get("error"))
+            for key, cell in row.items():
+                if (key in ("axis", "error") or failed and cell == ""
+                        or key == "T_eff_K" and not si_units and cell == "nan"):
+                    continue
+                assert math.isfinite(float(cell)), (path.name, key, cell)
 
 
 def _counted_trajectories(monkeypatch, tmp_path, preset):

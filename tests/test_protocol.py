@@ -507,20 +507,12 @@ def test_run_final_log_weights_are_those_of_the_terminal_record(monkeypatch, cas
 
 
 @pytest.mark.parametrize("size", [1, 24, 8192, 8193, 23190, 57345, 65536])
-def test_amplitude_view_sums(size, monkeypatch):
+def test_amplitude_view_sums(size):
     # The mass is bitwise the left-to-right sum of the 8,192-level chunk
     # dots that a ddot per chunk gives, whatever the number of chunks
     # (1 to 8 here), also when summed from u alone, and the moment v.v is
     # sum_n n u_n^2 to 1e-15.
     chunk = protocol._DOT_CHUNK
-    handed = []  # the length of every dot that matmul hands to BLAS
-    real = np.matmul
-
-    def matmul(a, b, *args, **kwargs):
-        handed.append(a.shape[-1])
-        return real(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(protocol.np, "matmul", matmul)
     rng = np.random.default_rng(size)
     lw = rng.uniform(-2.0, 0.0, size)  # chunks of comparable mass
     lw[rng.random(size) < 0.1] = -math.inf
@@ -541,14 +533,26 @@ def test_amplitude_view_sums(size, monkeypatch):
         for i in range(0, size, chunk):
             want_mass += float(u[i:i + chunk].dot(u[i:i + chunk]))
         want_moment = float((levels * u.astype(np.longdouble) ** 2).sum())
-        mass, moment = view._mass_and_moment()
+        mass, moment = view._sums(True)
         assert mass == want_mass
-        assert view._mass() == (mass,)
+        assert view._sums(False) == (mass,)
         assert abs(moment - want_moment) <= 1e-15 * want_moment
         assert not view.uv[:, size:].any()
     assert size < 24 or subnormal and not view.u.all()
-    assert all(n <= chunk for n in handed) and all(r.size <= chunk for r in view.rest)
-    assert bool(handed) == (size > chunk)
+    _assert_parts_tile_u(view)
+
+
+def _assert_parts_tile_u(view):
+    """Every part of ``view`` holds at most ``_DOT_CHUNK`` levels, and its
+    parts tile u and v, in order."""
+    chunk, held = protocol._DOT_CHUNK, 0
+    for u, v in view.parts:
+        assert 0 < u.size <= chunk and v.size == u.size
+        # a view of each row of the buffer, starting where the last part ended
+        assert u.ctypes.data == view.u[held:].ctypes.data
+        assert v.ctypes.data == view.v[held:].ctypes.data
+        held += u.size
+    assert held == view.u.size
 
 
 def _overlap_reference(view, log_rho):
@@ -852,7 +856,8 @@ def test_compaction_keeps_the_gain_and_leaves_small_views_alone(monkeypatch):
         u, v = view.u[held], view.v[held]
         mass += float(u.dot(u))
         moment += float(v.dot(v))
-    assert view._mass_and_moment() == (mass, moment) and view._mass() == (mass,)
+    assert view._sums(True) == (mass, moment) and view._sums(False) == (mass,)
+    _assert_parts_tile_u(view)
     # so a dropped row moves no mass or moment: only the thermal fidelity moves
     want = _uncompacted(monkeypatch, run, initial, schedule)
     for field in ("n_bar", "ground_fidelity", "survival_probability"):
