@@ -167,6 +167,11 @@ def sample_trajectories(initial: PopulationDistribution,
 _DRAW_KINDS = ("driven-detuned", "driven", "conventional-detuned", "conventional")
 
 
+def _check_draws(n_draws: int) -> None:
+    if not n_draws >= 1:  # the report's worst errors need a draw
+        raise ValueError(f"draws must be at least 1, got {n_draws}")
+
+
 def compare_random_draws(n_draws: int, seed: int) -> list[dict]:
     """Closed form versus eigen-exponential on random parameter draws.
 
@@ -176,8 +181,9 @@ def compare_random_draws(n_draws: int, seed: int) -> list[dict]:
     closed-form call and one eigen-solve per block size (1 for n = 0, 3
     otherwise). Each row carries the raw complex difference and the
     magnitude (phase aligned) difference, plus the propagator's unitarity
-    defect.
+    defect. Raises ``ValueError`` for fewer than one draw.
     """
+    _check_draws(n_draws)
     rng = np.random.default_rng(seed)
     draws = []
     for i in range(n_draws):

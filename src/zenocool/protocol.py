@@ -27,10 +27,14 @@ over the levels the view holds there, added left to right, whether or not
 the view has dropped rows. The view is built from the log-weights with
 one ``exp`` at the start of a run, and rebuilt whenever its mass falls
 below ``_MIN_VIEW_MASS``, so it stays exact over any dynamic range. A
-step touches the view alone: the log-weights are formed as
-lw_start + j log_survival (:func:`_advance`) only when the view is
-rebuilt at step j of a segment, and once at the segment's end, so each
-carries two roundings per segment, not one per measurement. The view is
+step touches the view alone: the log-weights are formed only for a
+rebuild and for the final state. A rebuild at step j of a segment forms
+lw_start + j log_survival (:func:`_advance`), lw_start being formed from
+the segments already run at the segment's first rebuild, and a run's
+final state is lw_0 + sum_i k_i log_survival_i, through the same chain
+(:func:`_log_weights`); each carries two roundings per segment, not one
+per measurement. The survival pass of the trajectory sampler forms no
+log-weights on a thermal start, which is never rebuilt. The view is
 not rebuilt at a segment switch, which would cost an ``exp`` pass and
 gain nothing: at the switch of ``fig7`` a rebuild leaves the final n_bar
 6e-17 relative from a long-double evaluation, as no rebuild does.
@@ -364,8 +368,9 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
     Each measurement scales the amplitude view of the module docstring,
     and the records come from it. The log-weights after k measurements of
     a segment are ``lw_start + k log_survival`` (:func:`_advance`), formed
-    only where the view is rebuilt and at the segment's end; the final
-    state wraps the last of them, as :func:`_terminal_record` forms it.
+    only where the view is rebuilt; the final state wraps
+    ``lw_0 + sum_i k_i log_survival_i``, formed once after the step loop
+    by :func:`_log_weights`, as :func:`_terminal_record` forms it.
     A NaN weight propagates into the view's mass, and the rebuild it
     forces fails as the distribution's own check would.
 
@@ -375,8 +380,9 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
     whose table cannot be built raises even if the run would stop first.
     """
     tables = _tables(schedule, initial.n_max)
-    rows, lw, norm_log, terminated, steps_run = _evolve(initial, schedule, tables, True)
-    return RunResult(_records(rows, schedule), PopulationDistribution(lw, norm_log=norm_log),
+    rows, norm_log, terminated, steps_run = _evolve(initial, schedule, tables, True)
+    final = _log_weights(initial.log_weights, tables, steps_run)
+    return RunResult(_records(rows, schedule), PopulationDistribution(final, norm_log=norm_log),
                      terminated, steps_run, tables)
 
 
@@ -408,9 +414,13 @@ def _evolve(initial: PopulationDistribution, schedule: ProtocolSchedule,
     its ``until_n_bar``, and the run below the norm floor. A schedule with
     an ``until_n_bar`` segment reads the moments whatever ``moments`` says,
     so it stops where :func:`run` stops. Returns the rows (step, n_bar,
-    ground, survival, thermal, segment), the final log-weights and log
-    mass, whether the run stopped at the floor, and the measurements each
-    segment ran.
+    ground, survival, thermal, segment), the final log mass, whether the
+    run stopped at the floor, and the measurements each segment ran.
+
+    The log-weights are formed only where the view is rebuilt: a
+    segment's start (:func:`_log_weights` of the segments already run) at
+    its first rebuild, then :func:`_advance` from it. A thermal start is
+    never rebuilt, so it forms none.
     """
     moments = moments or any(s.until_n_bar is not None for s in schedule.segments)
     lw = initial.log_weights
@@ -431,9 +441,13 @@ def _evolve(initial: PopulationDistribution, schedule: ProtocolSchedule,
             continue
         magnitude = table.magnitude[view.keep]
         due = first
+        start = None  # the segment's start log-weights, formed at its first rebuild
 
-        def log_weights():  # called within the step loop: lw at the segment's start
-            return _advance(lw, table, k)
+        def log_weights():  # called within the step loop, at step k of this segment
+            nonlocal start
+            if start is None:  # steps_run holds 0 from this segment on
+                start = _log_weights(lw, tables, steps_run)
+            return _advance(start, table, k)
         for k in range(1, seg.steps + 1):
             u *= magnitude
             if moments:
@@ -450,8 +464,19 @@ def _evolve(initial: PopulationDistribution, schedule: ProtocolSchedule,
             if seg.until_n_bar is not None and n_bar <= seg.until_n_bar:
                 break
         steps_run[seg_id] = k
-        lw = _advance(lw, table, k)
-    return rows, lw, norm_log, terminated, tuple(steps_run)
+    return rows, norm_log, terminated, tuple(steps_run)
+
+
+def _log_weights(lw: np.ndarray, tables: tuple[CoefficientTable | None, ...],
+                 steps_run) -> np.ndarray:
+    """``lw + sum_i k_i log_survival_i``: the log-weights after k_i =
+    ``steps_run[i]`` measurements of each segment's table, formed segment
+    by segment through :func:`_advance`, so a final state, a terminal
+    record and a rebuild's segment start carry the same roundings."""
+    for table, k in zip(tables, steps_run):
+        if k:
+            lw = _advance(lw, table, k)
+    return lw
 
 
 def _advance(lw: np.ndarray, table: CoefficientTable, k: int) -> np.ndarray:
@@ -505,8 +530,8 @@ def _terminal_record(initial: PopulationDistribution, schedule: ProtocolSchedule
 
     Each segment applies one fixed diagonal operator, so k_i measurements
     of segment i leave the log-weights ``initial + sum_i k_i log_survival_i``,
-    formed segment by segment by :func:`_advance` as :func:`run` forms its
-    final state: one observation of that state is the terminal record.
+    formed by :func:`_log_weights` as :func:`run` forms its final state:
+    one observation of that state is the terminal record.
     k_i is the segment's budget, except up to the last segment that stops
     on n_bar, where it is the ``steps_run`` of :func:`_survival_curve` over
     that prefix of the schedule: what follows that segment cannot change
@@ -524,12 +549,8 @@ def _terminal_record(initial: PopulationDistribution, schedule: ProtocolSchedule
         j = stops[-1] + 1
         steps_run[:j] = _survival_curve(initial, ProtocolSchedule(segments[:j]),
                                         tables[:j])[1]
-    lw = initial.log_weights
-    last = 0
-    for seg_id, (table, k) in enumerate(zip(tables, steps_run)):
-        if k:
-            lw = _advance(lw, table, k)
-            last = seg_id
+    lw = _log_weights(initial.log_weights, tables, steps_run)
+    last = max((seg_id for seg_id, k in enumerate(steps_run) if k), default=0)
     steps = sum(steps_run)
     n_bar, ground, survival, thermal, _ = _AmplitudeView(lw.size).observe(
         lambda: lw, None if steps else initial.norm_log)

@@ -17,6 +17,14 @@ A rerun into the same out-dir, as every benchmark pass is, would
 otherwise truncate each file to zero, or rename a new one over it, and
 ext4's default ``auto_da_alloc`` starts writeback of such a file when it
 is closed: about 100 µs a file, against about 10 µs in place.
+
+Each call opens each of its files once and creates no other file. The
+open of the JSON file it writes last (``manifest.json``, or
+``oracle_report.json`` for the oracle check) is the probe that the
+out-dir is writable: it comes before any computation, and the file is
+later written through that open (:func:`_claimed`). A call that raises
+removes that file; one killed mid-computation can leave an empty
+``manifest.json`` in a fresh out-dir.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from .protocol import (
     run,
     sweep,
 )
-from .oracle import compare_random_draws, sample_trajectories
+from .oracle import _check_draws, compare_random_draws, sample_trajectories
 from .config import ConfigError, ExperimentConfig
 
 RUN_COLUMNS = ("N", "n_bar", "F_ground", "P_g", "T_eff_K", "F_th", "segment")
@@ -54,13 +62,20 @@ RUN_COLUMNS = ("N", "n_bar", "F_ground", "P_g", "T_eff_K", "F_th", "segment")
 UNITARITY_TOLERANCE = 1e-12
 
 
-def _write(path: Path, chunks):
+# every artifact's open: it creates a missing file and keeps an existing one's bytes
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _write(path: Path, chunks, fh=None):
     """Write the byte strings ``chunks`` to ``path`` over what it holds,
-    then cut it at their end; a symlink's target is rewritten. The cut
-    also runs when ``chunks`` raises, so a failed write leaves what it
-    wrote and nothing of the old file, as a truncating open did."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb") as fh:
+    then cut it at their end; a symlink's target is rewritten. ``fh``,
+    where given, is ``path`` as :func:`_claimed` opened it, and is closed
+    here. The cut also runs when ``chunks`` raises, so a failed write
+    leaves what it wrote and nothing of the old file, as a truncating
+    open did."""
+    if fh is None:
+        fh = open(os.open(path, _WRITE_FLAGS, 0o666), "wb")
+    with fh:
         try:
             fh.writelines(chunks)
         finally:
@@ -72,12 +87,25 @@ def _write_csv(path: Path, header, columns):
     _write(path, chain([(",".join(header) + "\n").encode()], lines(columns)))
 
 
-def _probe_writable(out_dir: Path):
-    """Fail on unwritable output locations before any computation starts."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    probe = out_dir / ".write_probe"
-    probe.touch()
-    probe.unlink()
+@contextmanager
+def _claimed(path: Path):
+    """Open ``path`` for :func:`_write`, making its directory first, and
+    yield the open file, which the body writes last; it is closed however
+    the body ends.
+
+    This open is the probe that the out-dir is writable: it fails before
+    any computation and creates no file but ``path``. A body that raises
+    removes ``path``, also one an earlier call left there, which would
+    describe files this call may have partly rewritten.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fh = open(os.open(path, _WRITE_FLAGS, 0o666), "wb")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _record_columns(records: np.ndarray) -> list[np.ndarray]:
@@ -113,41 +141,38 @@ def _dimensionless_params(params) -> dict:
             "tau": params.tau, "omega_m_rad_s": params.omega_m}
 
 
-def _write_json(path: Path, data: dict):
-    """A one-shot ``dumps`` without ``indent`` runs json's C encoder."""
-    _write(path, [(json.dumps(data, sort_keys=True) + "\n").encode()])
+def _write_json(path: Path, data: dict, fh=None):
+    """A one-shot ``dumps`` without ``indent`` runs json's C encoder;
+    ``fh`` is :func:`_write`'s."""
+    _write(path, [(json.dumps(data, sort_keys=True) + "\n").encode()], fh)
 
 
 @contextmanager
 def _artifacts(out_dir, config: ExperimentConfig, command: str):
-    """Probe ``out_dir``, time the body and then write its ``manifest.json``.
+    """Open ``out_dir``'s ``manifest.json`` (:func:`_claimed`, the probe),
+    time the body and then write the manifest through that open file.
 
     Yields ``(out_dir, outputs, resolved)``: the body names each file it
     writes in ``outputs`` and adds what it resolved to ``resolved``, which
     starts with the config's params and seed. A body that raises leaves no
-    manifest: one that an earlier call left in ``out_dir`` would describe
-    files this call may have partly rewritten, so it is removed.
+    manifest.
     """
     out_dir = Path(out_dir)
-    _probe_writable(out_dir)
-    start = time.perf_counter()
-    outputs: dict[str, str] = {}
-    resolved = {"params": _dimensionless_params(config.params), "seed": config.seed}
     path = out_dir / "manifest.json"
-    try:
+    with _claimed(path) as fh:
+        start = time.perf_counter()
+        outputs: dict[str, str] = {}
+        resolved = {"params": _dimensionless_params(config.params), "seed": config.seed}
         yield out_dir, outputs, resolved
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-    _write_json(path, {
-        "package": "zenocool",
-        "version": __version__,
-        "command": command,
-        "config": config.to_dict(),
-        "resolved": resolved,
-        "outputs": outputs,
-        "wall_time_s": time.perf_counter() - start,
-    })
+        _write_json(path, {
+            "package": "zenocool",
+            "version": __version__,
+            "command": command,
+            "config": config.to_dict(),
+            "resolved": resolved,
+            "outputs": outputs,
+            "wall_time_s": time.perf_counter() - start,
+        }, fh=fh)
     outputs["manifest"] = str(path)
 
 
@@ -261,28 +286,33 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict[str, str]:
 
 def run_oracle_check(out_dir, *, draws: int = 200, seed: int = 7,
                      tolerance: float = 1e-10) -> dict:
-    """Closed form versus eigen-exponential report; raises if out of tolerance."""
-    out_dir = Path(out_dir)
-    _probe_writable(out_dir)
-    start = time.perf_counter()
-    rows = compare_random_draws(draws, seed)
+    """Closed form versus eigen-exponential report; raises if out of tolerance.
 
-    def worst(key):  # np.max, unlike max, carries a NaN through to the checks
-        return float(np.max([r[key] for r in rows]))
-    report = {
-        "seed": seed,
-        "draws": draws,
-        "max_abs_error": worst("abs_error"),
-        "max_phase_aligned_error": worst("phase_aligned_error"),
-        "max_unitarity_defect": worst("unitarity_defect"),
-        "tolerance": tolerance,
-        "unitarity_tolerance": UNITARITY_TOLERANCE,
-        "rows": rows,
-        "wall_time_s": time.perf_counter() - start,
-        "package": "zenocool",
-        "version": __version__,
-    }
-    _write_json(out_dir / "oracle_report.json", report)
+    ``oracle_report.json``'s own open is the probe (:func:`_claimed`): a
+    call whose draws raise leaves no report.
+    """
+    _check_draws(draws)
+    path = Path(out_dir) / "oracle_report.json"
+    with _claimed(path) as fh:
+        start = time.perf_counter()
+        rows = compare_random_draws(draws, seed)
+
+        def worst(key):  # np.max, unlike max, carries a NaN through to the checks
+            return float(np.max([r[key] for r in rows]))
+        report = {
+            "seed": seed,
+            "draws": draws,
+            "max_abs_error": worst("abs_error"),
+            "max_phase_aligned_error": worst("phase_aligned_error"),
+            "max_unitarity_defect": worst("unitarity_defect"),
+            "tolerance": tolerance,
+            "unitarity_tolerance": UNITARITY_TOLERANCE,
+            "rows": rows,
+            "wall_time_s": time.perf_counter() - start,
+            "package": "zenocool",
+            "version": __version__,
+        }
+        _write_json(path, report, fh=fh)
     # "not <=" so that a NaN error or tolerance fails the check
     if not report["max_abs_error"] <= tolerance:
         raise FloatingPointError(

@@ -204,6 +204,23 @@ def test_the_run_fig4_sweep_and_trajectory_runner_calls_write_their_files(tmp_pa
         "resolved"]["n_trajectories"] == 250_000
 
 
+def test_the_run_traj_fig7_case_against_itself(capsys, tmp_path):
+    """``run-traj-fig7`` is ``run_trajectories`` on fig7's two-segment schedule."""
+    tool = _load_tool()
+    assert tool.CASES["run-traj-fig7"] == {"preset": "fig7", "experiment": True,
+                                           "trajectories": 250_000}
+    assert len(zenocool.PRESETS["fig7"]["segments"]) == 2
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--cases", "run-traj-fig7", "--repeats", "2"]) == 0
+    case, n_max, *_, ratio = capsys.readouterr().out.splitlines()[1].split()
+    assert (case, n_max) == ("run-traj-fig7", "2319") and float(ratio) > 0.0
+    _, call = tool._call(zenocool, tool.CASES["run-traj-fig7"], tmp_path)
+    call()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "trajectories.csv"]
+    resolved = json.loads((tmp_path / "manifest.json").read_text())["resolved"]
+    assert (resolved["n_trajectories"], resolved["n_steps"]) == (250_000, 300)
+
+
 def test_an_oracle_check_case_against_itself(capsys):
     tool = _load_tool()
     src = str(ROOT / "src")

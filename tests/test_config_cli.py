@@ -244,8 +244,8 @@ def test_every_json_file_is_one_sorted_line_that_reads_as_the_indented_one(
     write_json = zenocool.runner._write_json
     written = []
 
-    def both(path, data):  # the indented copy goes out with the same data
-        write_json(path, data)
+    def both(path, data, **kwargs):  # the indented copy goes out with the same data
+        write_json(path, data, **kwargs)
         _indented_json(tmp_path / f"indented_{len(written)}.json", data)
         written.append(path)
     monkeypatch.setattr(zenocool.runner, "_write_json", both)
@@ -699,6 +699,63 @@ def test_an_unwritable_out_dir_fails_before_any_computation(tmp_path, monkeypatc
     with pytest.raises(OSError):
         entry(blocker / "out")
     assert entered == []
+
+
+def _listed(engine, result):
+    """The files a call lists: its outputs, or the oracle check's report."""
+    if engine == "compare_random_draws":
+        return ["oracle_report.json"]
+    return sorted(Path(path).name for path in result.values())
+
+
+@pytest.mark.parametrize("engine, entry", _PROBED_ENTRIES, ids=[e for e, _ in _PROBED_ENTRIES])
+def test_a_call_opens_each_file_once_and_creates_no_other(tmp_path, monkeypatch,
+                                                          engine, entry):
+    """The manifest's (or report's) own open is the probe: a call creates
+    no file but those it lists, opens each of them once, fresh or
+    rewritten, and removes nothing when it succeeds."""
+    out = tmp_path / "out"
+    opened, unlinked = [], []
+    os_open, os_unlink = os.open, os.unlink
+
+    def counted_open(path, *args, **kwargs):
+        if Path(path).parent == out:
+            opened.append(Path(path).name)
+        return os_open(path, *args, **kwargs)
+
+    def counted_unlink(path, *args, **kwargs):
+        unlinked.append(path)
+        return os_unlink(path, *args, **kwargs)
+    monkeypatch.setattr(os, "open", counted_open)
+    monkeypatch.setattr(os, "unlink", counted_unlink)
+    for _ in range(2):  # a fresh out-dir, then a rewrite of the same files
+        del opened[:]
+        listed = _listed(engine, entry(out))
+        assert sorted(p.name for p in out.iterdir()) == listed
+        assert sorted(opened) == listed
+    assert unlinked == []
+
+
+@pytest.mark.parametrize("engine, entry", _PROBED_ENTRIES, ids=[e for e, _ in _PROBED_ENTRIES])
+def test_a_call_whose_computation_raises_leaves_no_manifest_or_report(tmp_path, monkeypatch,
+                                                                      engine, entry):
+    def fail(*args, **kwargs):
+        raise FloatingPointError(f"{engine} failed")
+    entry(tmp_path / "earlier")
+    monkeypatch.setattr(zenocool.runner, engine, fail)
+    for out in (tmp_path / "fresh", tmp_path / "earlier"):
+        with pytest.raises(FloatingPointError, match=f"{engine} failed"):
+            entry(out)
+        left = sorted(p.name for p in out.iterdir())
+        assert not {"manifest.json", "oracle_report.json"} & set(left)
+    assert list((tmp_path / "fresh").iterdir()) == []
+
+
+@pytest.mark.parametrize("draws", [0, -3])
+def test_an_oracle_check_of_no_draws_fails_before_opening_anything(tmp_path, draws):
+    with pytest.raises(ValueError, match=f"draws must be at least 1, got {draws}"):
+        run_oracle_check(tmp_path / "out", draws=draws)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_below_a_file_exits_3_before_running(tmp_path, monkeypatch):

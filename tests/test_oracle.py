@@ -216,6 +216,12 @@ def test_batched_draws_match_the_one_block_path(seed):
         assert abs(row["unitarity_defect"] - one_block) <= 1e-15
 
 
+@pytest.mark.parametrize("n_draws", [0, -1])
+def test_compare_random_draws_needs_a_draw(n_draws):
+    with pytest.raises(ValueError, match=f"draws must be at least 1, got {n_draws}"):
+        compare_random_draws(n_draws, seed=7)
+
+
 def test_random_draws_keep_their_order():
     # (variant, n, g_m, tau, g_f, delta_e) of seed 7's first rows, as drawn
     # one parameter at a time in this order since the oracle check began

@@ -1466,3 +1466,65 @@ def test_survival_curve_raises_what_run_raises(monkeypatch, start, segment, pois
     with pytest.raises(ValueError) as got:
         protocol._survival_curve(initial, schedule, protocol._tables(schedule, initial.n_max))
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def _counted_advance(monkeypatch):
+    """The k of every ``protocol._advance`` call from here on."""
+    calls = []
+    advance = protocol._advance
+
+    def counted(lw, table, k):
+        calls.append(k)
+        return advance(lw, table, k)
+    monkeypatch.setattr(protocol, "_advance", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig7", "fig7_threshold"])
+def test_only_the_final_state_forms_log_weights_on_a_thermal_start(monkeypatch, name):
+    # the survival pass is never rebuilt on a thermal start, so it forms
+    # none; run forms its final state once, one _advance per segment run
+    schedule, initial = _preset_start(name)
+    tables = protocol._tables(schedule, initial.n_max)
+    calls = _counted_advance(monkeypatch)
+    protocol._survival_curve(initial, schedule, tables)
+    assert calls == []
+    result = run(initial, schedule)
+    assert calls == [k for k in result.steps_run if k] and len(calls) == len(schedule.segments)
+
+
+@pytest.mark.parametrize("case", sorted(TERMINAL_CASES))
+def test_run_final_log_weights_are_bitwise_the_shared_sum(case):
+    schedule, initial = TERMINAL_CASES[case]()
+    result = run(initial, schedule)
+    want = protocol._log_weights(initial.log_weights, result.tables, result.steps_run)
+    assert result.final.log_weights.tobytes() == want.tobytes()
+
+
+def test_a_rebuild_in_a_later_segment_forms_that_segment_start_once(monkeypatch):
+    # the rebuild case as two segments of different operators: every
+    # rebuild's log-weights are bitwise lw_0 + k_0 S_0 + j S_1, and the
+    # second segment's start lw_0 + 50 S_0 is formed at its first rebuild
+    # alone, so each rebuild after the first takes one _advance, the
+    # second segment's start one more and the final state two
+    schedule, initial = _rebuild_case()
+    seg = schedule.segments[0]
+    schedule = ProtocolSchedule((replace(seg, steps=50),
+                                 replace(seg, params=replace(seg.params, tau=seg.params.tau
+                                                             - 1e-3), steps=150)))
+    rebuilds = []
+    refresh = protocol._AmplitudeView.refresh
+
+    def counted(view, lw):
+        rebuilds.append(lw.tobytes())
+        refresh(view, lw)
+    monkeypatch.setattr(protocol._AmplitudeView, "refresh", counted)
+    calls = _counted_advance(monkeypatch)
+    result = run(initial, schedule)
+    assert result.steps_run == (50, 150)
+    first = {_summed_log_weights(initial, schedule, (j, 0)).tobytes() for j in range(51)}
+    second = {_summed_log_weights(initial, schedule, (50, j)).tobytes()
+              for j in range(1, 151)}
+    assert all(lw in first | second for lw in rebuilds)
+    assert sum(lw in second for lw in rebuilds) > 10
+    assert len(calls) == len(rebuilds) + 2

@@ -32,8 +32,9 @@ and the manifest), ``run-hot-100k`` (the ``hot-100k`` run at n_max
 2,501-row tables with powers [1, 10], whose n_max is its tables');
 ``runner.run_sweep`` for ``run-fig8``, whose config has a ``sweep``
 block (``sweep.csv`` and the manifest); and ``runner.run_trajectories``
-for ``run-traj-fig4``, which has a ``trajectories`` count (250,000
-trajectories at the fixed seed). The ``oracle-check`` case times
+for ``run-traj-fig4`` and ``run-traj-fig7``, which have a
+``trajectories`` count (250,000 trajectories at the fixed seed;
+``fig7``'s schedule has two segments). The ``oracle-check`` case times
 ``runner.run_oracle_check`` at 200 draws and seed 7, each side writing
 into a directory of its own, and its n_max reads 0; every other case
 times ``run``. Every ``run-*`` and ``oracle-check`` repeat rewrites the
@@ -104,6 +105,7 @@ CASES = {
     "run-hot-100k": {**_HOT_100K, "experiment": True},
     "run-fig8": {"preset": "fig8", "experiment": True},
     "run-traj-fig4": {"preset": "fig4", "experiment": True, "trajectories": 250_000},
+    "run-traj-fig7": {"preset": "fig7", "experiment": True, "trajectories": 250_000},
     "oracle-check": {"oracle_check": {"draws": 200, "seed": 7}},
 }
 TRAJECTORY_SEED = 1
