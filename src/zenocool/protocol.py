@@ -28,13 +28,10 @@ the view has dropped rows. The view is built from the log-weights with
 one ``exp`` at the start of a run, and rebuilt whenever its mass falls
 below ``_MIN_VIEW_MASS``, so it stays exact over any dynamic range. A
 step touches the view alone: the log-weights are formed only for a
-rebuild and for the final state. A rebuild at step j of a segment forms
-lw_start + j log_survival (:func:`_advance`), lw_start being formed from
-the segments already run at the segment's first rebuild, and a run's
-final state is lw_0 + sum_i k_i log_survival_i, through the same chain
-(:func:`_log_weights`); each carries two roundings per segment, not one
-per measurement. The survival pass of the trajectory sampler forms no
-log-weights on a thermal start, which is never rebuilt. The view is
+rebuild and for the final state, both as lw_0 + sum_i k_i log_survival_i
+over the measurements run so far (:func:`_log_weights`), with two
+roundings per segment, not one per measurement. A thermal start is never
+rebuilt, so its survival pass forms no log-weights. The view is
 not rebuilt at a segment switch, which would cost an ``exp`` pass and
 gain nothing: at the switch of ``fig7`` a rebuild leaves the final n_bar
 6e-17 relative from a long-double evaluation, as no rebuild does.
@@ -366,11 +363,10 @@ def run(initial: PopulationDistribution, schedule: ProtocolSchedule) -> RunResul
     since its survival probability is not a double.
 
     Each measurement scales the amplitude view of the module docstring,
-    and the records come from it. The log-weights after k measurements of
-    a segment are ``lw_start + k log_survival`` (:func:`_advance`), formed
-    only where the view is rebuilt; the final state wraps
-    ``lw_0 + sum_i k_i log_survival_i``, formed once after the step loop
-    by :func:`_log_weights`, as :func:`_terminal_record` forms it.
+    and the records come from it. The final state wraps
+    ``lw_0 + sum_i k_i log_survival_i`` (:func:`_log_weights`), formed
+    once after the step loop, as a rebuild and :func:`_terminal_record`
+    form it.
     A NaN weight propagates into the view's mass, and the rebuild it
     forces fails as the distribution's own check would.
 
@@ -415,12 +411,9 @@ def _evolve(initial: PopulationDistribution, schedule: ProtocolSchedule,
     an ``until_n_bar`` segment reads the moments whatever ``moments`` says,
     so it stops where :func:`run` stops. Returns the rows (step, n_bar,
     ground, survival, thermal, segment), the final log mass, whether the
-    run stopped at the floor, and the measurements each segment ran.
-
-    The log-weights are formed only where the view is rebuilt: a
-    segment's start (:func:`_log_weights` of the segments already run) at
-    its first rebuild, then :func:`_advance` from it. A thermal start is
-    never rebuilt, so it forms none.
+    run stopped at the floor, and the measurements each segment ran. A
+    rebuild forms the log-weights after the measurements run so far
+    (:func:`_log_weights`).
     """
     moments = moments or any(s.until_n_bar is not None for s in schedule.segments)
     lw = initial.log_weights
@@ -430,24 +423,17 @@ def _evolve(initial: PopulationDistribution, schedule: ProtocolSchedule,
     n_bar, ground, survival, thermal, norm_log = observe(lambda: lw, initial.norm_log, moments)
     rows = [(0, n_bar, ground, survival, thermal, 0)]
     steps_run = [0] * len(schedule.segments)
-    terminated = False
     # a view of more than two dot chunks drops its emptied rows at
     # measurements 16, 32, 64, ... of each segment; 0 never comes
     first = _FIRST_COMPACTION if lw.size > 2 * _DOT_CHUNK else 0
+
+    def log_weights():  # called within the step loop, at step k of segment seg_id
+        return _log_weights(lw, tables, (*steps_run[:seg_id], k))
     for seg_id, (seg, table) in enumerate(zip(schedule.segments, tables)):
-        if terminated:
-            break
         if table is None:
             continue
         magnitude = table.magnitude[view.keep]
         due = first
-        start = None  # the segment's start log-weights, formed at its first rebuild
-
-        def log_weights():  # called within the step loop, at step k of this segment
-            nonlocal start
-            if start is None:  # steps_run holds 0 from this segment on
-                start = _log_weights(lw, tables, steps_run)
-            return _advance(start, table, k)
         for k in range(1, seg.steps + 1):
             u *= magnitude
             if moments:
@@ -458,35 +444,26 @@ def _evolve(initial: PopulationDistribution, schedule: ProtocolSchedule,
                     u, v, magnitude = view.u, view.v, table.magnitude[view.keep]
             n_bar, ground, survival, thermal, norm_log = observe(log_weights, None, moments)
             rows.append((len(rows), n_bar, ground, survival, thermal, seg_id))
+            steps_run[seg_id] = k
             if norm_log < DEFAULT_NORM_LOG_FLOOR:
-                terminated = True
-                break
+                return rows, norm_log, True, tuple(steps_run)
             if seg.until_n_bar is not None and n_bar <= seg.until_n_bar:
                 break
-        steps_run[seg_id] = k
-    return rows, norm_log, terminated, tuple(steps_run)
+    return rows, norm_log, False, tuple(steps_run)
 
 
 def _log_weights(lw: np.ndarray, tables: tuple[CoefficientTable | None, ...],
                  steps_run) -> np.ndarray:
     """``lw + sum_i k_i log_survival_i``: the log-weights after k_i =
-    ``steps_run[i]`` measurements of each segment's table, formed segment
-    by segment through :func:`_advance`, so a final state, a terminal
-    record and a rebuild's segment start carry the same roundings."""
+    ``steps_run[i]`` measurements of each segment's table, added segment
+    by segment as one new array ``lw + k_i * log_survival_i``: one rounding
+    of k_i S_i and one of the sum per level, however large k_i is. A
+    segment with k_i = 0 is skipped, since a zero coefficient's log
+    survival is -inf and 0 * -inf is NaN."""
     for table, k in zip(tables, steps_run):
         if k:
-            lw = _advance(lw, table, k)
+            lw = lw + k * table.log_survival
     return lw
-
-
-def _advance(lw: np.ndarray, table: CoefficientTable, k: int) -> np.ndarray:
-    """The log-weights after k measurements of ``table`` from ``lw``.
-
-    ``lw + k * log_survival`` as a new array: one rounding of k S and one
-    of the sum per level, however large k is. ``lw`` itself for k = 0,
-    since a zero coefficient's log survival is -inf and 0 * -inf is NaN.
-    """
-    return lw + k * table.log_survival if k else lw
 
 
 def _tables(schedule: ProtocolSchedule, n_max: int, build=None

@@ -1256,6 +1256,17 @@ def test_schedule_validation():
         Segment("bogus", PARAMS_DRIVEN, 3)
 
 
+def test_schedule_total_steps_sums_the_budgets():
+    # a zero-step segment adds nothing, and an until_n_bar segment counts
+    # at its budget, wherever its threshold would stop it
+    schedule = ProtocolSchedule((Segment("driven", PARAMS_DRIVEN, 20),
+                                 Segment("conventional", PARAMS_CONV, 0),
+                                 Segment("driven", PARAMS_DRIVEN, 40, until_n_bar=1e9)))
+    assert schedule.total_steps == 60
+    result = run(thermal_distribution(THERMAL_10K), schedule)
+    assert result.steps_run == (20, 0, 1) and sum(result.steps_run) < schedule.total_steps
+
+
 def _counted_builds(monkeypatch) -> list[str]:
     """The variant of every table built, by any module that binds ``build_table``."""
     calls = []
@@ -1468,29 +1479,54 @@ def test_survival_curve_raises_what_run_raises(monkeypatch, start, segment, pois
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
-def _counted_advance(monkeypatch):
-    """The k of every ``protocol._advance`` call from here on."""
+def _counted_log_weights(monkeypatch):
+    """The ``steps_run`` of every ``protocol._log_weights`` call from here on."""
     calls = []
-    advance = protocol._advance
+    log_weights = protocol._log_weights
 
-    def counted(lw, table, k):
-        calls.append(k)
-        return advance(lw, table, k)
-    monkeypatch.setattr(protocol, "_advance", counted)
+    def counted(lw, tables, steps_run):
+        calls.append(tuple(steps_run))
+        return log_weights(lw, tables, steps_run)
+    monkeypatch.setattr(protocol, "_log_weights", counted)
     return calls
 
 
 @pytest.mark.parametrize("name", ["fig4", "fig7", "fig7_threshold"])
 def test_only_the_final_state_forms_log_weights_on_a_thermal_start(monkeypatch, name):
     # the survival pass is never rebuilt on a thermal start, so it forms
-    # none; run forms its final state once, one _advance per segment run
+    # none; run forms its final state once
     schedule, initial = _preset_start(name)
     tables = protocol._tables(schedule, initial.n_max)
-    calls = _counted_advance(monkeypatch)
+    calls = _counted_log_weights(monkeypatch)
     protocol._survival_curve(initial, schedule, tables)
     assert calls == []
     result = run(initial, schedule)
-    assert calls == [k for k in result.steps_run if k] and len(calls) == len(schedule.segments)
+    assert calls == [result.steps_run]
+
+
+def _counted_refreshes(monkeypatch):
+    """The log-weights of every ``_AmplitudeView.refresh`` from here on, as bytes."""
+    rebuilds = []
+    refresh = protocol._AmplitudeView.refresh
+
+    def counted(view, lw):
+        rebuilds.append(lw.tobytes())
+        refresh(view, lw)
+    monkeypatch.setattr(protocol._AmplitudeView, "refresh", counted)
+    return rebuilds
+
+
+@pytest.mark.parametrize("name", [name for name in PRESETS if PRESETS[name].get("segments")])
+def test_a_preset_builds_its_view_once_and_never_rebuilds_it(monkeypatch, name):
+    # c_0 = 1 keeps a thermal start's top amplitude at 1, so its mass never
+    # falls below _MIN_VIEW_MASS: the view built at the start is the only one
+    schedule, initial = _preset_start(name)
+    tables = protocol._tables(schedule, initial.n_max)
+    rebuilds = _counted_refreshes(monkeypatch)
+    run(initial, schedule)
+    assert len(rebuilds) == 1
+    protocol._survival_curve(initial, schedule, tables)
+    assert len(rebuilds) == 2
 
 
 @pytest.mark.parametrize("case", sorted(TERMINAL_CASES))
@@ -1501,25 +1537,18 @@ def test_run_final_log_weights_are_bitwise_the_shared_sum(case):
     assert result.final.log_weights.tobytes() == want.tobytes()
 
 
-def test_a_rebuild_in_a_later_segment_forms_that_segment_start_once(monkeypatch):
+def test_each_rebuild_in_a_later_segment_forms_the_steps_run_so_far(monkeypatch):
     # the rebuild case as two segments of different operators: every
-    # rebuild's log-weights are bitwise lw_0 + k_0 S_0 + j S_1, and the
-    # second segment's start lw_0 + 50 S_0 is formed at its first rebuild
-    # alone, so each rebuild after the first takes one _advance, the
-    # second segment's start one more and the final state two
+    # rebuild's log-weights are bitwise lw_0 + k_0 S_0 + j S_1; each
+    # rebuild after the start's is one _log_weights call over the steps
+    # run so far, and the final state one more
     schedule, initial = _rebuild_case()
     seg = schedule.segments[0]
     schedule = ProtocolSchedule((replace(seg, steps=50),
                                  replace(seg, params=replace(seg.params, tau=seg.params.tau
                                                              - 1e-3), steps=150)))
-    rebuilds = []
-    refresh = protocol._AmplitudeView.refresh
-
-    def counted(view, lw):
-        rebuilds.append(lw.tobytes())
-        refresh(view, lw)
-    monkeypatch.setattr(protocol._AmplitudeView, "refresh", counted)
-    calls = _counted_advance(monkeypatch)
+    rebuilds = _counted_refreshes(monkeypatch)
+    calls = _counted_log_weights(monkeypatch)
     result = run(initial, schedule)
     assert result.steps_run == (50, 150)
     first = {_summed_log_weights(initial, schedule, (j, 0)).tobytes() for j in range(51)}
@@ -1527,4 +1556,6 @@ def test_a_rebuild_in_a_later_segment_forms_that_segment_start_once(monkeypatch)
               for j in range(1, 151)}
     assert all(lw in first | second for lw in rebuilds)
     assert sum(lw in second for lw in rebuilds) > 10
-    assert len(calls) == len(rebuilds) + 2
+    assert len(calls) == len(rebuilds) and calls[-1] == result.steps_run
+    assert rebuilds[1:] == [_summed_log_weights(initial, schedule, steps).tobytes()
+                            for steps in calls[:-1]]

@@ -143,9 +143,7 @@ def _call(package, case: dict, out_dir: Path):
         return config.outputs.n_max, functools.partial(runner.run_experiment, config, out_dir)
     schedule, thermal = config.schedule(), config.thermal_spec()
     if config.sweep is not None:
-        # a tree older than the config's unit conversion has no SI tau sweep
-        values = (config.sweep_values() if hasattr(config, "sweep_values")
-                  else config.sweep.values)
+        values = config.sweep_values()
         axis = config.sweep.axis
         starts = (package.protocol._apply_axis(axis, v, thermal, schedule) for v in values)
         n_max = max(package.initial_state(th, sched, hard_cap=config.hard_cap).n_max
