@@ -11,10 +11,17 @@ per-step observables from an amplitude view u = exp((log_weights - max) / 2)
 of them and its multiple sqrt(n) u, rebuilt from them only at the start and
 when its mass falls below a fixed floor. Every sum of exponentials in the
 package skips terms more than ``LOG_TINY`` (708 e-folds) below its largest
-term: they cannot move a double-precision sum. The view of a run over more
-than 16,384 levels also drops every 128-level row whose amplitudes have
-all fallen to 2^-60 / (n_max + 1) of the ground level's, which moves no
-record by more than 2^-58 relative (see ``protocol``).
+term: they cannot move a double-precision sum. The view applies that rule
+in two places. A rebuild applies it to the amplitudes: u is 0 wherever
+it would lie more than 708 e-folds below the largest amplitude. At
+measurements 16, 32, 64, ... of each segment (the counts), a view of at
+most 16,384 levels applies it to the weights u^2: it zeroes every
+amplitude whose weight lies more than 708 e-folds below the ground
+level's, u <= exp(LOG_TINY / 2) u_0, which moves no record. At the same
+counts, the view of a run over more than 16,384 levels instead drops
+every 128-level row whose amplitudes have all fallen to
+2^-60 / (n_max + 1) of the ground level's, which moves no record by more
+than 2^-58 relative (see ``protocol``).
 """
 
 from __future__ import annotations

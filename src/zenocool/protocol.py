@@ -12,11 +12,12 @@ only each grid point's last record, so it reads that off the closed form:
 k_i measurements of segment i leave the log-weights
 lw_0 + sum_i k_i log_survival_i, observed once. The trajectory sampler
 needs only the survival curve, so it goes through the same step loop
-(:func:`_evolve`) scaling u alone and reading its mass, with no
-observable past the survival (:func:`_survival_curve`). A schedule with an
-``until_n_bar`` segment reads n_bar in that loop too, since it stops on
-n_bar, and a sweep reads the realized steps off it before the closed
-form, stepping the schedule only up to its last such segment.
+(:func:`_evolve`) scaling u alone and reading its mass, and keeps one
+float per measurement, with no record (:func:`_survival_curve`). A
+schedule with an ``until_n_bar`` segment reads n_bar in that loop too,
+since it stops on n_bar, and a sweep reads the realized steps off it
+before the closed form, stepping the schedule only up to its last such
+segment.
 
 The observables come from an amplitude view of the state,
 u_n = exp((lw_n - top) / 2) and v_n = sqrt(n) u_n, which each measurement
@@ -36,21 +37,32 @@ not rebuilt at a segment switch, which would cost an ``exp`` pass and
 gain nothing: at the switch of ``fig7`` a rebuild leaves the final n_bar
 6e-17 relative from a long-double evaluation, as no rebuild does.
 
-A run over more than 2 ``_DOT_CHUNK`` levels also drops emptied rows
-from the view (:meth:`_AmplitudeView.compact`). At measurements 16, 32,
-64, ... of each segment, every ``_BLOCK``-level row of the view whose
-amplitudes are all at most eps = 2^-60 u_0 / size leaves it, once such
-rows hold ``_DOT_CHUNK`` levels or more; the log-weights stay over all
-levels, so the final state is exact. Level 0 is the rule's witness:
-c_0 = 1 in every table, so u_0 stays fixed between rebuilds, and it
-bounds the sums from below, mass >= u_0^2 and overlap >= u_0. A dropped
-amplitude stays at most 2 eps for the rest of the run, whatever a later
-segment does at its level, since |c_n| <= 1 + 1e-12 (over fewer than
-6e11 measurements). Fewer than size levels are dropped, so together they
-move the overlap by less than 2^-59 of itself, and the mass and n_bar
-(absolutely) by less than 2^-118: each record moves by less than 2^-58
-relative. Emptied rows thus leave the view before they decay into the
-subnormal range.
+Measurements 16, 32, 64, ... of each segment are counts, at which the
+view sheds its dead amplitudes before they decay into the subnormal
+range, where every product and sum over them is slow. Level 0 is the
+witness: c_0 = 1 in every table, so u_0 stays fixed between rebuilds (1
+on a thermal start) and bounds the sums from below, mass >= u_0^2 and
+overlap >= u_0, and |c_n| <= 1 + 1e-12 (over fewer than 6e11
+measurements) keeps a shed level negligible whatever a later segment
+does at it. The log-weights are untouched, so the final state is exact.
+
+A view of at most 2 ``_DOT_CHUNK`` levels zeroes every u_n <=
+exp(``LOG_TINY`` / 2) u_0, and v_n with it where the run reads moments
+(:meth:`_AmplitudeView.zero_dead`): the ``LOG_TINY`` rule of every sum
+of exponentials here, applied to the weights u_n^2 under u_0^2, so a
+level is zeroed about 354 e-folds before it could turn subnormal. The
+zeroed levels move the mass by less than (n_max + 1) e^-708 of itself,
+the overlap by less than (n_max + 1) e^-354 of itself and n_bar by less
+than n_max (n_max + 1) e^-708 absolutely: no record of any preset moves.
+
+A larger view instead drops every ``_BLOCK``-level row whose amplitudes
+are all at most eps = 2^-60 u_0 / size, once such rows hold
+``_DOT_CHUNK`` levels or more (:meth:`_AmplitudeView.compact`). Fewer
+than size levels are dropped, each at most 2 eps for the rest of the
+run, so together they move the overlap by less than 2^-59 of itself and
+the mass and n_bar (absolutely) by less than 2^-118: each record moves
+by less than 2^-58 relative. Zeroing inside such a view as well was
+measured slower on the ``hot-100k`` runs.
 
 The thermal fidelity's reference is the untruncated thermal state
 rho^(2n) / Z, rho^2 = n_bar / (1 + n_bar), Z = 1 + n_bar, so it depends on
@@ -93,10 +105,13 @@ _MIN_VIEW_MASS = 1e-16
 
 _DOT_CHUNK = 8192
 _BLOCK = 128
-# The view drops a grid row once its amplitudes are all at most
-# _DROP u_0 / size, first at measurement _FIRST_COMPACTION of a segment.
+# Measurements _FIRST_COUNT, 2 _FIRST_COUNT, 4 _FIRST_COUNT, ... of each
+# segment are counts. At a count, a view of more than 2 _DOT_CHUNK levels
+# drops each grid row whose amplitudes are all at most _DROP u_0 / size; a
+# smaller view zeroes every amplitude at most _DEAD u_0.
+_FIRST_COUNT = 16
 _DROP = 2.0 ** -60
-_FIRST_COMPACTION = 16
+_DEAD = math.exp(LOG_TINY / 2)
 
 SWEEP_AXES = ("g_f", "T", "tau", "N", "switch")
 # what fails one grid point of a sweep; any other exception is a fault of the program
@@ -179,20 +194,21 @@ def effective_temperature(n_bar: float, omega_m: float) -> float:
 class _AmplitudeView:
     """u_n = exp((lw_n - top) / 2): square roots of the weights, scaled by the largest.
 
-    :meth:`observe` rebuilds u from the log-weights (:meth:`refresh`)
-    whenever its mass has fallen below ``_MIN_VIEW_MASS``; the grid starts
-    empty, so the first call builds it. Levels more than ``LOG_TINY``
-    below the largest amplitude are 0 in u until the next rebuild: u only
-    shrinks and the mass stays above ``_MIN_VIEW_MASS`` until then, so
-    their share stays below exp(2 LOG_TINY) / _MIN_VIEW_MASS.
+    :meth:`survival` and :meth:`observe` rebuild u from the log-weights
+    (:meth:`refresh`) whenever its mass has fallen below
+    ``_MIN_VIEW_MASS``; the grid starts empty, so the first call builds
+    it. Levels more than ``LOG_TINY`` below the largest amplitude are 0 in
+    u until the next rebuild: u only shrinks and the mass stays above
+    ``_MIN_VIEW_MASS`` until then, so their share stays below
+    exp(2 LOG_TINY) / _MIN_VIEW_MASS.
 
     u and v = sqrt(n) u are the two rows of one buffer, zero past the
-    last level. :meth:`_sums` adds one dot per part left to right, a part
-    being the levels the view holds of one ``_DOT_CHUNK``-level chunk of
-    the whole grid (``parts``; the last is unpadded: ddot orders a short
-    tail otherwise), so the mass of a view that has dropped nothing is
-    bitwise one ddot per chunk. OpenBLAS threads a longer ddot, which on 2
-    cores slowed a run at n_max 23,189.
+    last level. :meth:`_mass` and :meth:`_moment` add one dot per part
+    left to right, a part being the levels the view holds of one
+    ``_DOT_CHUNK``-level chunk of the whole grid (``parts``; the last is
+    unpadded: ddot orders a short tail otherwise), so the mass of a view
+    that has dropped nothing is bitwise one ddot per chunk. OpenBLAS
+    threads a longer ddot, which on 2 cores slowed a run at n_max 23,189.
 
     u is the head of a grid of ``_BLOCK`` columns, level n = _BLOCK a + b
     at row a, column b, so that the thermal-fidelity overlap
@@ -200,17 +216,20 @@ class _AmplitudeView:
     one short ``exp`` over the joint exponents (b, then _BLOCK a) instead
     of one ``exp`` per level.
 
+    At each count the view sheds its dead amplitudes (module docstring),
+    with u_0 as the witness (mass >= u_0^2, overlap >= u_0): a view of at
+    most 2 ``_DOT_CHUNK`` levels zeroes every u_n <= exp(LOG_TINY / 2) u_0
+    (:meth:`zero_dead`), which moves no record by as much as half an ulp;
+    a larger view drops rows (:meth:`compact`), which moves none by as
+    much as 2^-58 relative.
+
     :meth:`compact` drops each grid row whose amplitudes are all at most
-    eps = 2^-60 u_0 / size. Level 0 is the rule's witness: c_0 = 1, so u_0
-    is fixed between rebuilds and bounds the sums from below (mass >= u_0^2,
-    overlap >= u_0), while a dropped amplitude never exceeds 2 eps again;
-    no record moves by more than 2^-58 relative (module docstring). Row 0
-    holds u_0 > eps, so it is never dropped. The kept rows move to the
-    front of the buffer, ascending; ``row_ids`` holds their grid rows a
-    and ``keep`` their levels (``slice(None)`` until a row is dropped): a
-    step scales u by |c_n| gathered over ``keep``, a rebuild refills the
-    kept rows alone, and the overlap takes each kept row's own
-    rho^(_BLOCK a). The parts are cut over the kept rows the same way:
+    eps = 2^-60 u_0 / size. Row 0 holds u_0 > eps, so it is never
+    dropped. The kept rows move to the front of the buffer, ascending;
+    ``row_ids`` holds their grid rows a and ``keep`` their levels
+    (``slice(None)`` until a row is dropped): a step scales u by |c_n|
+    gathered over ``keep``, a rebuild refills the kept rows alone, and the
+    overlap takes each kept row's own rho^(_BLOCK a). The parts are cut over the kept rows the same way:
     rows move by whole ``_BLOCK``-level strides, so a ddot adds each kept
     term in the lane it had, and a dropped term was under half an ulp of
     what it met there. On ``fig6`` and the ``hot-100k`` case the mass and
@@ -283,14 +302,28 @@ class _AmplitudeView:
         self._cut(row_ids, self.keep.size)
         return True
 
-    def _sums(self, moments: bool) -> tuple[float, ...]:
-        """(u.u, v.v), or (u.u,) without ``moments``: one dot per part, added left to right."""
-        mass = moment = 0.0
-        for u, v in self.parts:
+    def zero_dead(self, moments: bool) -> None:
+        """Zero every u_n <= exp(``LOG_TINY`` / 2) u_0, and v_n at the same
+        levels if ``moments`` (v is not kept current otherwise). A NaN is
+        kept, so that the next sum still fails."""
+        dead = self.u <= self.u[0] * _DEAD
+        self.u[dead] = 0.0
+        if moments:
+            self.v[dead] = 0.0
+
+    def _mass(self) -> float:
+        """u.u: one dot per part, added left to right."""
+        mass = 0.0
+        for u, _ in self.parts:
             mass += float(u.dot(u))
-            if moments:
-                moment += float(v.dot(v))
-        return (mass, moment) if moments else (mass,)
+        return mass
+
+    def _moment(self) -> float:
+        """v.v: one dot per part, added left to right."""
+        moment = 0.0
+        for _, v in self.parts:
+            moment += float(v.dot(v))
+        return moment
 
     def _overlap(self, log_rho: float) -> float:
         """sum_n u_n rho^n, dropping each factor rho^b, rho^(_BLOCK a) under exp(LOG_TINY)."""
@@ -308,35 +341,49 @@ class _AmplitudeView:
             self.grid_head, self.row_pow_head = self.grid[:rows], self.row_pow[:rows]
         return float((self.grid_head @ self.col_pow).dot(self.row_pow_head))
 
-    def observe(self, log_weights: Callable[[], np.ndarray], norm_log: float | None = None,
-                moments: bool = True) -> tuple[float, float, float, float, float]:
-        """(n_bar, ground fidelity, survival, thermal fidelity, log mass) of the state.
+    def survival(self, log_weights: Callable[[], np.ndarray], norm_log: float | None = None
+                 ) -> tuple[float, float]:
+        """(survival, log mass) of the state, read off u alone; the mass is
+        left in ``mass``.
 
         ``log_weights()`` returns the state's log-weights; it is called
-        only when the view must be rebuilt. ``norm_log`` overrides the log
-        mass where it is known exactly (the initial state). A term of the
-        thermal overlap whose rho^n has a factor under exp(``LOG_TINY``) is
-        dropped; u_n^2 <= mass and Z >= 1, so it would move the fidelity's
-        square root by less than exp(LOG_TINY). The mass and moment are
-        :meth:`_sums` of the view. Without ``moments`` only the survival and
-        log mass are read, off u alone (v need only be current after a
-        rebuild), and the rest are NaN.
+        only when the view must be rebuilt, and v is current after a
+        rebuild. ``norm_log`` overrides the log mass where it is known
+        exactly (the initial state). The levels a count shed move the mass
+        by less than (n_max + 1) e^-708 u_0^2 in a view of at most
+        2 ``_DOT_CHUNK`` levels (:meth:`zero_dead`), and by less than
+        2^-118 u_0^2 in a larger one (:meth:`compact`).
         """
-        found = self._sums(moments)
-        if not found[0] >= _MIN_VIEW_MASS:  # also NaN and an empty view
+        mass = self._mass()
+        if not mass >= _MIN_VIEW_MASS:  # also NaN and an empty view
             self.refresh(log_weights())
-            found = self._sums(moments)
-        mass = found[0]
+            mass = self._mass()
+        self.mass = mass
         if norm_log is None:
             norm_log = self.top + math.log(mass)
         try:
-            survival = math.exp(norm_log)
+            return math.exp(norm_log), norm_log
         except OverflowError:
             raise ValueError(f"norm_log {norm_log!r} exceeds log(DBL_MAX): the "
                              "survival probability overflows a double") from None
-        if not moments:
-            return math.nan, math.nan, survival, math.nan, norm_log
-        n_bar = found[1] / mass
+
+    def observe(self, log_weights: Callable[[], np.ndarray], norm_log: float | None = None
+                ) -> tuple[float, float, float, float, float]:
+        """(n_bar, ground fidelity, survival, thermal fidelity, log mass) of the state.
+
+        The survival and log mass are :meth:`survival`'s, which takes the
+        same arguments; the moment is :meth:`_moment`. A term of the
+        thermal overlap whose rho^n has a factor under exp(``LOG_TINY``) is
+        dropped; u_n^2 <= mass and Z >= 1, so it would move the fidelity's
+        square root by less than exp(LOG_TINY). The levels a count shed
+        move the overlap by less than (n_max + 1) e^-354 u_0 in a view of
+        at most 2 ``_DOT_CHUNK`` levels (:meth:`zero_dead`), so no record
+        moves, and each record by less than 2^-58 relative in a larger one
+        (:meth:`compact`).
+        """
+        survival, norm_log = self.survival(log_weights, norm_log)
+        mass = self.mass
+        n_bar = self._moment() / mass
         u0 = float(self.u[0])
         ground = u0 / mass * u0
         if n_bar > 0.0:
@@ -388,44 +435,46 @@ def _survival_curve(initial: PopulationDistribution, schedule: ProtocolSchedule,
     """``run(initial, schedule)``'s survival column (read-only) and
     ``steps_run``, bit for bit, from :func:`_evolve` without records.
 
-    Each measurement scales u alone and sums its mass, with no moment,
-    overlap or effective temperature, unless a segment stops on n_bar
+    Each measurement scales u alone and keeps its survival, one float,
+    with no moment, overlap or record row, unless a segment stops on n_bar
     (:func:`_evolve`). ``tables`` are :func:`_tables` of the schedule.
     Raises what :func:`run` raises on the same start.
     """
-    rows, *_, steps_run = _evolve(initial, schedule, tables, False)
-    survival = np.array([row[3] for row in rows])
+    survival, *_, steps_run = _evolve(initial, schedule, tables, False)
+    survival = np.array(survival)
     survival.flags.writeable = False
     return survival, steps_run
 
 
 def _evolve(initial: PopulationDistribution, schedule: ProtocolSchedule,
-            tables: tuple[CoefficientTable | None, ...], moments: bool):
+            tables: tuple[CoefficientTable | None, ...], records: bool):
     """The step loop of :func:`run` and :func:`_survival_curve`.
 
-    Each measurement multiplies the amplitude view's u row by |c_n|, and
-    its v row too if ``moments``, and :meth:`_AmplitudeView.observe` then
-    reads the state, with or without ``moments``; the initial state is
-    read first, at its ``norm_log``. A segment ends at its step budget or
-    its ``until_n_bar``, and the run below the norm floor. A schedule with
-    an ``until_n_bar`` segment reads the moments whatever ``moments`` says,
-    so it stops where :func:`run` stops. Returns the rows (step, n_bar,
-    ground, survival, thermal, segment), the final log mass, whether the
-    run stopped at the floor, and the measurements each segment ran. A
-    rebuild forms the log-weights after the measurements run so far
+    The initial state is read first, at its ``norm_log``
+    (:meth:`_AmplitudeView.observe`). Each measurement then multiplies the
+    amplitude view's u row by |c_n|. With ``records``, or where a segment
+    stops on n_bar, it multiplies the v row too and
+    :meth:`_AmplitudeView.observe` reads the state, so such a schedule
+    stops where :func:`run` stops; otherwise
+    :meth:`_AmplitudeView.survival` reads u alone. The rows are
+    (step, n_bar, ground, survival, thermal, segment) with ``records``,
+    and the survivals alone, the initial state's included, without. At
+    each count the view sheds its dead amplitudes (module docstring). A
+    segment ends at its step budget or its ``until_n_bar``, and the run
+    below the norm floor. Returns the rows, the final log mass, whether
+    the run stopped at the floor, and the measurements each segment ran.
+    A rebuild forms the log-weights after the measurements run so far
     (:func:`_log_weights`).
     """
-    moments = moments or any(s.until_n_bar is not None for s in schedule.segments)
+    moments = records or any(s.until_n_bar is not None for s in schedule.segments)
     lw = initial.log_weights
     view = _AmplitudeView(lw.size)
     u, v = view.u, view.v  # a rebuild writes into these
-    observe = view.observe
-    n_bar, ground, survival, thermal, norm_log = observe(lambda: lw, initial.norm_log, moments)
-    rows = [(0, n_bar, ground, survival, thermal, 0)]
+    observe, read = view.observe, view.survival
+    n_bar, ground, survival, thermal, norm_log = observe(lambda: lw, initial.norm_log)
+    rows = [(0, n_bar, ground, survival, thermal, 0) if records else survival]
     steps_run = [0] * len(schedule.segments)
-    # a view of more than two dot chunks drops its emptied rows at
-    # measurements 16, 32, 64, ... of each segment; 0 never comes
-    first = _FIRST_COMPACTION if lw.size > 2 * _DOT_CHUNK else 0
+    compacts = lw.size > 2 * _DOT_CHUNK  # else the view zeroes dead amplitudes at a count
 
     def log_weights():  # called within the step loop, at step k of segment seg_id
         return _log_weights(lw, tables, (*steps_run[:seg_id], k))
@@ -433,17 +482,23 @@ def _evolve(initial: PopulationDistribution, schedule: ProtocolSchedule,
         if table is None:
             continue
         magnitude = table.magnitude[view.keep]
-        due = first
+        due = _FIRST_COUNT
         for k in range(1, seg.steps + 1):
             u *= magnitude
             if moments:
                 v *= magnitude
             if k == due:
                 due *= 2
-                if view.compact():
+                if not compacts:
+                    view.zero_dead(moments)
+                elif view.compact():
                     u, v, magnitude = view.u, view.v, table.magnitude[view.keep]
-            n_bar, ground, survival, thermal, norm_log = observe(log_weights, None, moments)
-            rows.append((len(rows), n_bar, ground, survival, thermal, seg_id))
+            if moments:
+                n_bar, ground, survival, thermal, norm_log = observe(log_weights)
+            else:
+                survival, norm_log = read(log_weights)
+            rows.append((len(rows), n_bar, ground, survival, thermal, seg_id) if records
+                        else survival)
             steps_run[seg_id] = k
             if norm_log < DEFAULT_NORM_LOG_FLOOR:
                 return rows, norm_log, True, tuple(steps_run)

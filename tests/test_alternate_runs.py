@@ -248,3 +248,18 @@ def test_the_hot_and_the_threshold_trajectory_cases_against_themselves(monkeypat
     assert [(row[0], row[1]) for row in rows] == [("traj-fig6", "23189"),
                                                   ("traj-fig7_threshold", "2319")]
     assert all(float(row[-1]) > 0.0 for row in rows)
+
+
+def test_the_fig4_conventional_and_traj_fig3c_cases_against_themselves(capsys):
+    """``fig4_conventional`` times ``run``; ``traj-fig3c`` is the sampler call
+    of a ``figures-10k`` pass."""
+    tool = _load_tool()
+    assert tool.CASES["fig4_conventional"] == {"preset": "fig4_conventional"}
+    assert tool.CASES["traj-fig3c"] == {"preset": "fig3c", "trajectories": 20_000}
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--cases", "fig4_conventional,traj-fig3c",
+                      "--repeats", "2"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(row[0], row[1]) for row in rows] == [("fig4_conventional", "2319"),
+                                                  ("traj-fig3c", "511")]
+    assert all(float(row[-1]) > 0.0 for row in rows)

@@ -510,8 +510,7 @@ def test_run_final_log_weights_are_those_of_the_terminal_record(monkeypatch, cas
 def test_amplitude_view_sums(size):
     # The mass is bitwise the left-to-right sum of the 8,192-level chunk
     # dots that a ddot per chunk gives, whatever the number of chunks
-    # (1 to 8 here), also when summed from u alone, and the moment v.v is
-    # sum_n n u_n^2 to 1e-15.
+    # (1 to 8 here), and the moment v.v is sum_n n u_n^2 to 1e-15.
     chunk = protocol._DOT_CHUNK
     rng = np.random.default_rng(size)
     lw = rng.uniform(-2.0, 0.0, size)  # chunks of comparable mass
@@ -533,9 +532,8 @@ def test_amplitude_view_sums(size):
         for i in range(0, size, chunk):
             want_mass += float(u[i:i + chunk].dot(u[i:i + chunk]))
         want_moment = float((levels * u.astype(np.longdouble) ** 2).sum())
-        mass, moment = view._sums(True)
+        mass, moment = view._mass(), view._moment()
         assert mass == want_mass
-        assert view._sums(False) == (mass,)
         assert abs(moment - want_moment) <= 1e-15 * want_moment
         assert not view.uv[:, size:].any()
     assert size < 24 or subnormal and not view.u.all()
@@ -856,7 +854,7 @@ def test_compaction_keeps_the_gain_and_leaves_small_views_alone(monkeypatch):
         u, v = view.u[held], view.v[held]
         mass += float(u.dot(u))
         moment += float(v.dot(v))
-    assert view._sums(True) == (mass, moment) and view._sums(False) == (mass,)
+    assert (view._mass(), view._moment()) == (mass, moment)
     _assert_parts_tile_u(view)
     # so a dropped row moves no mass or moment: only the thermal fidelity moves
     want = _uncompacted(monkeypatch, run, initial, schedule)
@@ -871,6 +869,54 @@ def test_compaction_keeps_the_gain_and_leaves_small_views_alone(monkeypatch):
     records = run(initial, schedule).records
     assert not kept and not views
     assert records.tobytes() == _uncompacted(monkeypatch, run, initial, schedule).records.tobytes()
+
+
+def _dead_at_each_read(monkeypatch, method):
+    """Patch in a traced ``_AmplitudeView.<method>``: the list fills with the
+    number of amplitudes in (0, exp(LOG_TINY / 2)] the view holds at each
+    call, and whether v is 0 wherever u is."""
+    dead = []
+    read = getattr(protocol._AmplitudeView, method)
+
+    def traced(view, *args):
+        u = view.u
+        dead.append((int(np.count_nonzero((u > 0.0) & (u <= math.exp(protocol.LOG_TINY / 2)))),
+                     not view.v[u == 0.0].any()))
+        return read(view, *args)
+    monkeypatch.setattr(protocol._AmplitudeView, method, traced)
+    return dead
+
+
+def _counts(result):
+    """The rows of ``result.records`` read right after a count: measurement
+    k of a segment, for k = 16, 32, 64, ..."""
+    starts = np.cumsum((0, *result.steps_run))
+    ks = [i - starts[seg] for i, seg in enumerate(result.records.segment.tolist())]
+    return [i for i, k in enumerate(ks)
+            if i and k % protocol._FIRST_COUNT == 0 and not k & (k - 1)]
+
+
+@pytest.mark.parametrize("name", ["fig4_conventional", "fig4", "fig7"])
+def test_a_view_that_never_compacts_zeroes_its_dead_amplitudes_at_each_count(monkeypatch,
+                                                                             name):
+    # these 2,320-level views build up some 250 amplitudes at or below
+    # e^-354 (u_0 = 1) by measurement 256, 10 of them subnormal, unless
+    # each count zeroes them; v is zeroed with u where run reads it
+    schedule, initial = _preset_start(name)
+    dead = _dead_at_each_read(monkeypatch, "observe")
+    result = run(initial, schedule)
+    assert len(dead) == len(result.records)
+    counts = _counts(result)
+    assert len(counts) == {"fig7": 6}.get(name, 5)
+    assert all(dead[i] == (0, True) for i in counts)
+    assert dead[counts[-1] - 1][0] > 200
+    # the survival pass zeroes u alone, at the same counts
+    monkeypatch.undo()
+    dead = _dead_at_each_read(monkeypatch, "survival")
+    protocol._survival_curve(initial, schedule, result.tables)
+    assert len(dead) == len(result.records)
+    assert all(dead[i][0] == 0 for i in counts)
+    assert dead[counts[-1] - 1][0] > 200
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -1502,6 +1548,53 @@ def test_only_the_final_state_forms_log_weights_on_a_thermal_start(monkeypatch, 
     assert calls == []
     result = run(initial, schedule)
     assert calls == [result.steps_run]
+
+
+@pytest.mark.parametrize("case", sorted(SURVIVAL_CASES))
+def test_zeroing_dead_amplitudes_changes_no_output(monkeypatch, case):
+    schedule, initial = SURVIVAL_CASES[case]()
+    tables = protocol._tables(schedule, initial.n_max)
+    got = run(initial, schedule)
+    survival = protocol._survival_curve(initial, schedule, tables)[0]
+    monkeypatch.setattr(protocol._AmplitudeView, "zero_dead", lambda view, moments: None)
+    want = run(initial, schedule)
+    assert got.records.tobytes() == want.records.tobytes()
+    assert got.final.log_weights.tobytes() == want.final.log_weights.tobytes()
+    assert got.steps_run == want.steps_run
+    assert survival.tobytes() == protocol._survival_curve(initial, schedule, tables)[0].tobytes()
+
+
+def _counted_reads(monkeypatch):
+    """The number of ``_AmplitudeView.observe`` and ``survival`` calls from
+    here on; ``observe`` reads the survival through ``survival`` too."""
+    calls = dict.fromkeys(("observe", "survival"), 0)
+
+    def count(method):
+        read = getattr(protocol._AmplitudeView, method)
+
+        def counted(view, *args):
+            calls[method] += 1
+            return read(view, *args)
+        monkeypatch.setattr(protocol._AmplitudeView, method, counted)
+    for method in calls:
+        count(method)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["fig3c", "fig4", "fig7", "fig7_threshold"])
+def test_the_survival_pass_observes_only_the_start_unless_it_stops_on_n_bar(monkeypatch,
+                                                                             name):
+    # without an until_n_bar segment, each measurement is one survival-only
+    # read; fig7_threshold's switch reads n_bar, so it observes every state
+    schedule, initial = _preset_start(name)
+    tables = protocol._tables(schedule, initial.n_max)
+    calls = _counted_reads(monkeypatch)
+    survival = protocol._survival_curve(initial, schedule, tables)[0]
+    measurements = survival.size - 1
+    if name == "fig7_threshold":
+        assert calls == {"observe": measurements + 1, "survival": measurements + 1}
+    else:
+        assert calls == {"observe": 1, "survival": measurements + 1}
 
 
 def _counted_refreshes(monkeypatch):

@@ -12,7 +12,8 @@ with a ``trajectories`` count (the ``traj-*`` cases) times
 ``sample_trajectories`` at a fixed seed, which includes the survival
 curve that realizes the schedule (the engine's step loop without
 records, which reads n_bar too where a segment has an ``until_n_bar``,
-as in ``traj-fig7_threshold``); a case whose config has a ``sweep``
+as in ``traj-fig7_threshold``; ``traj-fig3c`` is the sampler call of a
+``figures-10k`` pass, 2 * 10^4 trajectories); a case whose config has a ``sweep``
 block (the ``sweep-*`` cases) times ``sweep`` over its whole grid, in
 the library units the config converts it to
 (``ExperimentConfig.sweep_values``), and its n_max is the largest of
@@ -80,12 +81,15 @@ CASES = {
     "fig3a": {"preset": "fig3a"},
     "fig3c_conventional": {"preset": "fig3c_conventional"},
     "fig4": {"preset": "fig4"},
+    "fig4_conventional": {"preset": "fig4_conventional"},
     "fig7": {"preset": "fig7"},
     "fig7_threshold": {"preset": "fig7_threshold"},
     "fig6": {"preset": "fig6"},
     "hot-100k": _HOT_100K,
     "traj-fig4": {"preset": "fig4", "trajectories": 250_000},
     "traj-fig7": {"preset": "fig7", "trajectories": 250_000},
+    # the sampler call of a figures-10k operation: 2 * 10^4 trajectories at n_max 511
+    "traj-fig3c": {"preset": "fig3c", "trajectories": 20_000},
     # the sampler call of a hot-100k operation: 10^4 trajectories at n_max 23,189
     "traj-fig6": {"preset": "fig6", "trajectories": 10_000},
     # an until_n_bar schedule, whose survival curve's step loop also reads n_bar
